@@ -7,8 +7,8 @@
 //   - internal/graph, internal/dynet: graphs, dynamic graphs, flooding,
 //     dynamic diameter, persistent-distance classes 𝒢(PD)_h;
 //   - internal/runtime: synchronous anonymous-broadcast execution engines
-//     (sequential and goroutine-per-node), both context-aware: a run can be
-//     canceled between rounds via RunSequentialCtx/RunConcurrentCtx, bounded
+//     (sequential and sharded worker-pool), both context-aware: a run can be
+//     canceled between rounds via RunSequentialCtx/RunShardedCtx, bounded
 //     per round with Config.RoundDeadline, and a panicking process is
 //     isolated and surfaced as a *ProcessPanicError instead of crashing the
 //     program;

@@ -326,12 +326,12 @@ func BenchmarkAblationStar(b *testing.B) {
 	}
 }
 
-// BenchmarkEngines compares the sequential and concurrent engines on the
-// same workload — an ablation of the execution substrate itself.
+// BenchmarkEngines compares the sequential and sharded engines on the same
+// workload — an ablation of the execution substrate itself.
 func BenchmarkEngines(b *testing.B) {
 	for name, run := range map[string]counting.Runner{
 		"sequential": runtime.RunSequential,
-		"concurrent": runtime.RunConcurrent,
+		"sharded":    runtime.RunSharded,
 	} {
 		run := run
 		b.Run(name, func(b *testing.B) {

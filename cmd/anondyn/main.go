@@ -120,8 +120,7 @@ func run(ctx context.Context, args []string, out io.Writer) (err error) {
 	seed := fs.Int64("seed", 1, "seed for randomized adversaries")
 	bound := fs.Bool("bound", false, "print the exact Theorem 1 bound for -n and exit")
 	pair := fs.Bool("pair", false, "construct and describe the adversarial pair for -n and exit")
-	engineName := fs.String("engine", "", "round engine: sequential (default) | concurrent | sharded")
-	concurrent := fs.Bool("concurrent", false, "use the goroutine-per-node engine (alias for -engine concurrent)")
+	engineName := fs.String("engine", "", "round engine: sequential (default) | sharded")
 	timeout := fs.Duration("timeout", 0, "abort the run after this duration (0 = no limit)")
 	obsCfg := cli.ObsFlags(fs)
 	if err := fs.Parse(args); err != nil {
@@ -136,12 +135,9 @@ func run(ctx context.Context, args []string, out io.Writer) (err error) {
 	defer func() { err = obsCfg.Finish(err) }()
 	ctx, cancel := cli.WithTimeout(ctx, *timeout)
 	defer cancel()
-	if *concurrent && *engineName == "" {
-		*engineName = "concurrent"
-	}
 	engine, err := counting.EngineByName(ctx, *engineName)
 	if err != nil {
-		return cli.Usagef("unknown engine %q (want sequential, concurrent, or sharded)", *engineName)
+		return cli.Usagef("unknown engine %q (want sequential or sharded)", *engineName)
 	}
 	switch {
 	case *bound:

@@ -185,18 +185,8 @@ func TestUpperBoundCommand(t *testing.T) {
 	}
 }
 
-func TestConcurrentFlag(t *testing.T) {
-	out, err := capture(t, []string{"-algo", "star", "-n", "5", "-concurrent"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out, "counted 6 nodes") {
-		t.Fatalf("output:\n%s", out)
-	}
-}
-
 func TestEngineFlag(t *testing.T) {
-	for _, eng := range []string{"sequential", "concurrent", "sharded"} {
+	for _, eng := range []string{"sequential", "sharded"} {
 		out, err := capture(t, []string{"-algo", "star", "-n", "5", "-engine", eng})
 		if err != nil {
 			t.Fatalf("-engine %s: %v", eng, err)
@@ -205,10 +195,12 @@ func TestEngineFlag(t *testing.T) {
 			t.Fatalf("-engine %s output:\n%s", eng, out)
 		}
 	}
-	if _, err := capture(t, []string{"-algo", "star", "-n", "5", "-engine", "turbo"}); err == nil {
-		t.Fatal("unknown engine accepted")
-	} else if got := cli.ExitCode(err); got != cli.ExitUsage {
-		t.Fatalf("unknown engine exits %d, want %d", got, cli.ExitUsage)
+	for _, eng := range []string{"turbo", "concurrent"} {
+		if _, err := capture(t, []string{"-algo", "star", "-n", "5", "-engine", eng}); err == nil {
+			t.Fatalf("unknown engine %q accepted", eng)
+		} else if got := cli.ExitCode(err); got != cli.ExitUsage {
+			t.Fatalf("unknown engine %q exits %d, want %d", eng, got, cli.ExitUsage)
+		}
 	}
 }
 

@@ -97,7 +97,7 @@ func run() error {
 			MaxRounds: 10 * n,
 			Stop:      all,
 		}
-		return runtime.RunConcurrent(cfg)
+		return runtime.RunSharded(cfg)
 	}
 
 	churn, err := dynet.NewRandomChurn(n, 0.3, 7)

@@ -3,7 +3,7 @@
 // The paper's model runs for as many rounds as the adversary can sustain —
 // on large sizes that is a long time, so the engines accept a
 // context.Context and stop at round granularity. This example shows the
-// three ways a run ends early, on the goroutine-per-node engine:
+// three ways a run ends early, on the sharded worker-pool engine:
 //
 //  1. the caller's context is canceled (here: a wall-clock timeout) and the
 //     run returns at the next round boundary with the rounds it completed;
@@ -13,7 +13,7 @@
 //  3. a process panics, and instead of crashing the program the engine
 //     recovers it into a *ProcessPanicError naming the node and round.
 //
-// In all three cases every node goroutine is joined before the engine
+// In all three cases every worker goroutine is joined before the engine
 // returns: canceling a run never leaks goroutines.
 //
 // Run with:
@@ -85,7 +85,7 @@ func run() error {
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	slow := cfg(never)
 	slow.OnRound = func(int) { time.Sleep(5 * time.Millisecond) }
-	rounds, err := runtime.RunConcurrentCtx(ctx, slow)
+	rounds, err := runtime.RunShardedCtx(ctx, slow)
 	cancel()
 	if !errors.Is(err, context.DeadlineExceeded) {
 		return fmt.Errorf("want a deadline error, got rounds=%d err=%v", rounds, err)
@@ -102,7 +102,7 @@ func run() error {
 		return p
 	})
 	stall.RoundDeadline = 25 * time.Millisecond
-	rounds, err = runtime.RunConcurrentCtx(context.Background(), stall)
+	rounds, err = runtime.RunShardedCtx(context.Background(), stall)
 	var de *runtime.RoundDeadlineError
 	if !errors.As(err, &de) {
 		return fmt.Errorf("want a *RoundDeadlineError, got rounds=%d err=%v", rounds, err)
@@ -118,14 +118,14 @@ func run() error {
 		}
 		return p
 	})
-	rounds, err = runtime.RunConcurrentCtx(context.Background(), buggy)
+	rounds, err = runtime.RunShardedCtx(context.Background(), buggy)
 	var pe *runtime.ProcessPanicError
 	if !errors.As(err, &pe) {
 		return fmt.Errorf("want a *ProcessPanicError, got rounds=%d err=%v", rounds, err)
 	}
 	fmt.Printf("isolated panic   : node %d panicked in round %d: %v\n", pe.Node, pe.Round, pe.Value)
 
-	// All node goroutines were joined on every path above.
+	// All worker goroutines were joined on every path above.
 	deadline := time.Now().Add(time.Second)
 	for rt.NumGoroutine() > before && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)

@@ -3,7 +3,7 @@
 // The paper's D + Ω(log |V|) bound composes a static chain with the
 // worst-case 𝒢(PD)₂ core. This example builds that exact network — leader,
 // chain, two labeled relays, n anonymous nodes — and runs the
-// full-information counting protocol on the goroutine-per-node engine:
+// full-information counting protocol on the sharded worker-pool engine:
 // relays observe, chain nodes forward, and the leader re-solves its linear
 // system every round until exactly one network size remains.
 //
@@ -48,7 +48,7 @@ func run() error {
 			return fmt.Errorf("PD class %d, want %d", h, tc.chainLen+2)
 		}
 		bound := core.LowerBoundRounds(tc.n)
-		res, err := chainnet.RunCount(nw, bound+nw.Delay()+5, runtime.RunConcurrent)
+		res, err := chainnet.RunCount(nw, bound+nw.Delay()+5, runtime.RunSharded)
 		if err != nil {
 			return err
 		}

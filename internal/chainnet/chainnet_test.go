@@ -129,12 +129,12 @@ func TestRunCountEnginesAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	con, err := RunCount(nw2, budget, runtime.RunConcurrent)
+	sh, err := RunCount(nw2, budget, runtime.RunSharded)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if seq != con {
-		t.Fatalf("engines disagree: %+v vs %+v", seq, con)
+	if seq != sh {
+		t.Fatalf("engines disagree: %+v vs %+v", seq, sh)
 	}
 }
 

@@ -15,7 +15,7 @@ import (
 // every adversary family registered in dynet.Families() must (a) satisfy its
 // declared machine-checkable properties at several sizes and seeds, and
 // (b) drive the order-sensitive trace protocol to identical per-node traces
-// on the sequential, concurrent, and sharded engines. A family whose
+// on the sequential and sharded engines. A family whose
 // schedule depends on engine internals — shared rand state, map iteration
 // order, goroutine interleaving — fails (b); a family whose declared
 // guarantees drift from its construction fails (a).
@@ -28,7 +28,6 @@ func TestFamilyConformanceAcrossEngines(t *testing.T) {
 		run  runtime.Engine
 	}{
 		{"sequential", runtime.SequentialEngine(context.Background())},
-		{"concurrent", runtime.ConcurrentEngine(context.Background())},
 		{"sharded", runtime.ShardedEngine(context.Background())},
 	}
 	for _, fam := range Families() {

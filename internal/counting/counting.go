@@ -25,7 +25,7 @@ import (
 )
 
 // Runner is an execution engine: runtime.RunSequential or
-// runtime.RunConcurrent.
+// runtime.RunSharded.
 type Runner func(*runtime.Config) (int, error)
 
 // canon canonicalizes this package's message types for deterministic

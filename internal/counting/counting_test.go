@@ -14,7 +14,7 @@ import (
 func engines() map[string]Runner {
 	return map[string]Runner{
 		"sequential": runtime.RunSequential,
-		"concurrent": runtime.RunConcurrent,
+		"sharded":    runtime.RunSharded,
 	}
 }
 

@@ -53,7 +53,7 @@ func TestIDCountUnderChurn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	count, rounds, err := IDCount(net, 0, 40, runtime.RunConcurrent)
+	count, rounds, err := IDCount(net, 0, 40, runtime.RunSharded)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestIDCountEnginesAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cb, rb, err := IDCount(net, 2, 20, runtime.RunConcurrent)
+	cb, rb, err := IDCount(net, 2, 20, runtime.RunSharded)
 	if err != nil {
 		t.Fatal(err)
 	}

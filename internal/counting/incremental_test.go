@@ -107,7 +107,6 @@ func TestIncrementalCountEngineIndependent(t *testing.T) {
 	ctx := context.Background()
 	engines := map[string]Runner{
 		"sequential": runtime.SequentialEngine(ctx),
-		"concurrent": runtime.ConcurrentEngine(ctx),
 		"sharded":    runtime.ShardedEngine(ctx),
 	}
 	g, err := graph.Cycle(7)

@@ -313,16 +313,15 @@ func RunAlgorithm(name string, inst *Instance, run Runner) (Result, error) {
 }
 
 // EngineByName resolves the shared -engine flag value to a Runner bound to
-// ctx: "" or "sequential", "concurrent", or "sharded".
+// ctx: "" or "sequential" for the reference engine, "sharded" for the
+// worker-pool engine.
 func EngineByName(ctx context.Context, name string) (Runner, error) {
 	switch name {
 	case "", "sequential":
 		return Runner(runtime.SequentialEngine(ctx)), nil
-	case "concurrent":
-		return Runner(runtime.ConcurrentEngine(ctx)), nil
 	case "sharded":
 		return Runner(runtime.ShardedEngine(ctx)), nil
 	default:
-		return nil, fmt.Errorf("counting: unknown engine %q (want sequential, concurrent, or sharded)", name)
+		return nil, fmt.Errorf("counting: unknown engine %q (want sequential or sharded)", name)
 	}
 }

@@ -158,13 +158,15 @@ func TestRegistryValidateRejections(t *testing.T) {
 
 func TestEngineByName(t *testing.T) {
 	ctx := context.Background()
-	for _, name := range []string{"", "sequential", "concurrent", "sharded"} {
+	for _, name := range []string{"", "sequential", "sharded"} {
 		if _, err := EngineByName(ctx, name); err != nil {
 			t.Fatalf("EngineByName(%q): %v", name, err)
 		}
 	}
-	if _, err := EngineByName(ctx, "warp"); err == nil {
-		t.Fatal("EngineByName(warp) accepted")
+	for _, name := range []string{"warp", "concurrent"} {
+		if _, err := EngineByName(ctx, name); err == nil {
+			t.Fatalf("EngineByName(%q) accepted", name)
+		}
 	}
 }
 

@@ -78,7 +78,7 @@ func TestUpperBoundEnginesAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := UpperBoundCount(dynet.NewStatic(g), 2, 2, 12, runtime.RunConcurrent)
+	b, err := UpperBoundCount(dynet.NewStatic(g), 2, 2, 12, runtime.RunSharded)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -108,7 +108,7 @@ func TestRunEnginesAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(net, initial, Unlimited, 100, runtime.RunConcurrent)
+	b, err := Run(net, initial, Unlimited, 100, runtime.RunSharded)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,10 +39,8 @@ func TestNonLeaderRoundAllocCeiling(t *testing.T) {
 	}
 }
 
-// TestCanonAllocCeiling pins the canonicalization costs the engines pay per
-// message: the uint64 fast path must be allocation-free, and the string
-// fallback must perform exactly its one documented allocation (the final
-// string), not an fmt round trip.
+// TestCanonAllocCeiling pins the canonicalization cost the engines pay per
+// message: the uint64 canonical key must be allocation-free.
 func TestCanonAllocCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are inflated under -race")
@@ -54,12 +52,5 @@ func TestCanonAllocCeiling(t *testing.T) {
 	}); avg != 0 {
 		t.Fatalf("canonKey: %v allocs/op, want 0", avg)
 	}
-	var sinkLen int
-	if avg := testing.AllocsPerRun(100, func() {
-		sinkLen += len(canonMsg(msg))
-	}); avg > 1 {
-		t.Fatalf("canonMsg: %v allocs/op, want <= 1", avg)
-	}
 	_ = sinkKey
-	_ = sinkLen
 }

@@ -5,7 +5,6 @@ import (
 	"math/big"
 	"math/bits"
 	"slices"
-	"strconv"
 
 	"anondyn/internal/dynet"
 	"anondyn/internal/graph"
@@ -16,57 +15,17 @@ import (
 // runtime's engines and interchangeable with counting.Runner values.
 type Runner = runtime.Engine
 
-// viewMsg is the legacy full-snapshot broadcast: the sender's current
-// class, its id-free hash, and a copy of its view bitset. Current senders
-// broadcast *viewDelta (see delta.go); viewMsg remains accepted by every
-// receiver and ordered by the same canon, so full-snapshot and delta
-// senders interoperate within one execution.
-type viewMsg struct {
-	cur  int32
-	hash uint64
-	bits []uint64
-}
-
 // canonKey orders inboxes by the structural hash of the sender's class —
-// the allocation-free uint64 fast path the engines prefer over canonMsg.
+// the engines' allocation-free uint64 canonical key (Config.CanonKey).
 // Ties (hash collisions, or two members of the same class) are broken by
 // the engines' stable sort on sender id; the protocol's merges are
 // commutative, so delivery order never affects the outcome. Non-protocol
 // messages never occur in a Count run; they all map to key 0.
 func canonKey(m runtime.Message) uint64 {
-	switch vm := m.(type) {
-	case *viewDelta:
-		return vm.hash
-	case viewMsg:
+	if vm, ok := m.(*viewDelta); ok {
 		return vm.hash
 	}
 	return 0
-}
-
-// canonMsg is the string canon retained as the engines' fallback when no
-// CanonKey is configured (and for mixed-protocol runs that need
-// DefaultCanon for foreign messages). It performs exactly one allocation —
-// the final string — instead of going through fmt.
-func canonMsg(m runtime.Message) string {
-	var h uint64
-	var n int
-	switch vm := m.(type) {
-	case *viewDelta:
-		h, n = vm.hash, len(vm.base)
-	case viewMsg:
-		h, n = vm.hash, len(vm.bits)
-	default:
-		return runtime.DefaultCanon(m)
-	}
-	const hexdigits = "0123456789abcdef"
-	var buf [40]byte
-	b := append(buf[:0], 'h', ':')
-	for shift := 60; shift >= 0; shift -= 4 {
-		b = append(b, hexdigits[(h>>uint(shift))&0xf])
-	}
-	b = append(b, ':')
-	b = strconv.AppendInt(b, int64(n), 10)
-	return string(b)
 }
 
 // proc is a non-leader process: it tracks its current class and its view,
@@ -135,10 +94,7 @@ func (p *proc) Send(int) runtime.Message {
 func (p *proc) absorb(msgs []runtime.Message) int {
 	p.heard = p.heard[:0]
 	for _, m := range msgs {
-		switch vm := m.(type) {
-		case *viewDelta:
-			p.heard = append(p.heard, vm.cur)
-		case viewMsg:
+		if vm, ok := m.(*viewDelta); ok {
 			p.heard = append(p.heard, vm.cur)
 		}
 	}
@@ -436,7 +392,6 @@ func Count(net dynet.Dynamic, leader graph.NodeID, maxRounds int, run Runner) (c
 	cfg := &runtime.Config{
 		Net:       net,
 		Procs:     procs,
-		Canon:     canonMsg,
 		CanonKey:  canonKey,
 		MaxRounds: maxRounds,
 	}

@@ -133,13 +133,12 @@ func TestCountLinearSlope(t *testing.T) {
 
 // TestCountEngineIndependent is the satellite regression: the protocol's
 // merges are commutative and its canonical ordering is id-free, so the
-// sequential, concurrent, and sharded engines must produce the identical
-// (count, rounds) on the same network.
+// sequential and sharded engines must produce the identical (count,
+// rounds) on the same network.
 func TestCountEngineIndependent(t *testing.T) {
 	ctx := context.Background()
 	engines := map[string]Runner{
 		"sequential": runtime.SequentialEngine(ctx),
-		"concurrent": runtime.ConcurrentEngine(ctx),
 		"sharded":    runtime.ShardedEngine(ctx),
 	}
 	nets := map[string]func(t *testing.T) dynet.Dynamic{

@@ -179,23 +179,21 @@ func (p *proc) mergeWords(other []uint64) {
 // bit lands in p.delta, which doubles as the leader's incremental index
 // and the process's own outgoing delta.
 func (p *proc) mergeMsg(m any) {
-	switch vm := m.(type) {
-	case *viewDelta:
-		if ref := p.seen.find(vm.base, vm.epoch); ref != nil {
-			if ref.dlen > len(vm.delta) {
-				// A sender shrank its delta without rebasing. Protocol
-				// senders never do; reprocess the whole delta defensively.
-				ref.dlen = 0
-			}
-			p.mergeEntries(vm.delta[ref.dlen:])
-			ref.dlen = len(vm.delta)
-			return
-		}
-		p.mergeWords(vm.base)
-		p.mergeEntries(vm.delta)
-		p.seen.insert(vm.base, vm.epoch, len(vm.delta))
-	case viewMsg:
-		// Wire-compat fallback: a full-snapshot sender.
-		p.mergeWords(vm.bits)
+	vm, ok := m.(*viewDelta)
+	if !ok {
+		return
 	}
+	if ref := p.seen.find(vm.base, vm.epoch); ref != nil {
+		if ref.dlen > len(vm.delta) {
+			// A sender shrank its delta without rebasing. Protocol senders
+			// never do; reprocess the whole delta defensively.
+			ref.dlen = 0
+		}
+		p.mergeEntries(vm.delta[ref.dlen:])
+		ref.dlen = len(vm.delta)
+		return
+	}
+	p.mergeWords(vm.base)
+	p.mergeEntries(vm.delta)
+	p.seen.insert(vm.base, vm.epoch, len(vm.delta))
 }

@@ -30,9 +30,9 @@
 // identified by a dense int32 id, processes' views are bitsets (View) over
 // those ids, and the per-round "chunk merge" of the paper becomes a bitset
 // OR — the hot path of the protocol. The table is safe for concurrent use
-// so the same Count run executes unchanged on the sequential, concurrent,
-// and sharded engines; the structural Hash is id-free, so canonical
-// message ordering does not depend on the engine's interning order.
+// so the same Count run executes unchanged on the sequential and sharded
+// engines; the structural Hash is id-free, so canonical message ordering
+// does not depend on the engine's interning order.
 package histtree
 
 import (

@@ -260,3 +260,39 @@ func TestIncrementalWorstCaseTrajectory(t *testing.T) {
 		t.Fatalf("interval widened: %v -> %v", iv1, iv2)
 	}
 }
+
+// BenchmarkStreamFeedMillion isolates the observation-streaming feed path
+// at scale: a million-node schedule's per-round indexed observations,
+// precomputed once, replayed into a fresh incremental solver each op. The
+// entry lists are history-indexed (their length is bounded by the history
+// count, not by |W|), so this prices the solver's ingestion arithmetic
+// under million-node counts.
+func BenchmarkStreamFeedMillion(b *testing.B) {
+	const w, horizon = 1_000_000, 6
+	mg, err := multigraph.Random(2, w, horizon, 23)
+	if err != nil {
+		b.Fatal(err)
+	}
+	stream, err := mg.NewObservationStream()
+	if err != nil {
+		b.Fatal(err)
+	}
+	rounds := make([][]multigraph.IndexedObsEntry, horizon)
+	for r := 0; r < horizon; r++ {
+		entries, err := stream.Next()
+		if err != nil {
+			b.Fatal(err)
+		}
+		rounds[r] = append([]multigraph.IndexedObsEntry(nil), entries...)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s := NewIncrementalSolver()
+		for _, entries := range rounds {
+			if _, err := s.AddRoundIndexed(entries); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}

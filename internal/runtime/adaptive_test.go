@@ -43,7 +43,7 @@ func adaptiveDelayer(n int) func(r int, outbox []Message) *graph.Graph {
 func TestAdaptiveAdversaryDelaysFlood(t *testing.T) {
 	for name, engine := range map[string]func(*Config) (int, error){
 		"sequential": RunSequential,
-		"concurrent": RunConcurrent,
+		"sharded":    RunSharded,
 	} {
 		t.Run(name, func(t *testing.T) {
 			const n = 10
@@ -86,8 +86,8 @@ func TestAdaptiveNilGraphErrors(t *testing.T) {
 	if _, err := RunSequential(cfg); err == nil {
 		t.Fatal("nil adaptive graph should error")
 	}
-	if _, err := RunConcurrent(cfg); err == nil {
-		t.Fatal("nil adaptive graph should error (concurrent)")
+	if _, err := RunSharded(cfg); err == nil {
+		t.Fatal("nil adaptive graph should error (sharded)")
 	}
 }
 
@@ -142,7 +142,7 @@ func TestAdaptiveRejectsDegreeOracle(t *testing.T) {
 	if _, err := RunSequential(cfg); err == nil {
 		t.Fatal("DegreeAware + Adaptive should be rejected")
 	}
-	if _, err := RunConcurrent(cfg); err == nil {
-		t.Fatal("DegreeAware + Adaptive should be rejected (concurrent)")
+	if _, err := RunSharded(cfg); err == nil {
+		t.Fatal("DegreeAware + Adaptive should be rejected (sharded)")
 	}
 }

@@ -39,7 +39,7 @@ var engines = []struct {
 	run  func(context.Context, *Config) (int, error)
 }{
 	{"sequential", RunSequentialCtx},
-	{"concurrent", RunConcurrentCtx},
+	{"sharded", RunShardedCtx},
 }
 
 // TestContextPathsEnginesAgree drives the cancellation, deadline, and panic
@@ -223,14 +223,14 @@ func TestContextPathsEnginesAgree(t *testing.T) {
 				tc.check(t, err)
 				got[eng.name] = outcome{rounds, err}
 			}
-			seq, con := got["sequential"], got["concurrent"]
-			if seq.rounds != con.rounds {
-				t.Errorf("engines disagree on rounds: sequential %d, concurrent %d", seq.rounds, con.rounds)
+			seq, sh := got["sequential"], got["sharded"]
+			if seq.rounds != sh.rounds {
+				t.Errorf("engines disagree on rounds: sequential %d, sharded %d", seq.rounds, sh.rounds)
 			}
 			// Errors must agree in type and message (stacks excluded: a
 			// ProcessPanicError formats without its stack).
-			if seq.err.Error() != con.err.Error() {
-				t.Errorf("engines disagree on error:\n  sequential: %v\n  concurrent: %v", seq.err, con.err)
+			if seq.err.Error() != sh.err.Error() {
+				t.Errorf("engines disagree on error:\n  sequential: %v\n  sharded: %v", seq.err, sh.err)
 			}
 		})
 	}
@@ -255,7 +255,7 @@ func TestContextCleanRunsUnaffected(t *testing.T) {
 			t.Fatalf("%s: (%d, %v), want (%d, nil)", eng.name, rounds, err, wantRounds)
 		}
 	}
-	for name, run := range map[string]Engine{"RunSequential": RunSequential, "RunConcurrent": RunConcurrent} {
+	for name, run := range map[string]Engine{"RunSequential": RunSequential, "RunSharded": RunSharded} {
 		cfg := build()
 		rounds, err := run(cfg)
 		if err != nil || rounds != wantRounds {
@@ -282,7 +282,7 @@ func TestRoundDeadlineAllowsFastRounds(t *testing.T) {
 }
 
 // TestCanceledConcurrentReturnsWithinOneRound verifies the acceptance
-// criterion directly: cancel mid-run and require RunConcurrentCtx to come
+// criterion directly: cancel mid-run and require RunShardedCtx to come
 // back promptly with the round in progress aborted.
 func TestCanceledConcurrentReturnsWithinOneRound(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
@@ -303,7 +303,7 @@ func TestCanceledConcurrentReturnsWithinOneRound(t *testing.T) {
 	var rounds int
 	var err error
 	go func() {
-		rounds, err = RunConcurrentCtx(ctx, cfg)
+		rounds, err = RunShardedCtx(ctx, cfg)
 		close(done)
 	}()
 	select {
@@ -319,14 +319,14 @@ func TestCanceledConcurrentReturnsWithinOneRound(t *testing.T) {
 	}
 }
 
-// TestEngineAdapters verifies SequentialEngine/ConcurrentEngine bind their
+// TestEngineAdapters verifies SequentialEngine/ShardedEngine bind their
 // context: a canceled context aborts runs made through the adapted engine.
 func TestEngineAdapters(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for name, mk := range map[string]func(context.Context) Engine{
 		"SequentialEngine": SequentialEngine,
-		"ConcurrentEngine": ConcurrentEngine,
+		"ShardedEngine":    ShardedEngine,
 	} {
 		engine := mk(ctx)
 		_, err := engine(&Config{

@@ -16,8 +16,8 @@ func errNotOutputter(i int) error {
 // ProcessPanicError reports that a Process panicked during a run. Both
 // engines convert process panics into this error instead of crashing the
 // harness: the sequential engine recovers around each protocol call, and
-// the concurrent engine recovers inside each worker goroutine, cancels the
-// round, and drains every sibling goroutine before returning.
+// the sharded engine recovers inside each worker goroutine, aborts the
+// round, and joins every worker before returning.
 type ProcessPanicError struct {
 	// Node is the index of the panicking process.
 	Node int

@@ -11,29 +11,23 @@ import (
 )
 
 // TestNoGoroutineLeak verifies that every worker goroutine is joined before
-// RunConcurrent and RunSharded return, on normal completion, early stop,
-// and every abort path: an adversary that errors at round 0, an adversary
-// that returns a malformed graph mid-run, a panicking process, a canceled
-// context, and a round-deadline overrun.
+// RunSharded returns, on normal completion, early stop, and every abort
+// path: an adversary that errors at round 0, an adversary that returns a
+// malformed graph mid-run, a panicking process, a canceled context, and a
+// round-deadline overrun.
 func TestNoGoroutineLeak(t *testing.T) {
 	baseline := gort.NumGoroutine()
 	runOnce := func(ctx context.Context, mutate func(c *Config)) {
-		for _, engine := range []func(context.Context, *Config) (int, error){
-			RunConcurrentCtx,
-			RunShardedCtx,
-		} {
-			procs := newFloodProcs(20, 0)
-			cfg := &Config{
-				Net:       dynet.NewStatic(graph.Complete(20)),
-				Procs:     procs,
-				MaxRounds: 10,
-				Shards:    3, // multi-shard even on a single-core runner
-			}
-			if mutate != nil {
-				mutate(cfg)
-			}
-			_, _ = engine(ctx, cfg)
+		cfg := &Config{
+			Net:       dynet.NewStatic(graph.Complete(20)),
+			Procs:     newFloodProcs(20, 0),
+			MaxRounds: 10,
+			Shards:    3, // multi-shard even on a single-core runner
 		}
+		if mutate != nil {
+			mutate(cfg)
+		}
+		_, _ = RunShardedCtx(ctx, cfg)
 	}
 	bg := context.Background()
 	runOnce(bg, nil)                                                         // normal completion

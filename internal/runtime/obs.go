@@ -45,7 +45,7 @@ func (c *Config) metrics() engineMetrics {
 }
 
 // recordFailure classifies a run-aborting error into the panic, deadline,
-// or cancel counter. The concurrent engine funnels every abort path
+// or cancel counter. The sharded engine funnels its mid-round abort paths
 // through it; the sequential engine increments at each site directly.
 func (m engineMetrics) recordFailure(err error) {
 	if err == nil {

@@ -99,7 +99,7 @@ func TestObsCountsConcurrentRun(t *testing.T) {
 		MaxRounds: 10,
 		Obs:       col,
 	}
-	if _, err := RunConcurrent(cfg); err != nil {
+	if _, err := RunSharded(cfg); err != nil {
 		t.Fatal(err)
 	}
 	snap := col.Snapshot()
@@ -183,7 +183,7 @@ func TestObsGlobalFallback(t *testing.T) {
 
 // BenchmarkRoundLoopObsDisabled is the committed evidence for the
 // "disabled = nil collector = no overhead" contract on the full loop;
-// cmd/perfbaseline snapshots it alongside the observed variant.
+// compare it with BenchmarkRoundLoopObsEnabled.
 func BenchmarkRoundLoopObsDisabled(b *testing.B) {
 	prev := obs.Global()
 	defer obs.Set(prev)

@@ -5,27 +5,26 @@
 // unlimited bandwidth, and a receive phase, in which it processes the
 // multiset of messages delivered by its neighbors.
 //
-// Three interchangeable engines are provided. The sequential engine runs
-// all processes in a deterministic loop and is the reference
-// implementation. The concurrent engine runs one goroutine per process,
-// with channel-based barriers separating the phases — goroutines map
-// one-to-one onto the paper's processes. The sharded engine partitions the
-// node range across a fixed worker pool and assembles deliveries into flat
-// engine-owned buffers, which is what scales to million-node networks.
-// Tests cross-check that all engines produce identical executions.
+// Two interchangeable engines are provided. The sequential engine runs all
+// processes in a deterministic loop and is the reference implementation.
+// The sharded engine partitions the node range across a fixed worker pool
+// (one goroutine per process when Config.Shards equals the node count) and
+// assembles deliveries into flat engine-owned buffers, which is what scales
+// to million-node networks. Tests cross-check that both engines produce
+// identical executions.
 //
 // Anonymity is enforced structurally: a process is given only the multiset
 // of messages it received, in an order canonicalized by the message
 // encoding, never the identity of a sender.
 //
-// Both engines are cancellation-aware: RunSequentialCtx and
-// RunConcurrentCtx honor a context.Context at round granularity (checked
-// at the top of each round and between the send and receive phases), honor
-// an optional per-round wall-clock budget (Config.RoundDeadline), and
-// convert process panics into a typed *ProcessPanicError instead of
-// crashing the caller. RunSequential and RunConcurrent are thin wrappers
-// over context.Background(). For the same schedule the two engines return
-// identical round counts and identical errors on every exit path.
+// Both engines are cancellation-aware: RunSequentialCtx and RunShardedCtx
+// honor a context.Context at round granularity (checked at the top of each
+// round and between the send and receive phases), honor an optional
+// per-round wall-clock budget (Config.RoundDeadline), and convert process
+// panics into a typed *ProcessPanicError instead of crashing the caller.
+// RunSequential and RunSharded are thin wrappers over context.Background().
+// For the same schedule the two engines return identical round counts and
+// identical errors on every exit path.
 package runtime
 
 import (
@@ -64,9 +63,7 @@ type Process interface {
 	// for the next round, so it is valid only for the duration of the
 	// call. A process that retains messages across rounds must copy the
 	// slice (the Message values themselves are never mutated by the
-	// engine and may be retained), or the run must set Config.CopyInboxes
-	// to restore caller-owned delivery at one allocation per node per
-	// round.
+	// engine and may be retained).
 	Receive(r int, msgs []Message)
 }
 
@@ -125,7 +122,7 @@ type Config struct {
 	Canon Canonicalizer
 	// CanonKey, if non-nil, replaces Canon with an allocation-free integer
 	// canonical key: inboxes are sorted by ascending uint64 key, ties
-	// broken by sender id exactly as on the string path, in all three
+	// broken by sender id exactly as on the string path, in both
 	// engines. The caller owns collision behavior the same way it does
 	// with Canon — messages mapping to the same key form one ordering
 	// class. Protocol packages with an id-free message fingerprint should
@@ -141,17 +138,10 @@ type Config struct {
 	RoundDeadline time.Duration
 	// Shards is the worker count of the sharded engine (RunSharded): the
 	// node range is split into Shards contiguous partitions, each iterated
-	// by one persistent worker goroutine. Zero means GOMAXPROCS. The other
-	// engines ignore it. Executions are identical for every shard count.
+	// by one persistent worker goroutine. Zero means GOMAXPROCS. The
+	// sequential engine ignores it. Executions are identical for every
+	// shard count.
 	Shards int
-	// CopyInboxes, if true, makes every engine hand Receive a freshly
-	// allocated inbox slice the process may retain indefinitely — the
-	// pre-reuse delivery semantics, at one allocation per node per round.
-	// The default (false) keeps the zero-alloc buffer-reuse path, under
-	// which inbox slices are valid only for the duration of the Receive
-	// call (see the Process.Receive ownership rule). Set it for processes
-	// that retain their inbox slices across rounds.
-	CopyInboxes bool
 	// Stop, if non-nil, is evaluated after each round's receive phase;
 	// returning true ends the run after that round.
 	Stop func(completedRound int) bool
@@ -217,8 +207,8 @@ func (c *Config) canon() Canonicalizer {
 	return DefaultCanon
 }
 
-// Engine is the signature shared by RunSequential and RunConcurrent, used
-// by protocol helpers that are parameterized over the execution engine.
+// Engine is the signature shared by RunSequential and RunSharded, used by
+// protocol helpers that are parameterized over the execution engine.
 type Engine = func(*Config) (int, error)
 
 // SequentialEngine binds ctx to the sequential engine, producing the
@@ -229,14 +219,9 @@ func SequentialEngine(ctx context.Context) Engine {
 	return func(cfg *Config) (int, error) { return RunSequentialCtx(ctx, cfg) }
 }
 
-// ConcurrentEngine binds ctx to the goroutine-per-node engine.
-func ConcurrentEngine(ctx context.Context) Engine {
-	return func(cfg *Config) (int, error) { return RunConcurrentCtx(ctx, cfg) }
-}
-
 // The per-phase guards convert a protocol panic into a *ProcessPanicError
 // attributed to node v at round r. The sequential engine wraps each
-// protocol call with one; the concurrent engine installs the equivalent
+// protocol call with one; the sharded engine installs the equivalent
 // recover in each worker goroutine. One dedicated function per phase keeps
 // the hot loop free of closure allocations.
 
@@ -277,10 +262,9 @@ type inboxEntry[K cmp.Ordered] struct {
 }
 
 // assembler groups a round's broadcasts into canonically ordered
-// per-receiver inboxes. The sequential and concurrent engines hold one per
-// run; the two instantiations of roundScratch (string keys from Canon,
-// uint64 keys from CanonKey) both satisfy it, so the engines' round loops
-// stay key-type agnostic.
+// per-receiver inboxes. The sequential engine holds one per run; the two
+// instantiations of roundScratch (string keys from Canon, uint64 keys from
+// CanonKey) both satisfy it, so its round loop stays key-type agnostic.
 type assembler interface {
 	assemble(g *graph.Graph, outbox []Message) [][]Message
 }

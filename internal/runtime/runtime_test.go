@@ -96,70 +96,6 @@ func TestRunSequentialStopCondition(t *testing.T) {
 	}
 }
 
-func TestRunConcurrentMatchesSequential(t *testing.T) {
-	// Same protocol, same dynamic network, both engines: identical
-	// per-node inbox histories.
-	net, err := dynet.NewRandomChurn(8, 0.3, 99)
-	if err != nil {
-		t.Fatal(err)
-	}
-	run := func(engine func(*Config) (int, error)) []Process {
-		procs := newFloodProcs(8, 0)
-		cfg := &Config{Net: net, Procs: procs, MaxRounds: 6}
-		if _, err := engine(cfg); err != nil {
-			t.Fatal(err)
-		}
-		return procs
-	}
-	seq := run(RunSequential)
-	con := run(RunConcurrent)
-	for v := range seq {
-		a := seq[v].(*floodProc)
-		b := con[v].(*floodProc)
-		if a.heardAt != b.heardAt {
-			t.Fatalf("node %d heardAt: seq %d vs con %d", v, a.heardAt, b.heardAt)
-		}
-		if len(a.received) != len(b.received) {
-			t.Fatalf("node %d inbox rounds: %d vs %d", v, len(a.received), len(b.received))
-		}
-		for r := range a.received {
-			if len(a.received[r]) != len(b.received[r]) {
-				t.Fatalf("node %d round %d inbox sizes differ", v, r)
-			}
-			for i := range a.received[r] {
-				if a.received[r][i] != b.received[r][i] {
-					t.Fatalf("node %d round %d msg %d differs", v, r, i)
-				}
-			}
-		}
-	}
-}
-
-func TestRunConcurrentStop(t *testing.T) {
-	procs := newFloodProcs(4, 0)
-	all := func(int) bool {
-		for _, p := range procs {
-			if !p.(*floodProc).has {
-				return false
-			}
-		}
-		return true
-	}
-	cfg := &Config{
-		Net:       dynet.NewStatic(graph.Path(4)),
-		Procs:     procs,
-		MaxRounds: 50,
-		Stop:      all,
-	}
-	rounds, err := RunConcurrent(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rounds != 3 {
-		t.Fatalf("rounds = %d, want 3", rounds)
-	}
-}
-
 func TestValidateErrors(t *testing.T) {
 	good := &Config{
 		Net:       dynet.NewStatic(graph.Path(2)),
@@ -183,29 +119,42 @@ func TestValidateErrors(t *testing.T) {
 			if _, err := RunSequential(&c); err == nil {
 				t.Fatal("sequential: want error")
 			}
-			if _, err := RunConcurrent(&c); err == nil {
-				t.Fatal("concurrent: want error")
+			if _, err := RunSharded(&c); err == nil {
+				t.Fatal("sharded: want error")
 			}
 		})
 	}
 }
 
+// An empty network and a zero-round budget both end the run before its
+// first round on either engine: no rounds completed, no hook called.
 func TestZeroRoundsAndZeroNodes(t *testing.T) {
-	cfg := &Config{
-		Net:       dynet.NewStatic(graph.New(0)),
-		Procs:     nil,
-		MaxRounds: 5,
-	}
-	if r, err := RunConcurrent(cfg); err != nil || r != 0 {
-		t.Fatalf("empty network: (%d, %v)", r, err)
-	}
-	cfg2 := &Config{
-		Net:       dynet.NewStatic(graph.Path(2)),
-		Procs:     newFloodProcs(2, 0),
-		MaxRounds: 0,
-	}
-	if r, err := RunSequential(cfg2); err != nil || r != 0 {
-		t.Fatalf("zero rounds: (%d, %v)", r, err)
+	for name, engine := range map[string]Engine{
+		"sequential": RunSequential,
+		"sharded":    RunSharded,
+	} {
+		hooks := 0
+		empty := &Config{
+			Net:       dynet.NewStatic(graph.New(0)),
+			Procs:     nil,
+			MaxRounds: 5,
+			OnRound:   func(int) { hooks++ },
+		}
+		if r, err := engine(empty); err != nil || r != 0 {
+			t.Fatalf("%s: empty network: (%d, %v)", name, r, err)
+		}
+		zero := &Config{
+			Net:       dynet.NewStatic(graph.Path(2)),
+			Procs:     newFloodProcs(2, 0),
+			MaxRounds: 0,
+			OnRound:   func(int) { hooks++ },
+		}
+		if r, err := engine(zero); err != nil || r != 0 {
+			t.Fatalf("%s: zero rounds: (%d, %v)", name, r, err)
+		}
+		if hooks != 0 {
+			t.Fatalf("%s: OnRound called %d times, want 0", name, hooks)
+		}
 	}
 }
 
@@ -226,7 +175,7 @@ func TestDegreeOracleDelivery(t *testing.T) {
 	}
 	for name, engine := range map[string]func(*Config) (int, error){
 		"sequential": RunSequential,
-		"concurrent": RunConcurrent,
+		"sharded":    RunSharded,
 	} {
 		t.Run(name, func(t *testing.T) {
 			procs := make([]Process, 4)
@@ -366,15 +315,15 @@ func TestOnRoundHook(t *testing.T) {
 }
 
 func TestConcurrentManyNodesRace(t *testing.T) {
-	// Exercised under -race in CI: 50 goroutine-backed processes over a
-	// churning network.
+	// Exercised under -race in CI: 50 processes over a churning network,
+	// each on its own sharded-engine worker goroutine.
 	net, err := dynet.NewRandomChurn(50, 0.1, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
 	procs := newFloodProcs(50, 0)
-	cfg := &Config{Net: net, Procs: procs, MaxRounds: 8}
-	if _, err := RunConcurrent(cfg); err != nil {
+	cfg := &Config{Net: net, Procs: procs, MaxRounds: 8, Shards: 50}
+	if _, err := RunSharded(cfg); err != nil {
 		t.Fatal(err)
 	}
 	for v, p := range procs {
@@ -431,7 +380,7 @@ func TestEnginesAgreeWithDegreeOracle(t *testing.T) {
 		return all
 	}
 	a := run(RunSequential)
-	b := run(RunConcurrent)
+	b := run(RunSharded)
 	if len(a) != len(b) {
 		t.Fatalf("lengths differ: %d vs %d", len(a), len(b))
 	}

@@ -12,7 +12,7 @@ import (
 // number of completed rounds. The run ends when Stop returns true or
 // MaxRounds rounds have completed, whichever is first.
 //
-// RunSequential and RunConcurrent implement the same semantics; the
+// RunSequential and RunSharded implement the same semantics; the
 // sequential engine is the reference implementation and is fully
 // deterministic. RunSequential is RunSequentialCtx over
 // context.Background().
@@ -33,6 +33,10 @@ func RunSequentialCtx(ctx context.Context, cfg *Config) (int, error) {
 	}
 	m := cfg.metrics()
 	n := cfg.Net.N()
+	if n == 0 {
+		// An empty network completes no rounds, as in the sharded engine.
+		return 0, nil
+	}
 	outbox := make([]Message, n)
 	sc := newAssembler(cfg, n)
 	for r := 0; r < cfg.MaxRounds; r++ {
@@ -87,12 +91,7 @@ func RunSequentialCtx(ctx context.Context, cfg *Config) (int, error) {
 			m.messages.Add(delivered(inboxes))
 		}
 		for v := 0; v < n; v++ {
-			msgs := inboxes[v]
-			if cfg.CopyInboxes {
-				// Caller-owned delivery: the process may retain this slice.
-				msgs = append([]Message(nil), msgs...)
-			}
-			if err := guardReceive(cfg.Procs[v], v, r, msgs); err != nil {
+			if err := guardReceive(cfg.Procs[v], v, r, inboxes[v]); err != nil {
 				m.panics.Inc()
 				return r, err
 			}
@@ -121,7 +120,7 @@ func RunSequentialCtx(ctx context.Context, cfg *Config) (int, error) {
 // process at node `leader` reports a terminal output via the Outputter
 // interface, or maxRounds elapse. It returns the output value and the number
 // of rounds used. If the leader never terminates, ok is false. Pass an
-// engine produced by SequentialEngine or ConcurrentEngine to run under a
+// engine produced by SequentialEngine or ShardedEngine to run under a
 // context.
 func RunUntilOutput(cfg *Config, leader int, run Engine) (value, rounds int, ok bool, err error) {
 	if leader < 0 || leader >= len(cfg.Procs) {

@@ -279,12 +279,8 @@ func runShardedCtx[K cmp.Ordered](ctx context.Context, cfg *Config, canon func(M
 				}
 			}
 			for v := sh.lo; v < sh.hi; v++ {
-				msgs := flat[off[v]:off[v+1]:off[v+1]]
-				if cfg.CopyInboxes {
-					msgs = append([]Message(nil), msgs...)
-				}
 				sh.node = v
-				cfg.Procs[v].Receive(r, msgs)
+				cfg.Procs[v].Receive(r, flat[off[v]:off[v+1]:off[v+1]])
 			}
 		}
 	}

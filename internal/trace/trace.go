@@ -80,7 +80,7 @@ func (p *recProc) Output() (int, bool) {
 
 // NewRecorder wraps cfg so that running it captures a full Trace. The
 // returned config must be run with the SEQUENTIAL engine: recording hooks
-// write shared state from process callbacks, which the concurrent engine
+// write shared state from process callbacks, which the sharded engine
 // runs in parallel. The original cfg is not modified.
 func NewRecorder(cfg *runtime.Config) (*Recorder, *runtime.Config, error) {
 	if cfg.Net == nil {
