@@ -199,3 +199,33 @@ func TestUncertaintyTrajectory(t *testing.T) {
 		t.Fatal("rounds beyond horizon should error")
 	}
 }
+
+// TestUncertaintyTrajectoryPastIndexCapacity runs the trajectory beyond
+// multigraph.MaxIndexedRounds, where the indexed observation stream runs
+// out and the solver continues on string-keyed observations. The interval
+// must still settle on the true size and stay there.
+func TestUncertaintyTrajectoryPastIndexCapacity(t *testing.T) {
+	p, err := WorstCasePair(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ext, err := p.Extend(45)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ext.M.Horizon() <= multigraph.MaxIndexedRounds {
+		t.Fatalf("horizon %d does not pass the index capacity %d", ext.M.Horizon(), multigraph.MaxIndexedRounds)
+	}
+	traj, err := UncertaintyTrajectory(ext.M, ext.M.Horizon())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r := multigraph.MaxIndexedRounds; r < len(traj); r++ {
+		if iv := traj[r]; !iv.Unique() || iv.MinSize != 4 {
+			t.Fatalf("round %d: interval %v, want [4,4]", r, iv)
+		}
+	}
+	if last := traj[len(traj)-1]; last.MinSize != 4 || last.MaxSize != 4 {
+		t.Fatalf("final interval %v, want [4,4]", last)
+	}
+}

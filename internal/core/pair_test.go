@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"anondyn/internal/kernel"
@@ -161,6 +162,39 @@ func TestPairSolverSeesBothSizes(t *testing.T) {
 		}
 		if iv.MinSize > n || iv.MaxSize < n+1 {
 			t.Fatalf("n=%d: interval %v excludes the pair", n, iv)
+		}
+	}
+}
+
+// TestVerifyErrorPaths drives each way Verify rejects a pair that is not a
+// Lemma 5 pair: sizes in the wrong order, leader views that differ, and a
+// round count beyond either schedule.
+func TestVerifyErrorPaths(t *testing.T) {
+	p, err := WorstCasePair(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := multigraph.Random(2, p.N+1, p.Rounds, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	short, err := multigraph.Random(2, p.N+1, 1, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		pair *Pair
+		want string
+	}{
+		{"swapped sizes", &Pair{M: p.MPrime, MPrime: p.M, N: p.N, Rounds: p.Rounds}, "sizes are 5 and 4"},
+		{"views differ", &Pair{M: p.M, MPrime: other, N: p.N, Rounds: p.Rounds}, "leader views differ"},
+		{"rounds past M", &Pair{M: p.M, MPrime: p.MPrime, N: p.N, Rounds: p.M.Horizon() + 1}, "view of M:"},
+		{"rounds past M'", &Pair{M: p.M, MPrime: short, N: p.N, Rounds: p.Rounds}, "view of M':"},
+	} {
+		err := tc.pair.Verify()
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Verify = %v, want an error containing %q", tc.name, err, tc.want)
 		}
 	}
 }

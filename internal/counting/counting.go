@@ -18,6 +18,7 @@ package counting
 import (
 	"fmt"
 	"math/big"
+	"strconv"
 
 	"anondyn/internal/dynet"
 	"anondyn/internal/graph"
@@ -29,8 +30,12 @@ import (
 type Runner func(*runtime.Config) (int, error)
 
 // canon canonicalizes this package's message types for deterministic
-// delivery order.
+// delivery order. The numeric keys are the strings fmt's %g and %d verbs
+// would print, appended into a stack buffer so that each call allocates
+// only the returned string.
 func canon(m runtime.Message) string {
+	var buf [64]byte
+	b := buf[:0]
 	switch v := m.(type) {
 	case nil:
 		return ""
@@ -39,17 +44,25 @@ func canon(m runtime.Message) string {
 	case *big.Rat:
 		return "r:" + v.RatString()
 	case float64:
-		return fmt.Sprintf("f:%g", v)
+		b = appendG(append(b, "f:"...), v)
 	case [2]float64:
-		return fmt.Sprintf("p:%g,%g", v[0], v[1])
+		b = appendG(append(b, "p:"...), v[0])
+		b = appendG(append(b, ','), v[1])
 	case distMsg:
-		return fmt.Sprintf("d:%d,%d", v.Dist, v.MaxSeen)
+		b = strconv.AppendInt(append(b, "d:"...), int64(v.Dist), 10)
+		b = strconv.AppendInt(append(b, ','), int64(v.MaxSeen), 10)
 	case incMsg:
-		return fmt.Sprintf("n:%g,%d", v.Share, v.AlarmK)
+		b = appendG(append(b, "n:"...), v.Share)
+		b = strconv.AppendInt(append(b, ','), int64(v.AlarmK), 10)
 	default:
 		return runtime.DefaultCanon(m)
 	}
+	return string(b)
 }
+
+// appendG appends f exactly as fmt's %g verb prints it: the shortest
+// decimal that reads back as f.
+func appendG(b []byte, f float64) []byte { return strconv.AppendFloat(b, f, 'g', -1, 64) }
 
 // helloProc broadcasts a constant beacon every round; used by leaf nodes of
 // the star counter.

@@ -92,7 +92,9 @@ func (l *idLeader) Output() (int, bool) { return l.count, l.done }
 
 // IDCount runs the ID-flooding counter and returns the exact node count
 // and the rounds used. The network must be 1-interval connected over the
-// execution (validated); the result is exact under that assumption.
+// execution: the engine checks each round it runs and fails with a
+// *dynet.ConnectivityError at the first disconnected one. The result is
+// exact under that assumption.
 func IDCount(net dynet.Dynamic, leader graph.NodeID, maxRounds int, run Runner) (count, rounds int, err error) {
 	n := net.N()
 	if int(leader) < 0 || int(leader) >= n {
@@ -100,9 +102,6 @@ func IDCount(net dynet.Dynamic, leader graph.NodeID, maxRounds int, run Runner) 
 	}
 	if maxRounds < 1 {
 		return 0, 0, fmt.Errorf("counting: maxRounds must be >= 1, got %d", maxRounds)
-	}
-	if err := dynet.VerifyIntervalConnectivity(net, maxRounds); err != nil {
-		return 0, 0, fmt.Errorf("counting: ID counting requires 1-interval connectivity: %w", err)
 	}
 	procs := make([]runtime.Process, n)
 	var lp *idLeader
@@ -123,7 +122,8 @@ func IDCount(net dynet.Dynamic, leader graph.NodeID, maxRounds int, run Runner) 
 			}
 			return canon(m)
 		},
-		MaxRounds: maxRounds,
+		MaxRounds:         maxRounds,
+		IntervalConnected: true,
 	}
 	value, rounds, ok, err := runtime.RunUntilOutput(cfg, int(leader), run)
 	if err != nil {

@@ -192,9 +192,11 @@ func (l *incLeader) Output() (int, bool) { return l.count, l.done }
 
 // IncrementalCount runs the incremental counter and returns the exact node
 // count and the rounds used. The network must be 1-interval connected over
-// the execution (validated up front). The round budget must cover the full
-// guess schedule up to the true size — IncrementalRounds(n) bounds the
-// budget needed for a size-n network whose drains complete on schedule.
+// the execution: the engine checks each round it runs and fails with a
+// *dynet.ConnectivityError at the first disconnected one. The round budget
+// must cover the full guess schedule up to the true size —
+// IncrementalRounds(n) bounds the budget needed for a size-n network whose
+// drains complete on schedule.
 func IncrementalCount(net dynet.Dynamic, leader graph.NodeID, maxRounds int, run Runner) (count, rounds int, err error) {
 	n := net.N()
 	if int(leader) < 0 || int(leader) >= n {
@@ -202,9 +204,6 @@ func IncrementalCount(net dynet.Dynamic, leader graph.NodeID, maxRounds int, run
 	}
 	if maxRounds < 1 {
 		return 0, 0, fmt.Errorf("counting: maxRounds must be >= 1, got %d", maxRounds)
-	}
-	if err := dynet.VerifyIntervalConnectivity(net, maxRounds); err != nil {
-		return 0, 0, fmt.Errorf("counting: incremental counting requires 1-interval connectivity: %w", err)
 	}
 	procs := make([]runtime.Process, n)
 	for i := range procs {
@@ -214,7 +213,7 @@ func IncrementalCount(net dynet.Dynamic, leader graph.NodeID, maxRounds int, run
 			procs[i] = newIncProc()
 		}
 	}
-	cfg := &runtime.Config{Net: net, Procs: procs, Canon: canon, MaxRounds: maxRounds}
+	cfg := &runtime.Config{Net: net, Procs: procs, Canon: canon, MaxRounds: maxRounds, IntervalConnected: true}
 	value, rounds, ok, err := runtime.RunUntilOutput(cfg, int(leader), run)
 	if err != nil {
 		return 0, 0, err

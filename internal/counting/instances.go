@@ -233,13 +233,20 @@ func RestrictedPD2Instance(outer int) (*Instance, error) {
 
 // observedMaxDegree scans the first `rounds` snapshots for the maximum
 // degree, standing in for an a-priori degree bound on families that do not
-// have a closed form.
+// have a closed form. A network that serves CSR snapshots is read in that
+// form, so the scan builds no map graph that would outlive it.
 func observedMaxDegree(net dynet.Dynamic, rounds int) int {
+	csrNet, isCSR := net.(dynet.CSRDynamic)
 	maxDeg := 0
 	for r := 0; r < rounds; r++ {
-		g := net.Snapshot(r)
+		var degree func(graph.NodeID) int
+		if isCSR {
+			degree = csrNet.SnapshotCSR(r).Degree
+		} else {
+			degree = net.Snapshot(r).Degree
+		}
 		for v := 0; v < net.N(); v++ {
-			if d := g.Degree(graph.NodeID(v)); d > maxDeg {
+			if d := degree(graph.NodeID(v)); d > maxDeg {
 				maxDeg = d
 			}
 		}

@@ -40,8 +40,10 @@ const (
 // algorithm/adversary matching.
 type Requirements struct {
 	// IntervalConnected: every round's snapshot must be connected
-	// (1-interval connectivity). Algorithms verify this over the actual
-	// execution themselves; it is recorded here for -help output.
+	// (1-interval connectivity). The algorithms that need it run with
+	// runtime.Config.IntervalConnected, so the engine checks each round
+	// they execute; Validate only rejects families whose declared
+	// properties rule it out.
 	IntervalConnected bool
 	// RestrictedPD2: the instance must carry a restricted 𝒢(PD)₂ layer
 	// layout (V₁ relays, V₂ outer nodes).

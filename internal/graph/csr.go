@@ -104,6 +104,43 @@ func (c *CSR) Validate() error {
 	return nil
 }
 
+// BFSScratch holds the buffers of CSR.Connected. One scratch value checks
+// any number of snapshots and allocates only when the node count grows, so
+// a round engine that checks every round's topology stays allocation-free.
+type BFSScratch struct {
+	seen  []bool
+	queue []NodeID
+}
+
+// Connected reports whether the graph is connected; the empty and
+// single-node graphs are. s supplies the search buffers.
+func (c *CSR) Connected(s *BFSScratch) bool {
+	n := c.N()
+	if n <= 1 {
+		return true
+	}
+	if cap(s.seen) < n {
+		s.seen = make([]bool, n)
+		s.queue = make([]NodeID, 0, n)
+	}
+	seen := s.seen[:n]
+	clear(seen)
+	seen[0] = true
+	// Every node enters the queue at most once, so it never outgrows n.
+	queue := append(s.queue[:0], 0)
+	for qi := 0; qi < len(queue); qi++ {
+		u := queue[qi]
+		for _, v := range c.Nbrs[c.Offsets[u]:c.Offsets[u+1]] {
+			if !seen[v] {
+				seen[v] = true
+				queue = append(queue, v)
+			}
+		}
+	}
+	s.queue = queue
+	return len(queue) == n
+}
+
 // satAdd adds non-negative sizes, saturating at MaxInt instead of wrapping —
 // the same convention as multigraph.HistoryCount. A saturated offset sum is
 // detected downstream: Validate rejects any CSR whose Offsets[N()] does not

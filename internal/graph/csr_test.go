@@ -132,3 +132,49 @@ func TestSatAddSaturates(t *testing.T) {
 		}
 	}
 }
+
+// TestCSRConnectedMatchesGraph checks the CSR search against
+// Graph.Connected on connected and disconnected graphs, one scratch value
+// serving every call, and that a reused scratch allocates nothing.
+func TestCSRConnectedMatchesGraph(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	var s BFSScratch
+	check := func(g *Graph) {
+		t.Helper()
+		c, err := g.CSR(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := c.Connected(&s), g.Connected(); got != want {
+			t.Fatalf("CSR.Connected = %v, Graph.Connected = %v on %v", got, want, g)
+		}
+		if got := c.Connected(&BFSScratch{}); got != g.Connected() {
+			t.Fatalf("CSR.Connected with fresh scratch = %v on %v", got, g)
+		}
+	}
+	for _, n := range []int{0, 1, 2, 5} {
+		check(New(n))
+	}
+	for trial := 0; trial < 50; trial++ {
+		n := rng.Intn(30) + 2
+		g := RandomConnected(n, 0.1, rng)
+		check(g)
+		// Cutting every edge of one node disconnects it.
+		v := NodeID(rng.Intn(n))
+		for _, u := range g.Neighbors(v) {
+			if err := g.RemoveEdge(v, u); err != nil {
+				t.Fatal(err)
+			}
+		}
+		check(g)
+	}
+
+	c, err := Path(64).CSR(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Connected(&s)
+	if allocs := testing.AllocsPerRun(50, func() { c.Connected(&s) }); allocs > 0 {
+		t.Errorf("CSR.Connected with reused scratch allocates %.1f times per call, want 0", allocs)
+	}
+}

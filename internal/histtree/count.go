@@ -364,10 +364,11 @@ func (l *leaderProc) classify(t int) pairState {
 
 // Count runs the history-tree counting protocol on net with the given
 // leader and returns the exact node count and the rounds used. The network
-// must be 1-interval connected over the execution (validated up front);
-// termination is O(n) rounds — at most ~3n — on every such network for
-// which the conservative acceptance rule (see evaluate) applies, which
-// includes all families exercised in this repository.
+// must be 1-interval connected over the execution: the engine checks each
+// round it runs and fails with a *dynet.ConnectivityError at the first
+// disconnected one. Termination is O(n) rounds — at most ~3n — on every
+// such network for which the conservative acceptance rule (see evaluate)
+// applies, which includes all families exercised in this repository.
 func Count(net dynet.Dynamic, leader graph.NodeID, maxRounds int, run Runner) (count, rounds int, err error) {
 	n := net.N()
 	if int(leader) < 0 || int(leader) >= n {
@@ -375,9 +376,6 @@ func Count(net dynet.Dynamic, leader graph.NodeID, maxRounds int, run Runner) (c
 	}
 	if maxRounds < 1 {
 		return 0, 0, fmt.Errorf("histtree: maxRounds must be >= 1, got %d", maxRounds)
-	}
-	if err := dynet.VerifyIntervalConnectivity(net, maxRounds); err != nil {
-		return 0, 0, fmt.Errorf("histtree: counting requires 1-interval connectivity: %w", err)
 	}
 	tree := New()
 	procs := make([]runtime.Process, n)
@@ -390,10 +388,11 @@ func Count(net dynet.Dynamic, leader graph.NodeID, maxRounds int, run Runner) (c
 		}
 	}
 	cfg := &runtime.Config{
-		Net:       net,
-		Procs:     procs,
-		CanonKey:  canonKey,
-		MaxRounds: maxRounds,
+		Net:               net,
+		Procs:             procs,
+		CanonKey:          canonKey,
+		MaxRounds:         maxRounds,
+		IntervalConnected: true,
 	}
 	value, rounds, ok, err := runtime.RunUntilOutput(cfg, int(leader), run)
 	if err != nil {

@@ -3,6 +3,7 @@ package multigraph
 import (
 	"fmt"
 	"math/bits"
+	"sync/atomic"
 
 	"anondyn/internal/graph"
 )
@@ -15,9 +16,12 @@ import (
 // without materializing a million adjacency maps per round.
 //
 // The returned *graph.CSR is a snapshot view: it is valid until the next
-// SnapshotCSR call, per the dynet.CSRDynamic contract. Snapshot (the
-// map-graph accessor of the plain Dynamic interface) is also provided for
-// small-scale and debugging use; it builds a fresh graph per call.
+// SnapshotCSR call, per the dynet.CSRDynamic contract. Snapshot, the
+// map-graph accessor of the plain Dynamic interface, serves the sequential
+// engine and the analyses. It keeps the graph of the last round it built,
+// so every round at or past the horizon returns one shared graph, which
+// builds its sorted-adjacency index once. Snapshot is safe for concurrent
+// use; SnapshotCSR is not.
 type PD2Net struct {
 	m      *Multigraph
 	layout *PD2Layout
@@ -27,6 +31,15 @@ type PD2Net struct {
 	csr       graph.CSR
 	cur       []int // per-row fill cursor
 	lastRound int   // clamped round of the cached csr; -1 before first build
+
+	// last is the map graph of the most recent Snapshot build.
+	last atomic.Pointer[roundGraph]
+}
+
+// roundGraph is one cached map-graph snapshot and its clamped round.
+type roundGraph struct {
+	round int
+	g     *graph.Graph
 }
 
 // ToPD2CSR performs the same transformation as ToPD2 but returns a PD2Net
@@ -50,7 +63,7 @@ func (m *Multigraph) ToPD2CSR() (*PD2Net, *PD2Layout, error) {
 func (p *PD2Net) N() int { return p.n }
 
 // clampRound maps any round to the scheduled horizon, repeating the final
-// round forever — the same convention as ToPD2's snapshot function.
+// round forever.
 func (p *PD2Net) clampRound(r int) int {
 	if r < 0 {
 		r = 0
@@ -61,13 +74,22 @@ func (p *PD2Net) clampRound(r int) int {
 	return r
 }
 
-// Snapshot returns round r's topology as a map graph. Intended for debug
-// and small instances; the engine's sharded path never calls it when
-// SnapshotCSR is available.
+// Snapshot returns round r's topology as a map graph: node j of V₁ is
+// adjacent at round r exactly to the W-nodes whose label set contains j,
+// and the leader to all of V₁. A round whose clamped index matches the
+// last build returns that build's graph; the sharded engine never calls
+// Snapshot when SnapshotCSR is available. Callers must not mutate the
+// returned graph.
 func (p *PD2Net) Snapshot(r int) *graph.Graph {
 	r = p.clampRound(r)
+	old := p.last.Load()
+	if old != nil && old.round == r {
+		return old.g
+	}
 	g := graph.New(p.n)
 	for _, relay := range p.layout.V1 {
+		// The leader-V₁ edges are static: V₁ nodes keep persistent
+		// distance 1.
 		if err := g.AddEdge(p.layout.Leader, relay); err != nil {
 			panic(err) // unreachable: indices are in range by construction
 		}
@@ -80,6 +102,14 @@ func (p *PD2Net) Snapshot(r int) *graph.Graph {
 					panic(err) // unreachable
 				}
 			}
+		}
+	}
+	built := &roundGraph{round: r, g: g}
+	if !p.last.CompareAndSwap(old, built) {
+		// A concurrent caller cached first: share its graph when it is
+		// the same round's, so one round never yields two graphs.
+		if cur := p.last.Load(); cur.round == r {
+			return cur.g
 		}
 	}
 	return g

@@ -1,6 +1,7 @@
 package multigraph
 
 import (
+	"sync"
 	"testing"
 
 	"anondyn/internal/dynet"
@@ -9,29 +10,52 @@ import (
 
 var _ dynet.CSRDynamic = (*PD2Net)(nil)
 
-// sameTopology checks a CSR snapshot against a reference map graph edge for
-// edge.
-func sameTopology(t *testing.T, label string, c *graph.CSR, g *graph.Graph) {
+// lemma1Edges is the reference topology of round r, read off the label
+// schedule with LabelsAt: the leader touches every relay, and the relay of
+// label j touches W-node v exactly when j ∈ LabelsAt(v, r). Rounds past
+// the horizon repeat the final round.
+func lemma1Edges(t *testing.T, m *Multigraph, l *PD2Layout, r int) map[graph.Edge]bool {
 	t.Helper()
-	if err := c.Validate(); err != nil {
-		t.Fatalf("%s: invalid CSR: %v", label, err)
+	r = min(r, m.Horizon()-1)
+	want := make(map[graph.Edge]bool)
+	for _, relay := range l.V1 {
+		want[graph.Edge{U: l.Leader, V: relay}.Canonical()] = true
 	}
-	if c.N() != g.N() {
-		t.Fatalf("%s: CSR has %d nodes, graph %d", label, c.N(), g.N())
-	}
-	for v := 0; v < g.N(); v++ {
-		id := graph.NodeID(v)
-		if c.Degree(id) != g.Degree(id) {
-			t.Fatalf("%s: node %d degree %d vs %d", label, v, c.Degree(id), g.Degree(id))
+	for v := 0; v < m.W(); v++ {
+		s, err := m.LabelsAt(v, r)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for _, u := range c.Neighbors(id) {
-			if !g.HasEdge(id, u) {
-				t.Fatalf("%s: CSR edge (%d,%d) absent from graph", label, v, u)
+		for j := 1; j <= m.K(); j++ {
+			if s.Has(j) {
+				want[graph.Edge{U: l.V1[j-1], V: l.V2[v]}.Canonical()] = true
 			}
 		}
 	}
+	return want
 }
 
+// sameEdges checks that the n-node topology listed by neighbors is exactly
+// the edge set want.
+func sameEdges(t *testing.T, label string, n int, neighbors func(graph.NodeID) []graph.NodeID, want map[graph.Edge]bool) {
+	t.Helper()
+	seen := 0
+	for v := 0; v < n; v++ {
+		for _, u := range neighbors(graph.NodeID(v)) {
+			if !want[graph.Edge{U: graph.NodeID(v), V: u}.Canonical()] {
+				t.Fatalf("%s: edge (%d,%d) not in the label schedule", label, v, u)
+			}
+			seen++
+		}
+	}
+	if seen != 2*len(want) {
+		t.Fatalf("%s: %d adjacency entries, the label schedule has %d edges", label, seen, len(want))
+	}
+}
+
+// TestPD2NetMatchesToPD2 checks both snapshot forms of the Lemma-1 network
+// against the edge rule read independently off the label schedule, past
+// the horizon too, and that ToPD2 serves the same network.
 func TestPD2NetMatchesToPD2(t *testing.T) {
 	for _, tc := range []struct {
 		k, w, horizon int
@@ -46,30 +70,81 @@ func TestPD2NetMatchesToPD2(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref, refLayout, err := m.ToPD2()
-		if err != nil {
-			t.Fatal(err)
-		}
 		net, layout, err := m.ToPD2CSR()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if net.N() != ref.N() || layout.N() != refLayout.N() {
-			t.Fatalf("k=%d w=%d: N %d vs %d", tc.k, tc.w, net.N(), ref.N())
+		d, _, err := m.ToPD2()
+		if err != nil {
+			t.Fatal(err)
 		}
-		// Probe beyond the horizon too: both must repeat the final round.
+		if _, ok := d.(*PD2Net); !ok {
+			t.Fatalf("ToPD2 returned %T, want *PD2Net", d)
+		}
+		if net.N() != 1+tc.k+tc.w || layout.N() != net.N() {
+			t.Fatalf("k=%d w=%d: N %d, layout %d", tc.k, tc.w, net.N(), layout.N())
+		}
 		for r := 0; r < tc.horizon+2; r++ {
-			g := ref.Snapshot(r)
-			sameTopology(t, "csr", net.SnapshotCSR(r), g)
-			// The map-graph accessor must agree as well.
-			mg := net.Snapshot(r)
-			for v := 0; v < g.N(); v++ {
-				id := graph.NodeID(v)
-				if mg.Degree(id) != g.Degree(id) {
-					t.Fatalf("Snapshot: node %d degree %d vs %d", v, mg.Degree(id), g.Degree(id))
-				}
+			want := lemma1Edges(t, m, layout, r)
+			c := net.SnapshotCSR(r)
+			if err := c.Validate(); err != nil {
+				t.Fatalf("round %d: invalid CSR: %v", r, err)
+			}
+			sameEdges(t, "SnapshotCSR", c.N(), c.Neighbors, want)
+			g := net.Snapshot(r)
+			sameEdges(t, "Snapshot", g.N(), g.Neighbors, want)
+			g = d.Snapshot(r)
+			sameEdges(t, "ToPD2", g.N(), g.Neighbors, want)
+		}
+	}
+}
+
+// TestPD2NetSnapshotSharedPastHorizon checks that every round from the
+// last scheduled one on returns one graph, also when many goroutines ask
+// at once.
+func TestPD2NetSnapshotSharedPastHorizon(t *testing.T) {
+	m, err := Random(2, 9, 4, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	net, _, err := m.ToPD2CSR()
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := net.Snapshot(m.Horizon() - 1)
+	for r := m.Horizon(); r < m.Horizon()+10; r++ {
+		if net.Snapshot(r) != last {
+			t.Fatalf("round %d rebuilt the final round's graph", r)
+		}
+	}
+	if net.Snapshot(0) == last {
+		t.Fatal("round 0 shares the final round's graph")
+	}
+
+	// Concurrent callers, starting from a cache that holds round 0.
+	const callers = 8
+	got := make([][]*graph.Graph, callers)
+	var wg sync.WaitGroup
+	for c := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := m.Horizon() - 1; r < m.Horizon()+20; r++ {
+				got[c] = append(got[c], net.Snapshot(r))
+			}
+		}()
+	}
+	wg.Wait()
+	first := got[0][0]
+	for c := range got {
+		for i, g := range got[c] {
+			if g != first {
+				t.Fatalf("caller %d, round %d: a second graph for the final round", c, m.Horizon()-1+i)
 			}
 		}
+	}
+	if first.Degree(0) != m.K() {
+		t.Fatalf("shared graph gives the leader degree %d, want %d", first.Degree(0), m.K())
 	}
 }
 

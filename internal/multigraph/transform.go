@@ -31,47 +31,17 @@ func (l *PD2Layout) N() int { return 1 + len(l.V1) + len(l.V2) }
 // only in the layout metadata) yields the anonymous instance G; counting on
 // G is at least as hard as on G^id.
 //
-// Rounds at or beyond the multigraph's horizon repeat the final round's
-// topology, making the result a legitimate infinite dynamic graph. A
-// zero-horizon multigraph cannot be transformed.
+// The result is the *PD2Net that ToPD2CSR builds, so the sharded engine
+// reads it in CSR form while every other consumer gets map graphs. Rounds
+// at or beyond the multigraph's horizon repeat the final round's topology,
+// making the result a legitimate infinite dynamic graph. A zero-horizon
+// multigraph cannot be transformed.
 func (m *Multigraph) ToPD2() (dynet.Dynamic, *PD2Layout, error) {
-	if m.horizon == 0 {
-		return nil, nil, fmt.Errorf("multigraph: cannot transform zero-horizon multigraph")
+	net, layout, err := m.ToPD2CSR()
+	if err != nil {
+		return nil, nil, err
 	}
-	layout := &PD2Layout{Leader: 0}
-	for j := 1; j <= m.k; j++ {
-		layout.V1 = append(layout.V1, graph.NodeID(j))
-	}
-	for v := range m.labels {
-		layout.V2 = append(layout.V2, graph.NodeID(1+m.k+v))
-	}
-	n := layout.N()
-
-	snapshot := func(r int) *graph.Graph {
-		if r < 0 {
-			r = 0
-		}
-		if r >= m.horizon {
-			r = m.horizon - 1
-		}
-		g := graph.New(n)
-		for _, relay := range layout.V1 {
-			// The leader-V₁ edges are static: V₁ nodes keep persistent
-			// distance 1.
-			if err := g.AddEdge(layout.Leader, relay); err != nil {
-				panic(err) // unreachable: indices are in range by construction
-			}
-		}
-		for v, row := range m.labels {
-			for _, j := range row[r].Labels() {
-				if err := g.AddEdge(layout.V1[j-1], layout.V2[v]); err != nil {
-					panic(err) // unreachable
-				}
-			}
-		}
-		return g
-	}
-	return dynet.NewFunc(n, snapshot), layout, nil
+	return net, layout, nil
 }
 
 // FromPD2 inverts the transformation: given a dynamic graph, a leader, an

@@ -130,6 +130,13 @@ type Config struct {
 	CanonKey KeyCanonicalizer
 	// MaxRounds bounds the execution length.
 	MaxRounds int
+	// IntervalConnected enforces 1-interval connectivity on the rounds the
+	// run executes. Each round's topology is checked once it is fetched:
+	// before any process sends, or, for an adaptive adversary, before any
+	// process receives. A disconnected round ends the run with a
+	// *dynet.ConnectivityError naming it. Rounds after the run stops are
+	// never built, so they are never checked.
+	IntervalConnected bool
 	// RoundDeadline, if positive, bounds the wall-clock duration of each
 	// round. A round that overruns it aborts the run with a
 	// *RoundDeadlineError; the paper's model is synchronous, so a round
@@ -172,6 +179,26 @@ func (c *Config) topology(r int, outbox []Message) (*graph.Graph, error) {
 			g.N(), r, c.Net.N())
 	}
 	return g, nil
+}
+
+// connChecker enforces Config.IntervalConnected on map-graph snapshots. It
+// remembers the last graph it found connected, so a network that serves
+// one *graph.Graph for many rounds (a static network, a schedule past its
+// horizon) is searched once.
+type connChecker struct {
+	on      bool
+	checked *graph.Graph
+}
+
+func (cc *connChecker) check(r int, g *graph.Graph) error {
+	if !cc.on || g == cc.checked {
+		return nil
+	}
+	if !g.Connected() {
+		return &dynet.ConnectivityError{Round: r}
+	}
+	cc.checked = g
+	return nil
 }
 
 func (c *Config) validate() error {

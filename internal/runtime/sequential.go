@@ -39,6 +39,7 @@ func RunSequentialCtx(ctx context.Context, cfg *Config) (int, error) {
 	}
 	outbox := make([]Message, n)
 	sc := newAssembler(cfg, n)
+	conn := connChecker{on: cfg.IntervalConnected}
 	for r := 0; r < cfg.MaxRounds; r++ {
 		if err := ctx.Err(); err != nil {
 			m.cancels.Inc()
@@ -53,6 +54,9 @@ func RunSequentialCtx(ctx context.Context, cfg *Config) (int, error) {
 		if cfg.Adaptive == nil {
 			var err error
 			if g, err = cfg.topology(r, nil); err != nil {
+				return r, err
+			}
+			if err := conn.check(r, g); err != nil {
 				return r, err
 			}
 			// Degree oracle (Discussion model): degree known before Send.
@@ -82,6 +86,9 @@ func RunSequentialCtx(ctx context.Context, cfg *Config) (int, error) {
 			// round's broadcasts.
 			var err error
 			if g, err = cfg.topology(r, outbox); err != nil {
+				return r, err
+			}
+			if err := conn.check(r, g); err != nil {
 				return r, err
 			}
 		}

@@ -154,10 +154,12 @@ func runShardedCtx[K cmp.Ordered](ctx context.Context, cfg *Config, canon func(M
 		sorter keyRankSorter[K]
 
 		// Topology state. csr is the round's snapshot; the conversion
-		// cache holds while the map-graph pointer is unchanged.
+		// cache holds while the map-graph pointer is unchanged. bfs is the
+		// scratch of the Config.IntervalConnected check.
 		csr    *graph.CSR
 		csrBuf *graph.CSR
 		lastG  *graph.Graph
+		bfs    graph.BFSScratch
 		round  int
 	)
 	for v := 0; v < n; v++ {
@@ -176,7 +178,8 @@ func runShardedCtx[K cmp.Ordered](ctx context.Context, cfg *Config, canon func(M
 	}
 
 	// snapshotCSR resolves round r's topology in CSR form. g is the
-	// adaptive adversary's graph (nil otherwise).
+	// adaptive adversary's graph (nil otherwise). A map graph reused from
+	// the previous round keeps its converted, already checked CSR.
 	snapshotCSR := func(r int, g *graph.Graph) error {
 		if csrDyn != nil {
 			c := csrDyn.SnapshotCSR(r)
@@ -190,22 +193,25 @@ func runShardedCtx[K cmp.Ordered](ctx context.Context, cfg *Config, canon func(M
 				return fmt.Errorf("runtime: CSR snapshot at round %d has %d nodes, want %d", r, c.N(), n)
 			}
 			csr = c
-			return nil
-		}
-		if g == nil {
-			var err error
-			if g, err = cfg.topology(r, nil); err != nil {
-				return err
+		} else {
+			if g == nil {
+				var err error
+				if g, err = cfg.topology(r, nil); err != nil {
+					return err
+				}
 			}
+			if g == lastG && csr != nil {
+				return nil
+			}
+			c, err := g.CSR(csrBuf)
+			if err != nil {
+				return fmt.Errorf("runtime: snapshot at round %d: %w", r, err)
+			}
+			csr, csrBuf, lastG = c, c, g
 		}
-		if g == lastG && csr != nil {
-			return nil
+		if cfg.IntervalConnected && !csr.Connected(&bfs) {
+			return &dynet.ConnectivityError{Round: r}
 		}
-		c, err := g.CSR(csrBuf)
-		if err != nil {
-			return fmt.Errorf("runtime: snapshot at round %d: %w", r, err)
-		}
-		csr, csrBuf, lastG = c, c, g
 		return nil
 	}
 

@@ -509,7 +509,9 @@ func TestDefaultReuseOverwritesRetained(t *testing.T) {
 
 // TestShardedRoundStepAllocCeiling locks the steady-state allocation budget
 // of one sharded round, by differencing short and long runs as the
-// sequential ceiling test does.
+// sequential ceiling test does. The budget also holds with the per-round
+// connectivity check on a ToPD2CSR network, whose CSR the engine rebuilds
+// and searches every round up to the horizon.
 func TestShardedRoundStepAllocCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are inflated under -race")
@@ -518,27 +520,45 @@ func TestShardedRoundStepAllocCeiling(t *testing.T) {
 	defer obs.Set(prev)
 	obs.Set(nil)
 
-	const n, shortR, longR = 64, 4, 44
-	g, err := graph.Cycle(n)
+	const shortR, longR = 4, 44
+	g, err := graph.Cycle(64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	net := dynet.NewStatic(g)
-	run := func(rounds int) {
-		procs := make([]Process, n)
-		for i := range procs {
-			procs[i] = &quietProc{seen: i == 0}
-		}
-		cfg := &Config{Net: net, Procs: procs, MaxRounds: rounds, Canon: quietCanon, Shards: 2}
-		if _, err := RunSharded(cfg); err != nil {
-			t.Fatal(err)
-		}
+	mg, err := multigraph.Random(2, 60, longR, 5)
+	if err != nil {
+		t.Fatal(err)
 	}
-	short := testing.AllocsPerRun(20, func() { run(shortR) })
-	long := testing.AllocsPerRun(20, func() { run(longR) })
-	perStep := (long - short) / float64(longR-shortR)
-	if perStep > 2 {
-		t.Fatalf("sharded round step allocates %.2f/step, want <= 2", perStep)
+	pd2, _, err := mg.ToPD2CSR()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name      string
+		net       dynet.Dynamic
+		connected bool
+	}{
+		{"static-cycle", dynet.NewStatic(g), false},
+		{"pd2-connected", pd2, true},
+	} {
+		n := tc.net.N()
+		run := func(rounds int) {
+			procs := make([]Process, n)
+			for i := range procs {
+				procs[i] = &quietProc{seen: i == 0}
+			}
+			cfg := &Config{Net: tc.net, Procs: procs, MaxRounds: rounds, Canon: quietCanon, Shards: 2,
+				IntervalConnected: tc.connected}
+			if _, err := RunSharded(cfg); err != nil {
+				t.Fatal(err)
+			}
+		}
+		short := testing.AllocsPerRun(20, func() { run(shortR) })
+		long := testing.AllocsPerRun(20, func() { run(longR) })
+		perStep := (long - short) / float64(longR-shortR)
+		if perStep > 2 {
+			t.Errorf("%s: sharded round step allocates %.2f/step, want <= 2", tc.name, perStep)
+		}
 	}
 }
 

@@ -86,8 +86,11 @@ type Report struct {
 // MaxRetries, a journal write failure, or the context being canceled)
 // stops the run: no new jobs start, in-flight jobs finish or observe the
 // cancellation, and the fault is returned after all workers have joined.
-// Jobs completed before the fault are already in the journal, which is
-// what makes -resume safe after SIGKILL, not just after clean shutdown.
+// A context canceled while the workers run is reported even when every
+// job had already finished: the error then counts all jobs as done, and
+// Report.Results is complete. Jobs completed before the fault are already
+// in the journal, which is what makes -resume safe after SIGKILL, not just
+// after clean shutdown.
 func Run(ctx context.Context, jobs []Job, fn ProtoFunc, opts Options) (*Report, error) {
 	rep := &Report{Results: make([]Result, len(jobs))}
 	keys := make(map[string]int, len(jobs))

@@ -126,9 +126,18 @@ func TestRunBoundedRetriesExhaust(t *testing.T) {
 
 func TestRunCancellationStopsPromptly(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
-	var executed atomic.Int64
+	// The count and the cancel are one step as the other worker sees them:
+	// without the mutex, a worker preempted between drawing 3 and calling
+	// cancel lets the other worker drain every job first.
+	var (
+		mu       sync.Mutex
+		executed int
+	)
 	fn := func(ctx context.Context, job Job) (Result, error) {
-		if executed.Add(1) == 3 {
+		mu.Lock()
+		defer mu.Unlock()
+		executed++
+		if executed == 3 {
 			cancel()
 		}
 		return Result{Rounds: job.Trial}, nil
