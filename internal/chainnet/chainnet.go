@@ -10,9 +10,9 @@
 //	relays    emit one observation fact per round — (round, label,
 //	          multiset of neighbor states) — plus all earlier facts;
 //	chain     nodes forward the union of all facts they have heard;
-//	leader    reassembles the delayed leader view and solves its linear
-//	          system (kernel.SolveCountInterval) each round, terminating
-//	          when exactly one network size remains consistent.
+//	leader    reassembles the delayed leader view and feeds each completed
+//	          round to its linear-system solver (kernel.IncrementalSolver),
+//	          terminating when exactly one network size remains consistent.
 //
 // Every relay beacon crosses m+1 hops to reach the leader, so the count
 // lands exactly delay = m+1 rounds after the ℳ(DBL)₂ bound: measured
@@ -33,7 +33,9 @@ import (
 
 // Network is a chain-composed Corollary 1 instance.
 type Network struct {
-	// Net is the dynamic graph.
+	// Net is the dynamic graph: the schedule's Lemma-1 network with the
+	// chain inserted, a *multigraph.PD2Net that serves the sharded engine
+	// in CSR form.
 	Net dynet.Dynamic
 	// Leader is always node 0.
 	Leader graph.NodeID
@@ -77,7 +79,9 @@ func Build(n, chainLen int) (*Network, error) {
 	return buildFromSchedule(ext.M, chainLen)
 }
 
-// buildFromSchedule wires an arbitrary ℳ(DBL)₂ schedule behind a chain.
+// buildFromSchedule wires an arbitrary ℳ(DBL)₂ schedule behind a chain: the
+// network is the schedule's Lemma-1 transformation with the chain inserted
+// (multigraph.ToPD2Chain), served to the sharded engine in CSR form.
 func buildFromSchedule(m *multigraph.Multigraph, chainLen int) (*Network, error) {
 	if m.K() != 2 {
 		return nil, fmt.Errorf("chainnet: schedule must have k=2, got %d", m.K())
@@ -85,62 +89,18 @@ func buildFromSchedule(m *multigraph.Multigraph, chainLen int) (*Network, error)
 	if m.Horizon() == 0 {
 		return nil, fmt.Errorf("chainnet: zero-horizon schedule")
 	}
-	nw := &Network{Leader: 0, Schedule: m}
-	next := graph.NodeID(1)
-	for i := 0; i < chainLen; i++ {
-		nw.Chain = append(nw.Chain, next)
-		next++
+	net, layout, err := m.ToPD2Chain(chainLen)
+	if err != nil {
+		return nil, fmt.Errorf("chainnet: %w", err)
 	}
-	for j := 0; j < 2; j++ {
-		nw.Relays = append(nw.Relays, next)
-		next++
-	}
-	for v := 0; v < m.W(); v++ {
-		nw.W = append(nw.W, next)
-		next++
-	}
-	total := int(next)
-
-	static := make([]graph.Edge, 0, chainLen+2)
-	prev := nw.Leader
-	for _, c := range nw.Chain {
-		static = append(static, graph.Edge{U: prev, V: c})
-		prev = c
-	}
-	static = append(static,
-		graph.Edge{U: prev, V: nw.Relays[0]},
-		graph.Edge{U: prev, V: nw.Relays[1]},
-	)
-
-	horizon := m.Horizon()
-	snapshot := func(r int) *graph.Graph {
-		if r < 0 {
-			r = 0
-		}
-		if r >= horizon {
-			r = horizon - 1
-		}
-		g := graph.New(total)
-		for _, e := range static {
-			if err := g.AddEdge(e.U, e.V); err != nil {
-				panic(err) // unreachable: all indices in range by construction
-			}
-		}
-		for v := range nw.W {
-			ls, err := m.LabelsAt(v, r)
-			if err != nil {
-				panic(err) // unreachable: r clamped to horizon
-			}
-			for _, j := range ls.Labels() {
-				if err := g.AddEdge(nw.Relays[j-1], nw.W[v]); err != nil {
-					panic(err) // unreachable
-				}
-			}
-		}
-		return g
-	}
-	nw.Net = dynet.NewFunc(total, snapshot)
-	return nw, nil
+	return &Network{
+		Net:      net,
+		Leader:   layout.Leader,
+		Chain:    layout.Chain,
+		Relays:   layout.V1,
+		W:        layout.V2,
+		Schedule: m,
+	}, nil
 }
 
 // BuildFromSchedule exposes buildFromSchedule for tests and tools that

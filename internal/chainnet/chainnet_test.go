@@ -1,11 +1,16 @@
 package chainnet
 
 import (
+	"math/rand"
+	"reflect"
+	"slices"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
 	"anondyn/internal/core"
 	"anondyn/internal/dynet"
+	"anondyn/internal/graph"
 	"anondyn/internal/multigraph"
 	"anondyn/internal/runtime"
 )
@@ -302,5 +307,166 @@ func TestRunCountProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// snapshotCounter serves a chain network and counts its map-graph
+// Snapshot calls; N and SnapshotCSR are the PD2Net's own.
+type snapshotCounter struct {
+	*multigraph.PD2Net
+	snapshots atomic.Int64
+}
+
+func (c *snapshotCounter) Snapshot(r int) *graph.Graph {
+	c.snapshots.Add(1)
+	return c.PD2Net.Snapshot(r)
+}
+
+// TestRunShardedReadsOnlyCSR checks that the sharded engine reads a chain
+// network in CSR form only: no round builds a map graph.
+func TestRunShardedReadsOnlyCSR(t *testing.T) {
+	for _, chainLen := range []int{0, 2} {
+		for _, tc := range []struct {
+			name   string
+			run    runtime.Engine
+			mapped bool // whether the engine reads map graphs
+		}{
+			{"sharded", runtime.RunSharded, false},
+			{"sequential", runtime.RunSequential, true},
+		} {
+			nw, err := Build(13, chainLen)
+			if err != nil {
+				t.Fatal(err)
+			}
+			counter := &snapshotCounter{PD2Net: nw.Net.(*multigraph.PD2Net)}
+			nw.Net = counter
+			res, err := RunCount(nw, core.LowerBoundRounds(13)+nw.Delay()+5, tc.run)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Count != 13 {
+				t.Fatalf("%s chain %d: counted %d", tc.name, chainLen, res.Count)
+			}
+			if got := counter.snapshots.Load(); (got > 0) != tc.mapped {
+				t.Fatalf("%s chain %d: %d Snapshot calls", tc.name, chainLen, got)
+			}
+		}
+	}
+}
+
+// inboxLog records every inbox its process is handed.
+type inboxLog struct {
+	runtime.Process
+	inboxes [][]runtime.Message
+}
+
+func (l *inboxLog) Receive(r int, msgs []runtime.Message) {
+	l.inboxes = append(l.inboxes, append([]runtime.Message(nil), msgs...))
+	l.Process.Receive(r, msgs)
+}
+
+// TestProcessesIgnoreInboxOrder replays every inbox of a real run, permuted,
+// to fresh processes of each type and checks they reach the state of the
+// process that heard the engine's order. This is why canonKey's ties are
+// harmless.
+func TestProcessesIgnoreInboxOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, chainLen := range []int{0, 2} {
+		nw, err := Build(13, chainLen)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rounds := core.LowerBoundRounds(13) + nw.Delay()
+		logs := make([]*inboxLog, nw.N())
+		procs := newProcs(nw)
+		for v, p := range procs {
+			logs[v] = &inboxLog{Process: p}
+			procs[v] = logs[v]
+		}
+		cfg := &runtime.Config{Net: nw.Net, Procs: procs, CanonKey: canonKey, MaxRounds: rounds}
+		if _, err := runtime.RunSequential(cfg); err != nil {
+			t.Fatal(err)
+		}
+		if _, done := logs[nw.Leader].Process.(*leaderProc).Output(); !done {
+			t.Fatalf("chain %d: leader did not terminate", chainLen)
+		}
+		for trial := 0; trial < 4; trial++ {
+			for v, p := range newProcs(nw) {
+				for r, inbox := range logs[v].inboxes {
+					perm := append([]runtime.Message(nil), inbox...)
+					if trial == 0 {
+						slices.Reverse(perm)
+					} else {
+						rng.Shuffle(len(perm), func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
+					}
+					p.Send(r)
+					p.Receive(r, perm)
+				}
+				if !reflect.DeepEqual(p, logs[v].Process) {
+					t.Fatalf("chain %d trial %d: node %d (%T) reached another state on a permuted inbox",
+						chainLen, trial, v, p)
+				}
+			}
+		}
+	}
+}
+
+// TestCanonKeyDependsOnContentOnly checks that canonKey fingerprints what a
+// message says, not who sent it or in which order its parts were built.
+func TestCanonKeyDependsOnContentOnly(t *testing.T) {
+	k1 := multigraph.History{multigraph.SetOf(1)}.Key()
+	k2 := multigraph.History{multigraph.SetOf(1, 2)}.Key()
+	inbox := []runtime.Message{
+		stateMsg{StateKey: k1}, stateMsg{StateKey: k2}, stateMsg{StateKey: k1}, nil,
+	}
+	// Two relays of the same label hear the same states in opposite
+	// orders: equal facts, equal beacons, equal keys.
+	a, b := &relayProc{label: 1}, &relayProc{label: 1}
+	a.Receive(0, inbox)
+	b.Receive(0, []runtime.Message{inbox[3], inbox[2], inbox[1], inbox[0]})
+	if ka, kb := canonKey(a.Send(1)), canonKey(b.Send(1)); ka != kb {
+		t.Fatalf("equal beacons keyed %#x and %#x", ka, kb)
+	}
+	// States maps filled in different orders fingerprint alike; map
+	// iteration order is randomized, so repeat.
+	fwd, rev := make(map[string]int), make(map[string]int)
+	keys := []string{"", "1", "2", "3", "1.3", "3.2.1", "2.2"}
+	for i, k := range keys {
+		fwd[k] = i + 1
+	}
+	for i := len(keys) - 1; i >= 0; i-- {
+		rev[keys[i]] = i + 1
+	}
+	want := factHash(4, 2, fwd)
+	for i := 0; i < 20; i++ {
+		if got := factHash(4, 2, rev); got != want {
+			t.Fatalf("fact hash %#x, want %#x", got, want)
+		}
+	}
+	// A forwarded fact list keys alike in any order, and equal state
+	// messages key alike.
+	f1, f2 := newFact(0, 1, fwd), newFact(0, 2, rev)
+	if canonKey(forwardMsg{Facts: []fact{f1, f2}}) != canonKey(forwardMsg{Facts: []fact{f2, f1}}) {
+		t.Fatal("fact order changed a forward key")
+	}
+	if canonKey(stateMsg{StateKey: k1}) != canonKey(stateMsg{StateKey: k1}) {
+		t.Fatal("equal state messages keyed apart")
+	}
+	// Distinct messages key apart; nil and foreign messages key 0.
+	distinct := []runtime.Message{
+		stateMsg{StateKey: k1}, stateMsg{StateKey: k2}, stateMsg{},
+		relayBeacon{Label: 1}, relayBeacon{Label: 2}, relayBeacon{Label: 1, Facts: []fact{f1}},
+		forwardMsg{}, forwardMsg{Facts: []fact{f1}}, forwardMsg{Facts: []fact{f1, f2}},
+	}
+	seen := map[uint64]runtime.Message{}
+	for _, m := range distinct {
+		k := canonKey(m)
+		if prev, dup := seen[k]; dup {
+			t.Fatalf("%#v and %#v share key %#x", prev, m, k)
+		}
+		seen[k] = m
+	}
+	if canonKey(nil) != 0 || canonKey(42) != 0 {
+		t.Fatal("nil or a foreign message has a nonzero key")
 	}
 }

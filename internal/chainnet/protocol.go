@@ -17,6 +17,14 @@ type fact struct {
 	Round  int
 	Label  int
 	States map[string]int
+	// hash is the fact's content fingerprint (factHash), computed once by
+	// the relay that makes the fact and carried along as it is forwarded.
+	hash uint64
+}
+
+// newFact makes a fact and computes its fingerprint.
+func newFact(round, label int, states map[string]int) fact {
+	return fact{Round: round, Label: label, States: states, hash: factHash(round, label, states)}
 }
 
 // key identifies a fact uniquely (one fact per (round, label)).
@@ -57,7 +65,79 @@ type (
 	}
 )
 
-// canon canonicalizes protocol messages for deterministic delivery.
+// canonKey is RunCount's canonical key (runtime.Config.CanonKey): a content
+// fingerprint that never formats a string. A stateMsg hashes its state
+// key; a relayBeacon or forwardMsg adds up the fingerprints its facts
+// carry, so the key does not depend on the order of the facts, and a
+// fact's own fingerprint does not depend on the order of its States map.
+// Equal messages get equal keys whoever sends them; nil, and any message
+// that is not the protocol's, maps to 0.
+//
+// Ties — equal messages, or unequal ones whose fingerprints collide — are
+// broken by sender id in both engines, and that order is harmless: no
+// receiver reads its inbox order. Relays count states into a map, W nodes
+// OR label bits, and chain nodes and the leader key facts by (round,
+// label), of which an honest relay makes exactly one.
+func canonKey(m runtime.Message) uint64 {
+	switch v := m.(type) {
+	case stateMsg:
+		return mix64(tagState ^ strHash(v.StateKey))
+	case relayBeacon:
+		return mix64((tagRelay ^ uint64(v.Label)) + sumFacts(v.Facts))
+	case forwardMsg:
+		return mix64(tagForward + sumFacts(v.Facts))
+	default:
+		return 0
+	}
+}
+
+// Type tags keep the three message kinds' fingerprints apart.
+const (
+	tagState   = 0x5354415445000000
+	tagRelay   = 0x52454c4159000000
+	tagForward = 0x464f525744000000
+)
+
+func sumFacts(facts []fact) uint64 {
+	var sum uint64
+	for i := range facts {
+		sum += facts[i].hash
+	}
+	return sum
+}
+
+// factHash fingerprints a fact. The States entries are combined by a sum
+// of per-entry hashes, which is independent of map iteration order, so no
+// sort is needed.
+func factHash(round, label int, states map[string]int) uint64 {
+	var sum uint64
+	for state, c := range states {
+		sum += mix64(strHash(state) ^ mix64(uint64(c)))
+	}
+	return mix64((mix64(uint64(round)) ^ uint64(label)) + sum)
+}
+
+// strHash is FNV-1a over the bytes of s.
+func strHash(s string) uint64 {
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= 1099511628211
+	}
+	return h
+}
+
+// mix64 is the SplitMix64 finalizer, a bijective avalanche mixer.
+func mix64(x uint64) uint64 {
+	x += 0x9e3779b97f4a7c15
+	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
+	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
+	return x ^ (x >> 31)
+}
+
+// canon is the string canonicalization of the protocol's messages. RunCount
+// orders inboxes by canonKey instead; RecordTrace keeps canon, whose
+// strings are the messages recorded in a transcript.
 func canon(m runtime.Message) string {
 	switch v := m.(type) {
 	case nil:
@@ -123,7 +203,7 @@ func (p *relayProc) Receive(r int, msgs []runtime.Message) {
 			states[sm.StateKey]++
 		}
 	}
-	p.facts = append(p.facts, fact{Round: r, Label: p.label, States: states})
+	p.facts = append(p.facts, newFact(r, p.label, states))
 }
 
 // chainProc forwards the union of all facts it has heard.
@@ -238,9 +318,8 @@ type CountResult struct {
 	Rounds int
 }
 
-// RunCount executes the full-information protocol on the network with the
-// given engine and returns the leader's count and termination round.
-func RunCount(nw *Network, maxRounds int, run func(*runtime.Config) (int, error)) (CountResult, error) {
+// newProcs places the protocol's processes on the network's nodes.
+func newProcs(nw *Network) []runtime.Process {
 	procs := make([]runtime.Process, nw.N())
 	procs[nw.Leader] = newLeaderProc()
 	for _, c := range nw.Chain {
@@ -252,10 +331,16 @@ func RunCount(nw *Network, maxRounds int, run func(*runtime.Config) (int, error)
 	for _, w := range nw.W {
 		procs[w] = &wProc{}
 	}
+	return procs
+}
+
+// RunCount executes the full-information protocol on the network with the
+// given engine and returns the leader's count and termination round.
+func RunCount(nw *Network, maxRounds int, run func(*runtime.Config) (int, error)) (CountResult, error) {
 	cfg := &runtime.Config{
 		Net:       nw.Net,
-		Procs:     procs,
-		Canon:     canon,
+		Procs:     newProcs(nw),
+		CanonKey:  canonKey,
 		MaxRounds: maxRounds,
 	}
 	value, rounds, ok, err := runtime.RunUntilOutput(cfg, int(nw.Leader), run)

@@ -13,20 +13,9 @@ import (
 // recordings shows byte-identical views through the indistinguishability
 // horizon — the message-level form of Theorem 1.
 func RecordTrace(nw *Network, rounds int) (*trace.Trace, error) {
-	procs := make([]runtime.Process, nw.N())
-	procs[nw.Leader] = newLeaderProc()
-	for _, c := range nw.Chain {
-		procs[c] = newChainProc()
-	}
-	for j, r := range nw.Relays {
-		procs[r] = &relayProc{label: j + 1}
-	}
-	for _, w := range nw.W {
-		procs[w] = &wProc{}
-	}
 	cfg := &runtime.Config{
 		Net:       nw.Net,
-		Procs:     procs,
+		Procs:     newProcs(nw),
 		Canon:     canon,
 		MaxRounds: rounds,
 	}

@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -169,17 +170,20 @@ func (h History) String() string {
 	return sb.String()
 }
 
-// Key returns a compact canonical encoding usable as a map key. Two
-// histories have the same key iff they are Equal.
+// Key returns a compact canonical encoding usable as a map key: the label
+// sets' bitmasks in decimal, joined by dots ("1.3.2"). Two histories have
+// the same key iff they are Equal. The digits are appended into a stack
+// buffer, so a key of up to 64 bytes costs one allocation, the string.
 func (h History) Key() string {
-	var sb strings.Builder
+	var buf [64]byte
+	b := buf[:0]
 	for i, s := range h {
 		if i > 0 {
-			sb.WriteByte('.')
+			b = append(b, '.')
 		}
-		fmt.Fprintf(&sb, "%d", uint32(s))
+		b = strconv.AppendUint(b, uint64(s), 10)
 	}
-	return sb.String()
+	return string(b)
 }
 
 // Index returns the rank of h among all histories of the same length over

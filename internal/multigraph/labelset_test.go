@@ -1,7 +1,10 @@
 package multigraph
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -138,6 +141,42 @@ func TestHistoryKeyInjective(t *testing.T) {
 	}
 	if a.Key() != c.Key() {
 		t.Fatal("equal histories have different keys")
+	}
+}
+
+// fmtKey is History.Key's original fmt form: each label set's bitmask
+// printed with %d, joined by dots. Keys are wire strings and kernel map
+// keys, so the strconv form must match it byte for byte.
+func fmtKey(h History) string {
+	var sb strings.Builder
+	for i, s := range h {
+		if i > 0 {
+			sb.WriteByte('.')
+		}
+		fmt.Fprintf(&sb, "%d", uint32(s))
+	}
+	return sb.String()
+}
+
+func TestHistoryKeyMatchesFmt(t *testing.T) {
+	for length := 0; length <= 6; length++ {
+		for _, h := range AllHistories(length, 2) {
+			if got, want := h.Key(), fmtKey(h); got != want {
+				t.Fatalf("k=2 %v: Key %q, fmt form %q", h, got, want)
+			}
+		}
+	}
+	// k=16 bitmasks run to five digits, so long histories overflow the
+	// stack buffer and take the append path.
+	rng := rand.New(rand.NewSource(16))
+	for i := 0; i < 500; i++ {
+		h := make(History, rng.Intn(40))
+		for j := range h {
+			h[j] = SymbolFromIndex(rng.Intn(SymbolCount(16)))
+		}
+		if got, want := h.Key(), fmtKey(h); got != want {
+			t.Fatalf("k=16 %v: Key %q, fmt form %q", h, got, want)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package multigraph
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"strings"
@@ -117,19 +118,35 @@ func FromHistoryCounts(k, length int, counts []int) (*Multigraph, error) {
 }
 
 // Random returns a multigraph whose label sets are drawn uniformly from the
-// valid symbols, seeded for reproducibility.
+// valid symbols, seeded for reproducibility. Draws are row-major: node 0's
+// rounds first. The schedule is drawn into one w·horizon array, each node's
+// row a capped slice of it, and owned as drawn (see newOwned). With w = 0
+// the horizon is 0, as New infers it from an empty schedule.
 func Random(k, w, horizon int, seed int64) (*Multigraph, error) {
+	if k < 1 || k > MaxK {
+		return nil, fmt.Errorf("multigraph: alphabet size k=%d out of range [1,%d]", k, MaxK)
+	}
+	if w < 0 || horizon < 0 {
+		return nil, fmt.Errorf("multigraph: negative size w=%d horizon=%d", w, horizon)
+	}
+	if horizon > 0 && w > math.MaxInt/horizon {
+		return nil, fmt.Errorf("multigraph: schedule of %d nodes × %d rounds overflows int", w, horizon)
+	}
+	if w == 0 {
+		horizon = 0
+	}
 	rng := rand.New(rand.NewSource(seed))
-	labels := make([][]LabelSet, w)
 	symbols := SymbolCount(k)
+	cells := make([]LabelSet, w*horizon)
+	labels := make([][]LabelSet, w)
 	for v := range labels {
-		row := make([]LabelSet, horizon)
+		row := cells[v*horizon : (v+1)*horizon : (v+1)*horizon]
 		for r := range row {
 			row[r] = SymbolFromIndex(rng.Intn(symbols))
 		}
 		labels[v] = row
 	}
-	return New(k, labels)
+	return newOwned(k, horizon, labels), nil
 }
 
 // K returns the label alphabet size.

@@ -1,6 +1,7 @@
 package multigraph
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -247,6 +248,74 @@ func TestRandomMultigraphValid(t *testing.T) {
 	vb, _ := m2.LeaderView(5)
 	if !va.Equal(vb) {
 		t.Fatal("Random not deterministic per seed")
+	}
+}
+
+// randomViaNew is Random's original construction: one row per node, drawn
+// row-major, validated and copied by New.
+func randomViaNew(k, w, horizon int, seed int64) (*Multigraph, error) {
+	rng := rand.New(rand.NewSource(seed))
+	labels := make([][]LabelSet, w)
+	for v := range labels {
+		row := make([]LabelSet, horizon)
+		for r := range row {
+			row[r] = SymbolFromIndex(rng.Intn(SymbolCount(k)))
+		}
+		labels[v] = row
+	}
+	return New(k, labels)
+}
+
+func TestRandomMatchesNewConstruction(t *testing.T) {
+	for _, tc := range []struct {
+		k, w, horizon int
+		seed          int64
+	}{
+		{1, 3, 4, 1}, {2, 7, 5, 2}, {2, 40, 14, 3}, {3, 12, 1, 4},
+		{16, 5, 9, 5}, {2, 6, 0, 6}, {2, 0, 5, 7}, {2, 0, 0, 8},
+	} {
+		got, err := Random(tc.k, tc.w, tc.horizon, tc.seed)
+		if err != nil {
+			t.Fatalf("%+v: %v", tc, err)
+		}
+		want, err := randomViaNew(tc.k, tc.w, tc.horizon, tc.seed)
+		if err != nil {
+			t.Fatalf("%+v: reference: %v", tc, err)
+		}
+		if got.K() != want.K() || got.W() != want.W() || got.Horizon() != want.Horizon() {
+			t.Fatalf("%+v: k=%d w=%d horizon=%d, want %d %d %d", tc,
+				got.K(), got.W(), got.Horizon(), want.K(), want.W(), want.Horizon())
+		}
+		for v := 0; v < want.W(); v++ {
+			for r := 0; r < want.Horizon(); r++ {
+				a, _ := got.LabelsAt(v, r)
+				b, _ := want.LabelsAt(v, r)
+				if a != b {
+					t.Fatalf("%+v: L(%d,%d) = %v, want %v", tc, v, r, a, b)
+				}
+			}
+		}
+	}
+	for _, bad := range []struct{ k, w, horizon int }{
+		{0, 3, 3}, {-1, 3, 3}, {MaxK + 1, 3, 3}, {0, 0, 0}, {2, -1, 3}, {2, 3, -1},
+	} {
+		if _, err := Random(bad.k, bad.w, bad.horizon, 1); err == nil {
+			t.Fatalf("Random(%d, %d, %d) accepted", bad.k, bad.w, bad.horizon)
+		}
+	}
+}
+
+// TestRandomRowsAreCapped checks that the rows sharing Random's one
+// backing array cannot grow into each other.
+func TestRandomRowsAreCapped(t *testing.T) {
+	m, err := Random(2, 4, 3, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for v, row := range m.labels {
+		if cap(row) != len(row) {
+			t.Fatalf("row %d: cap %d, len %d", v, cap(row), len(row))
+		}
 	}
 }
 

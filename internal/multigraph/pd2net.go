@@ -13,7 +13,9 @@ import (
 // topology directly into reused flat buffers, with no per-round map graphs
 // and no per-node allocations. It is the scale path of the transformation —
 // a million-node ℳ(DBL)ₖ instance becomes a million-node 𝒢(PD)₂ network
-// without materializing a million adjacency maps per round.
+// without materializing a million adjacency maps per round. It optionally
+// puts a static chain between the leader and the relays (ToPD2Chain), the
+// composition of Corollary 1.
 //
 // The returned *graph.CSR is a snapshot view: it is valid until the next
 // SnapshotCSR call, per the dynet.CSRDynamic contract. Snapshot, the
@@ -45,21 +47,41 @@ type roundGraph struct {
 // ToPD2CSR performs the same transformation as ToPD2 but returns a PD2Net
 // serving CSR snapshots. Rounds at or beyond the horizon repeat the final
 // round's topology; a zero-horizon multigraph cannot be transformed.
-func (m *Multigraph) ToPD2CSR() (*PD2Net, *PD2Layout, error) {
+func (m *Multigraph) ToPD2CSR() (*PD2Net, *PD2Layout, error) { return m.ToPD2Chain(0) }
+
+// ToPD2Chain is the Lemma-1 transformation behind a static chain of
+// chainLen nodes, Corollary 1's composition:
+//
+//	leader — c₁ — … — c_m — {V₁ relays} ⇄ V₂ (the label schedule)
+//
+// The leader is node 0, the chain nodes are 1..m in leader-to-core order,
+// the relays m+1..m+k and the W nodes follow from m+k+1. With chainLen = 0
+// the relays attach to the leader and the network is ToPD2CSR's.
+func (m *Multigraph) ToPD2Chain(chainLen int) (*PD2Net, *PD2Layout, error) {
 	if m.horizon == 0 {
 		return nil, nil, fmt.Errorf("multigraph: cannot transform zero-horizon multigraph")
 	}
-	layout := &PD2Layout{Leader: 0}
-	for j := 1; j <= m.k; j++ {
-		layout.V1 = append(layout.V1, graph.NodeID(j))
+	if chainLen < 0 {
+		return nil, nil, fmt.Errorf("multigraph: negative chain length %d", chainLen)
 	}
-	for v := range m.labels {
-		layout.V2 = append(layout.V2, graph.NodeID(1+m.k+v))
+	layout := &PD2Layout{Leader: 0}
+	next := graph.NodeID(1)
+	for i := 0; i < chainLen; i++ {
+		layout.Chain = append(layout.Chain, next)
+		next++
+	}
+	for j := 0; j < m.k; j++ {
+		layout.V1 = append(layout.V1, next)
+		next++
+	}
+	for range m.labels {
+		layout.V2 = append(layout.V2, next)
+		next++
 	}
 	return &PD2Net{m: m, layout: layout, n: layout.N(), lastRound: -1}, layout, nil
 }
 
-// N returns 1 + k + |W|.
+// N returns 1 + chain length + k + |W|.
 func (p *PD2Net) N() int { return p.n }
 
 // clampRound maps any round to the scheduled horizon, repeating the final
@@ -76,10 +98,10 @@ func (p *PD2Net) clampRound(r int) int {
 
 // Snapshot returns round r's topology as a map graph: node j of V₁ is
 // adjacent at round r exactly to the W-nodes whose label set contains j,
-// and the leader to all of V₁. A round whose clamped index matches the
-// last build returns that build's graph; the sharded engine never calls
-// Snapshot when SnapshotCSR is available. Callers must not mutate the
-// returned graph.
+// and the chain's static edges join the leader to all of V₁. A round whose
+// clamped index matches the last build returns that build's graph; the
+// sharded engine never calls Snapshot when SnapshotCSR is available.
+// Callers must not mutate the returned graph.
 func (p *PD2Net) Snapshot(r int) *graph.Graph {
 	r = p.clampRound(r)
 	old := p.last.Load()
@@ -87,11 +109,18 @@ func (p *PD2Net) Snapshot(r int) *graph.Graph {
 		return old.g
 	}
 	g := graph.New(p.n)
-	for _, relay := range p.layout.V1 {
-		// The leader-V₁ edges are static: V₁ nodes keep persistent
-		// distance 1.
-		if err := g.AddEdge(p.layout.Leader, relay); err != nil {
+	// The chain and hub-V₁ edges are static: V₁ nodes keep persistent
+	// distance chainLen+1.
+	hub := p.layout.Leader
+	for _, c := range p.layout.Chain {
+		if err := g.AddEdge(hub, c); err != nil {
 			panic(err) // unreachable: indices are in range by construction
+		}
+		hub = c
+	}
+	for _, relay := range p.layout.V1 {
+		if err := g.AddEdge(hub, relay); err != nil {
+			panic(err) // unreachable
 		}
 	}
 	for v, row := range p.m.labels {
@@ -116,16 +145,19 @@ func (p *PD2Net) Snapshot(r int) *graph.Graph {
 }
 
 // SnapshotCSR returns round r's topology in CSR form, rebuilding into the
-// net's own buffers. Row contents are ascending by construction: the leader
-// row lists relays 1..k, each relay row lists the leader (node 0) followed
-// by its W-nodes in multigraph order, and each W row lists its relays in
-// label order.
+// net's own buffers. Row contents are ascending by construction: a chain
+// node's row lists its predecessor (c₁'s is the leader), then its successor
+// or, for the hub the relays attach to (c_m, or the leader when there is
+// no chain), relays 1..k; each relay row lists the hub followed by its
+// W-nodes in multigraph order; each W row lists its relays in label order.
 func (p *PD2Net) SnapshotCSR(r int) *graph.CSR {
 	r = p.clampRound(r)
 	if r == p.lastRound {
 		return &p.csr
 	}
-	k, n := p.m.k, p.n
+	// hub is the node the relays attach to: the leader (node 0) or the
+	// last chain node c_m (node m).
+	k, n, hub := p.m.k, p.n, len(p.layout.Chain)
 
 	if cap(p.csr.Offsets) < n+1 {
 		p.csr.Offsets = make([]int, n+1)
@@ -134,19 +166,29 @@ func (p *PD2Net) SnapshotCSR(r int) *graph.CSR {
 	offsets := p.csr.Offsets[:n+1]
 	cur := p.cur[:n]
 
-	// Degree pass. offsets[i+1] temporarily holds deg(i).
+	// Degree pass. offsets[i+1] temporarily holds deg(i). Node hub+j is
+	// the relay of label j.
 	offsets[0] = 0
-	offsets[1] = k // leader row
+	for i := 0; i <= hub; i++ {
+		d := k // the hub's relays
+		if i < hub {
+			d = 1 // the next chain node
+		}
+		if i > 0 {
+			d++ // the previous chain node, or the leader
+		}
+		offsets[1+i] = d
+	}
 	for j := 1; j <= k; j++ {
-		offsets[1+j] = 1 // each relay sees the leader
+		offsets[1+hub+j] = 1 // each relay sees the hub
 	}
 	for v, row := range p.m.labels {
 		s := uint32(row[r])
 		d := bits.OnesCount32(s)
-		offsets[1+k+v+1] = d
+		offsets[1+hub+k+v+1] = d
 		for j := 1; j <= k; j++ {
 			if row[r].Has(j) {
-				offsets[1+j]++
+				offsets[1+hub+j]++
 			}
 		}
 	}
@@ -168,20 +210,28 @@ func (p *PD2Net) SnapshotCSR(r int) *graph.CSR {
 	for i := 0; i < n; i++ {
 		cur[i] = offsets[i]
 	}
+	for i := 1; i <= hub; i++ {
+		nbrs[cur[i-1]] = graph.NodeID(i) // chain node i-1 -> its successor
+		cur[i-1]++
+		nbrs[cur[i]] = graph.NodeID(i - 1) // chain node i -> its predecessor, first entry
+		cur[i]++
+	}
 	for j := 1; j <= k; j++ {
-		nbrs[cur[0]] = graph.NodeID(j) // leader -> relay j
-		cur[0]++
-		nbrs[cur[j]] = 0 // relay j -> leader, first entry of the row
-		cur[j]++
+		relay := hub + j
+		nbrs[cur[hub]] = graph.NodeID(relay) // hub -> relay j
+		cur[hub]++
+		nbrs[cur[relay]] = graph.NodeID(hub) // relay j -> hub, first entry of the row
+		cur[relay]++
 	}
 	for v, row := range p.m.labels {
 		s := row[r]
-		w := graph.NodeID(1 + k + v)
+		w := graph.NodeID(1 + hub + k + v)
 		for j := 1; j <= k; j++ {
 			if s.Has(j) {
-				nbrs[cur[j]] = w // relay rows fill in ascending v
-				cur[j]++
-				nbrs[cur[int(w)]] = graph.NodeID(j) // W row fills in label order
+				relay := hub + j
+				nbrs[cur[relay]] = w // relay rows fill in ascending v
+				cur[relay]++
+				nbrs[cur[int(w)]] = graph.NodeID(relay) // W row fills in label order
 				cur[int(w)]++
 			}
 		}

@@ -1,6 +1,7 @@
 package multigraph
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
@@ -10,16 +11,24 @@ import (
 
 var _ dynet.CSRDynamic = (*PD2Net)(nil)
 
-// lemma1Edges is the reference topology of round r, read off the label
-// schedule with LabelsAt: the leader touches every relay, and the relay of
-// label j touches W-node v exactly when j ∈ LabelsAt(v, r). Rounds past
+// lemma1Edges is the reference topology of round r for a network with a
+// static chain of chainLen nodes, read off the label schedule with
+// LabelsAt and numbered independently of the builder: the leader is node
+// 0, chain node i is node i, the relay of label j is node chainLen+j and
+// W-node v is node chainLen+k+1+v. The leader, the chain nodes and the
+// relays form the static path and star leader—c₁—…—c_m—{relays}; the relay
+// of label j touches W-node v exactly when j ∈ LabelsAt(v, r). Rounds past
 // the horizon repeat the final round.
-func lemma1Edges(t *testing.T, m *Multigraph, l *PD2Layout, r int) map[graph.Edge]bool {
+func lemma1Edges(t *testing.T, m *Multigraph, chainLen, r int) map[graph.Edge]bool {
 	t.Helper()
 	r = min(r, m.Horizon()-1)
 	want := make(map[graph.Edge]bool)
-	for _, relay := range l.V1 {
-		want[graph.Edge{U: l.Leader, V: relay}.Canonical()] = true
+	for i := 1; i <= chainLen; i++ {
+		want[graph.Edge{U: graph.NodeID(i - 1), V: graph.NodeID(i)}] = true
+	}
+	relay := func(j int) graph.NodeID { return graph.NodeID(chainLen + j) }
+	for j := 1; j <= m.K(); j++ {
+		want[graph.Edge{U: graph.NodeID(chainLen), V: relay(j)}] = true
 	}
 	for v := 0; v < m.W(); v++ {
 		s, err := m.LabelsAt(v, r)
@@ -28,7 +37,7 @@ func lemma1Edges(t *testing.T, m *Multigraph, l *PD2Layout, r int) map[graph.Edg
 		}
 		for j := 1; j <= m.K(); j++ {
 			if s.Has(j) {
-				want[graph.Edge{U: l.V1[j-1], V: l.V2[v]}.Canonical()] = true
+				want[graph.Edge{U: relay(j), V: graph.NodeID(chainLen + m.K() + 1 + v)}] = true
 			}
 		}
 	}
@@ -36,14 +45,18 @@ func lemma1Edges(t *testing.T, m *Multigraph, l *PD2Layout, r int) map[graph.Edg
 }
 
 // sameEdges checks that the n-node topology listed by neighbors is exactly
-// the edge set want.
+// the edge set want, with every row strictly ascending.
 func sameEdges(t *testing.T, label string, n int, neighbors func(graph.NodeID) []graph.NodeID, want map[graph.Edge]bool) {
 	t.Helper()
 	seen := 0
 	for v := 0; v < n; v++ {
-		for _, u := range neighbors(graph.NodeID(v)) {
+		row := neighbors(graph.NodeID(v))
+		for i, u := range row {
 			if !want[graph.Edge{U: graph.NodeID(v), V: u}.Canonical()] {
 				t.Fatalf("%s: edge (%d,%d) not in the label schedule", label, v, u)
+			}
+			if i > 0 && row[i-1] >= u {
+				t.Fatalf("%s: row %d is not ascending: %v", label, v, row)
 			}
 			seen++
 		}
@@ -53,9 +66,10 @@ func sameEdges(t *testing.T, label string, n int, neighbors func(graph.NodeID) [
 	}
 }
 
-// TestPD2NetMatchesToPD2 checks both snapshot forms of the Lemma-1 network
-// against the edge rule read independently off the label schedule, past
-// the horizon too, and that ToPD2 serves the same network.
+// TestPD2NetMatchesToPD2 checks both snapshot forms of the Lemma-1 network,
+// with chains of 0, 1 and 3 nodes, against the edge rule read independently
+// off the label schedule, past the horizon too; that ToPD2 serves the same
+// network as ToPD2CSR; and that Snapshot serves one graph past the horizon.
 func TestPD2NetMatchesToPD2(t *testing.T) {
 	for _, tc := range []struct {
 		k, w, horizon int
@@ -70,32 +84,79 @@ func TestPD2NetMatchesToPD2(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		net, layout, err := m.ToPD2CSR()
-		if err != nil {
-			t.Fatal(err)
-		}
-		d, _, err := m.ToPD2()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, ok := d.(*PD2Net); !ok {
-			t.Fatalf("ToPD2 returned %T, want *PD2Net", d)
-		}
-		if net.N() != 1+tc.k+tc.w || layout.N() != net.N() {
-			t.Fatalf("k=%d w=%d: N %d, layout %d", tc.k, tc.w, net.N(), layout.N())
-		}
-		for r := 0; r < tc.horizon+2; r++ {
-			want := lemma1Edges(t, m, layout, r)
-			c := net.SnapshotCSR(r)
-			if err := c.Validate(); err != nil {
-				t.Fatalf("round %d: invalid CSR: %v", r, err)
+		for _, chainLen := range []int{0, 1, 3} {
+			name := fmt.Sprintf("k=%d w=%d chain=%d", tc.k, tc.w, chainLen)
+			net, layout, err := m.ToPD2Chain(chainLen)
+			if err != nil {
+				t.Fatal(err)
 			}
-			sameEdges(t, "SnapshotCSR", c.N(), c.Neighbors, want)
-			g := net.Snapshot(r)
-			sameEdges(t, "Snapshot", g.N(), g.Neighbors, want)
-			g = d.Snapshot(r)
-			sameEdges(t, "ToPD2", g.N(), g.Neighbors, want)
+			var d dynet.Dynamic
+			if chainLen == 0 {
+				if net, layout, err = m.ToPD2CSR(); err != nil {
+					t.Fatal(err)
+				}
+				if d, _, err = m.ToPD2(); err != nil {
+					t.Fatal(err)
+				}
+				if _, ok := d.(*PD2Net); !ok {
+					t.Fatalf("ToPD2 returned %T, want *PD2Net", d)
+				}
+			}
+			if n := 1 + chainLen + tc.k + tc.w; net.N() != n || layout.N() != n {
+				t.Fatalf("%s: N %d, layout %d, want %d", name, net.N(), layout.N(), n)
+			}
+			if layout.Leader != 0 || len(layout.Chain) != chainLen || len(layout.V1) != tc.k || len(layout.V2) != tc.w {
+				t.Fatalf("%s: layout %+v", name, layout)
+			}
+			for i, c := range layout.Chain {
+				if c != graph.NodeID(1+i) {
+					t.Fatalf("%s: chain node %d is %d", name, i, c)
+				}
+			}
+			for j, relay := range layout.V1 {
+				if relay != graph.NodeID(chainLen+1+j) {
+					t.Fatalf("%s: relay %d is %d", name, j+1, relay)
+				}
+			}
+			for v, w := range layout.V2 {
+				if w != graph.NodeID(chainLen+tc.k+1+v) {
+					t.Fatalf("%s: W-node %d is %d", name, v, w)
+				}
+			}
+			var final *graph.Graph
+			for r := 0; r < tc.horizon+3; r++ {
+				want := lemma1Edges(t, m, chainLen, r)
+				c := net.SnapshotCSR(r)
+				if err := c.Validate(); err != nil {
+					t.Fatalf("%s round %d: invalid CSR: %v", name, r, err)
+				}
+				sameEdges(t, name+" SnapshotCSR", c.N(), c.Neighbors, want)
+				g := net.Snapshot(r)
+				sameEdges(t, name+" Snapshot", g.N(), g.Neighbors, want)
+				if r == tc.horizon-1 {
+					final = g
+				} else if r >= tc.horizon && g != final {
+					t.Fatalf("%s: round %d rebuilt the final round's graph", name, r)
+				}
+				if d != nil {
+					g = d.Snapshot(r)
+					sameEdges(t, name+" ToPD2", g.N(), g.Neighbors, want)
+				}
+			}
 		}
+	}
+}
+
+func TestPD2ChainErrors(t *testing.T) {
+	m, err := Random(2, 3, 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := m.ToPD2Chain(-1); err == nil {
+		t.Fatal("negative chain length accepted")
+	}
+	if _, _, err := newOwned(2, 0, nil).ToPD2Chain(2); err == nil {
+		t.Fatal("zero-horizon multigraph transformed")
 	}
 }
 
@@ -160,28 +221,31 @@ func TestPD2NetSnapshotReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	net, _, err := m.ToPD2CSR()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Same round twice returns the identical cached snapshot.
-	a := net.SnapshotCSR(3)
-	if b := net.SnapshotCSR(3); a != b {
-		t.Fatal("repeated SnapshotCSR of the same round rebuilt")
-	}
-	// Warm up every round, then a steady-state sweep must not allocate:
-	// this is the property that lets the sharded engine run a million-node
-	// round loop without per-round garbage from the topology side.
-	for r := 0; r < 6; r++ {
-		net.SnapshotCSR(r)
-	}
-	allocs := testing.AllocsPerRun(50, func() {
+	for _, chainLen := range []int{0, 2} {
+		net, _, err := m.ToPD2Chain(chainLen)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Same round twice returns the identical cached snapshot.
+		a := net.SnapshotCSR(3)
+		if b := net.SnapshotCSR(3); a != b {
+			t.Fatal("repeated SnapshotCSR of the same round rebuilt")
+		}
+		// Warm up every round, then a steady-state sweep must not
+		// allocate: this is the property that lets the sharded engine run
+		// a million-node round loop without per-round garbage from the
+		// topology side.
 		for r := 0; r < 6; r++ {
 			net.SnapshotCSR(r)
 		}
-	})
-	if allocs > 0 {
-		t.Fatalf("steady-state SnapshotCSR allocates %.1f/sweep, want 0", allocs)
+		allocs := testing.AllocsPerRun(50, func() {
+			for r := 0; r < 6; r++ {
+				net.SnapshotCSR(r)
+			}
+		})
+		if allocs > 0 {
+			t.Fatalf("chain %d: steady-state SnapshotCSR allocates %.1f/sweep, want 0", chainLen, allocs)
+		}
 	}
 }
 

@@ -10,18 +10,22 @@ import (
 // PD2Layout describes the node placement of the Lemma-1 transformation from
 // ℳ(DBL)ₖ to 𝒢(PD)₂: the leader is node 0 (V₀), the k relay nodes
 // corresponding to edge labels 1..k occupy V₁, and the multigraph's W nodes
-// occupy V₂.
+// occupy V₂. A network built by ToPD2Chain places its static chain between
+// the leader and V₁.
 type PD2Layout struct {
 	// Leader is the leader node, always 0.
 	Leader graph.NodeID
+	// Chain lists the static chain nodes c₁..c_m in leader-to-core order;
+	// it is empty unless the network was built by ToPD2Chain.
+	Chain []graph.NodeID
 	// V1 holds the relay node for each label: V1[j-1] relays label j.
 	V1 []graph.NodeID
 	// V2 holds the node for each w ∈ W in multigraph order.
 	V2 []graph.NodeID
 }
 
-// N returns the transformed network's node count: 1 + k + |W|.
-func (l *PD2Layout) N() int { return 1 + len(l.V1) + len(l.V2) }
+// N returns the transformed network's node count: 1 + m + k + |W|.
+func (l *PD2Layout) N() int { return 1 + len(l.Chain) + len(l.V1) + len(l.V2) }
 
 // ToPD2 performs the paper's Lemma-1 transformation: it builds the dynamic
 // graph G^id ∈ 𝒢(PD)₂ in which node with identifier j in V₁ is connected at

@@ -42,6 +42,11 @@ func TestDisabledObsAddsNoAllocations(t *testing.T) {
 // allocate the same: the instrumentation adds counters and clock reads,
 // never allocations.
 func TestObservedRunAddsNoAllocations(t *testing.T) {
+	if raceEnabled {
+		// Under the detector the count drifts by one even between two runs
+		// of the disabled path, so the exact comparison cannot hold.
+		t.Skip("allocation counts are inflated under -race")
+	}
 	prev := obs.Global()
 	defer obs.Set(prev)
 	obs.Set(nil)

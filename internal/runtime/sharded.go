@@ -431,7 +431,9 @@ func runShardedCtx[K cmp.Ordered](ctx context.Context, cfg *Config, canon func(M
 		for gi := range dKeys {
 			sorter.perm = append(sorter.perm, int32(gi))
 		}
-		sort.Stable(&sorter)
+		// gIdx dedups the keys, so no two compare equal and an unstable
+		// sort yields the one ascending permutation.
+		sort.Sort(&sorter)
 		if cap(acc) < len(dKeys) {
 			acc = make([]int32, len(dKeys))
 		} else {

@@ -3,7 +3,10 @@ package runtime
 import (
 	"context"
 	"errors"
+	"fmt"
+	"hash/fnv"
 	"math"
+	"math/rand"
 	"strconv"
 	"testing"
 	"time"
@@ -156,6 +159,56 @@ func TestRunShardedCanonicalOrder(t *testing.T) {
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("center inbox %v, want %v", got, want)
+		}
+	}
+}
+
+// TestRunShardedManyKeysMatchesSequential delivers rounds with far more
+// than 12 distinct canonical keys, the size past which sort.Sort stops
+// running an insertion sort, whose first-seen order is random with respect
+// to node ids, with repeats for id tie-breaks. Both key types must
+// deliver in the sequential engine's order.
+func TestRunShardedManyKeysMatchesSequential(t *testing.T) {
+	const n = 60
+	rng := rand.New(rand.NewSource(12))
+	perm := rng.Perm(n)
+	newProcs := func() []Process {
+		procs := make([]Process, n)
+		for i := range procs {
+			procs[i] = &transcriptProc{id: i, state: strconv.Itoa(perm[i] % 40)}
+		}
+		return procs
+	}
+	churn, err := dynet.NewRandomChurn(n, 0.5, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nets := map[string]dynet.Dynamic{"star": dynet.NewStatic(mustStar(n)), "churn": churn}
+	strHash := func(m Message) uint64 {
+		h := fnv.New64a()
+		h.Write([]byte(m.(string)))
+		return h.Sum64()
+	}
+	for name, net := range nets {
+		for _, keyed := range []bool{false, true} {
+			cfg := func(procs []Process, shards int) *Config {
+				c := &Config{Net: net, Procs: procs, MaxRounds: 3, Shards: shards}
+				if keyed {
+					c.CanonKey = strHash
+				}
+				return c
+			}
+			seq := newProcs()
+			if _, err := RunSequential(cfg(seq, 0)); err != nil {
+				t.Fatal(err)
+			}
+			for _, shards := range shardCounts {
+				procs := newProcs()
+				if _, err := RunSharded(cfg(procs, shards)); err != nil {
+					t.Fatal(err)
+				}
+				sameTranscripts(t, fmt.Sprintf("%s keyed=%v shards=%d", name, keyed, shards), seq, procs)
+			}
 		}
 	}
 }
