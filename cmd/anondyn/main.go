@@ -198,7 +198,8 @@ func runRegistry(out io.Writer, entry *counting.Algorithm, adversary string, n i
 	}
 	inst, err := buildInstance(adversary, n, seed)
 	if err != nil {
-		return err
+		// A size the family cannot build is a bad argument, not a failed run.
+		return cli.WrapUsage(err)
 	}
 	if err := entry.Requires.Validate(inst); err != nil {
 		return cli.Usagef("%v; the default family for -algo %s is -adversary %s",

@@ -210,6 +210,9 @@ func TestErrorsAndUsage(t *testing.T) {
 		{"-algo", "nonsense"},        // unknown algorithm
 		{"-algo", "star", "-n", "0"}, // bad n
 		{"-badflag"},                 // flag parse error
+		// sizes the chosen family cannot build
+		{"-algo", "histtree", "-n", "2"},
+		{"-algo", "histtree", "-adversary", "flooddelay", "-n", "1"},
 	}
 	for _, args := range cases {
 		_, err := capture(t, args)

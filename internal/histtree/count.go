@@ -3,7 +3,6 @@ package histtree
 import (
 	"fmt"
 	"math/big"
-	"math/bits"
 	"slices"
 
 	"anondyn/internal/dynet"
@@ -15,87 +14,61 @@ import (
 // runtime's engines and interchangeable with counting.Runner values.
 type Runner = runtime.Engine
 
+// classMsg is the per-round broadcast: the sender's class and its id-free
+// structural hash. The class alone determines the sender's view, which is
+// the set of classes reachable from it along parent and red edges, so
+// nothing else needs to travel.
+type classMsg struct {
+	cur  int32
+	hash uint64
+}
+
 // canonKey orders inboxes by the structural hash of the sender's class —
 // the engines' allocation-free uint64 canonical key (Config.CanonKey).
 // Ties (hash collisions, or two members of the same class) are broken by
-// the engines' stable sort on sender id; the protocol's merges are
-// commutative, so delivery order never affects the outcome. Non-protocol
-// messages never occur in a Count run; they all map to key 0.
+// the engines' stable sort on sender id; a receiver reduces its inbox to a
+// sorted class multiset, so delivery order never affects the outcome.
+// Non-protocol messages never occur in a Count run; they all map to key 0.
 func canonKey(m runtime.Message) uint64 {
-	if vm, ok := m.(*viewDelta); ok {
-		return vm.hash
+	if cm, ok := m.(*classMsg); ok {
+		return cm.hash
 	}
 	return 0
 }
 
-// proc is a non-leader process: it tracks its current class and its view,
-// and each round extends the tree with the class multiset it heard. Its
-// broadcast is delta-encoded: base is the immutable snapshot shared by
-// every message since the last rebase, delta the class ids added since.
+// proc is a non-leader process: it tracks only its current class, and each
+// round extends the tree with the class multiset it heard.
 type proc struct {
 	tree    *Tree
-	view    View
 	cur     int32
 	curHash uint64
 	heard   []int32   // scratch: sender classes this round
-	pairs   []RedEdge // scratch: the multiset passed to Extend
-
-	base      []uint64    // current base snapshot (one of baseBufs)
-	baseBufs  [2][]uint64 // alternating rebase targets; see delta.go
-	baseIdx   int         // which buffer base points at
-	epoch     int32       // rebase counter carried in outgoing messages
-	delta     []wordMask  // view bits added since base was taken
-	published int         // delta entries frozen by the last Send
-	out       viewDelta   // reused outgoing message (see delta.go)
-	seen      mergeCache  // bases already merged, for delta-suffix skipping
+	pairs   []RedEdge // scratch: the multiset passed to ExtendHash
+	// out is the reused outgoing message. Receivers read it during the
+	// receive phase, in which the owner's own Receive already moves cur,
+	// so it is rewritten only in Send: the engines finish every Receive
+	// of round r before any Send of round r+1.
+	out classMsg
 }
 
 func newProc(t *Tree, leader bool) proc {
 	p := proc{tree: t, cur: t.Root(leader)}
 	p.curHash = t.Hash(p.cur)
-	p.view.Add(p.cur)
-	p.delta = append(p.delta, wordMask{w: p.cur >> 6, mask: 1 << uint(p.cur&63)})
 	return p
 }
 
 func (p *proc) Send(int) runtime.Message {
-	if p.base == nil || len(p.delta) >= rebaseThreshold(len(p.view.bits)) {
-		// Rebase into the buffer published two epochs ago — no message
-		// referencing it is still live (see delta.go) — so the steady
-		// state recycles two buffers instead of allocating snapshots.
-		p.baseIdx ^= 1
-		buf := append(p.baseBufs[p.baseIdx][:0], p.view.bits...)
-		p.baseBufs[p.baseIdx] = buf
-		p.base = buf
-		p.epoch++
-		p.delta = p.delta[:0]
-		p.out.base = p.base
-		p.out.epoch = p.epoch
-	}
-	p.out.cur, p.out.hash = p.cur, p.curHash
-	// Refresh the delta header only when it changed: its length grows
-	// strictly between Sends (so equal length means no append happened and
-	// the backing array is unchanged), and skipping the store avoids a
-	// pointer write barrier on every per-neighbor Send.
-	if len(p.out.delta) != len(p.delta) {
-		p.out.delta = p.delta
-	}
-	p.published = len(p.delta)
+	p.out = classMsg{cur: p.cur, hash: p.curHash}
 	return &p.out
 }
 
-// absorb performs the round's receive: intern the new class, merge the
-// received views, and record the new class in the view. Every newly
-// visible class id lands in p.delta; the returned index marks where this
-// round's additions start, so the leader can index them incrementally.
-// Entries below the returned index are never mutated during the receive:
-// addDelta coalesces only into entries past the published mark, which
-// equals len(p.delta) when the receive begins.
-func (p *proc) absorb(msgs []runtime.Message) int {
+// absorb performs the round's receive: intern the class whose parent is
+// the current class and whose red edges are the class multiset heard.
+func (p *proc) absorb(msgs []runtime.Message) {
 	p.heard = p.heard[:0]
 	for _, m := range msgs {
-		if vm, ok := m.(*viewDelta); ok {
-			p.heard = append(p.heard, vm.cur)
+		if cm, ok := m.(*classMsg); ok {
+			p.heard = append(p.heard, cm.cur)
 		}
 	}
 	slices.Sort(p.heard)
@@ -109,20 +82,6 @@ func (p *proc) absorb(msgs []runtime.Message) int {
 		i = j
 	}
 	p.cur, p.curHash = p.tree.ExtendHash(p.cur, p.pairs)
-	start := len(p.delta)
-	for _, m := range msgs {
-		p.mergeMsg(m)
-	}
-	w := int(p.cur >> 6)
-	m := uint64(1) << uint(p.cur&63)
-	if w >= len(p.view.bits) {
-		p.view.grow(w)
-	}
-	if p.view.bits[w]&m == 0 {
-		p.view.bits[w] |= m
-		p.addDelta(int32(w), m)
-	}
-	return start
 }
 
 func (p *proc) Receive(_ int, msgs []runtime.Message) {
@@ -176,7 +135,7 @@ type pairCache struct {
 type leaderProc struct {
 	proc
 	perLevel [][]int32   // visible class ids, grouped by level
-	info     []classInfo // cache indexed by class id
+	info     []classInfo // cache indexed by class id; level -1 = not visible
 	own      []int32     // own[t] = the leader's class at level t
 
 	// childOf/fcards are dense per-class-id scratch tables with generation
@@ -191,6 +150,7 @@ type leaderProc struct {
 	fcGen    []uint32 // stamp validating fcards entries
 	fcGenID  uint32   // current fcards generation
 	queue    []int32  // scratch: BFS frontier (index-cursor, reused)
+	stack    []int32  // scratch: walk frontier (reused)
 
 	cards   map[int32]*big.Rat // scratch: big.Rat spill-path cardinalities
 	ratPool []*big.Rat         // persistent pool backing cards values
@@ -218,52 +178,77 @@ func newLeaderProc(t *Tree) *leaderProc {
 		cache: pairCache{t: -1},
 	}
 	l.own = append(l.own, l.cur)
-	l.note(l.cur)
+	l.walk(l.cur)
 	return l
 }
 
-// note indexes a newly visible class by level and caches its structure.
-func (l *leaderProc) note(id int32) {
+// walk indexes the classes that became visible when the leader moved to
+// class id. A view is exactly the set of classes reachable from its
+// holder's class along parent and red edges (see the package comment), and
+// that set is closed under both, so the walk descends only through classes
+// the leader does not see yet: a round costs O(new classes + their red
+// edges). The stack is explicit because the walk can run thousands of
+// levels deep. One read lock covers the walk, during which sharded workers
+// may be interning (same-package access; the nodes and the arena are
+// append-only under the write lock).
+func (l *leaderProc) walk(id int32) {
 	l.tree.mu.RLock()
-	l.noteLocked(id)
-	l.tree.mu.RUnlock()
+	defer l.tree.mu.RUnlock()
+	stack := append(l.stack[:0], id)
+	for len(stack) > 0 {
+		id := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if !l.noteLocked(id) {
+			continue
+		}
+		c := &l.info[id]
+		if c.parent >= 0 {
+			stack = append(stack, c.parent)
+		}
+		for _, e := range c.red {
+			stack = append(stack, e.Class)
+		}
+	}
+	l.stack = stack
 }
 
-// noteLocked is note under the tree's read lock, so a batch of newly
-// visible classes costs one lock acquisition (same-package access; the
-// tree's nodes and arena are append-only under the write lock).
-func (l *leaderProc) noteLocked(id int32) {
-	for int(id) >= len(l.info) {
-		l.info = append(l.info, classInfo{level: -1})
+// noteLocked indexes class id by level and caches its structure, unless
+// the leader already sees it; it reports whether id was new. The caller
+// holds the tree's read lock.
+func (l *leaderProc) noteLocked(id int32) bool {
+	if int(id) >= len(l.info) {
+		// Cover every class interned so far, at least doubling the
+		// capacity: the tree gains hundreds of classes a round, and
+		// append's 1.25x growth of a large slice would copy the cache
+		// about five times over.
+		n := len(l.tree.nodes)
+		if n > cap(l.info) {
+			l.info = slices.Grow(l.info, max(n, 2*cap(l.info))-len(l.info))
+		}
+		for len(l.info) < n {
+			l.info = append(l.info, classInfo{level: -1})
+		}
 	}
-	if l.info[id].level < 0 {
-		n := &l.tree.nodes[id]
-		l.info[id] = classInfo{level: n.level, parent: n.parent, red: l.tree.red(n)}
+	c := &l.info[id]
+	if c.level >= 0 {
+		return false
 	}
-	lv := int(l.info[id].level)
+	n := &l.tree.nodes[id]
+	*c = classInfo{level: n.level, parent: n.parent, red: l.tree.red(n)}
+	lv := int(n.level)
 	for lv >= len(l.perLevel) {
 		l.perLevel = append(l.perLevel, nil)
 	}
 	l.perLevel[lv] = append(l.perLevel[lv], id)
+	return true
 }
 
 func (l *leaderProc) Receive(r int, msgs []runtime.Message) {
 	if l.done {
 		return
 	}
-	start := l.absorb(msgs)
-	// p.delta accumulates across rounds (until a rebase at Send); the
-	// suffix past start is exactly this round's newly visible classes.
-	if start < len(l.delta) {
-		l.tree.mu.RLock()
-		for _, e := range l.delta[start:] {
-			base := e.w << 6
-			for m := e.mask; m != 0; m &= m - 1 {
-				l.noteLocked(base + int32(bits.TrailingZeros64(m)))
-			}
-		}
-		l.tree.mu.RUnlock()
-	}
+	l.absorb(msgs)
+	l.walk(l.cur)
 	l.own = append(l.own, l.cur)
 	l.evaluate(r)
 }
@@ -377,19 +362,9 @@ func Count(net dynet.Dynamic, leader graph.NodeID, maxRounds int, run Runner) (c
 	if maxRounds < 1 {
 		return 0, 0, fmt.Errorf("histtree: maxRounds must be >= 1, got %d", maxRounds)
 	}
-	tree := New()
-	procs := make([]runtime.Process, n)
-	for i := range procs {
-		if graph.NodeID(i) == leader {
-			procs[i] = newLeaderProc(tree)
-		} else {
-			p := newProc(tree, false)
-			procs[i] = &p
-		}
-	}
 	cfg := &runtime.Config{
 		Net:               net,
-		Procs:             procs,
+		Procs:             newProcs(n, leader),
 		CanonKey:          canonKey,
 		MaxRounds:         maxRounds,
 		IntervalConnected: true,
@@ -402,4 +377,20 @@ func Count(net dynet.Dynamic, leader graph.NodeID, maxRounds int, run Runner) (c
 		return 0, rounds, fmt.Errorf("histtree: leader did not terminate within %d rounds", maxRounds)
 	}
 	return value, rounds, nil
+}
+
+// newProcs returns one process per node, all on one fresh tree; the
+// leader's is a *leaderProc.
+func newProcs(n int, leader graph.NodeID) []runtime.Process {
+	tree := New()
+	procs := make([]runtime.Process, n)
+	for i := range procs {
+		if graph.NodeID(i) == leader {
+			procs[i] = newLeaderProc(tree)
+		} else {
+			p := newProc(tree, false)
+			procs[i] = &p
+		}
+	}
+	return procs
 }

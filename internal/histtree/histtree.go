@@ -27,12 +27,16 @@
 // class cardinality exactly (see count.go).
 //
 // Tree is a shared intern table: every distinct class is stored once and
-// identified by a dense int32 id, processes' views are bitsets (View) over
-// those ids, and the per-round "chunk merge" of the paper becomes a bitset
-// OR — the hot path of the protocol. The table is safe for concurrent use
-// so the same Count run executes unchanged on the sequential and sharded
-// engines; the structural Hash is id-free, so canonical message ordering
-// does not depend on the engine's interning order.
+// identified by a dense int32 id. A process's view — the paper's history
+// tree as that process knows it — is exactly the set of classes reachable
+// from its current class along black (parent) and red edges, so the
+// paper's per-round "chunk merge" needs no data of its own: a process
+// broadcasts just its class id, and the leader, the only process that reads
+// a view, indexes its newly visible classes by walking down from its new
+// class (see count.go). The table is safe for concurrent use so the same
+// Count run executes unchanged on the sequential and sharded engines; the
+// structural Hash is id-free, so canonical message ordering does not depend
+// on the engine's interning order.
 package histtree
 
 import (
@@ -191,7 +195,8 @@ const hashSeed = 14695981039346656037
 // intern index's content hash — where candidates are always verified
 // structurally, so a collision costs a probe, never a wrong id — and the
 // id-free structural hash, where a collision merely perturbs canonical
-// message ordering, which the protocol's commutative merges tolerate.
+// message ordering, which the protocol tolerates: a receiver reduces its
+// inbox to a class multiset.
 func mixFold(h, v uint64) uint64 {
 	h ^= v
 	h *= 0x9E3779B97F4A7C15 // 2^64 / golden ratio
@@ -398,87 +403,4 @@ func (t *Tree) Leader(id int32) bool {
 	defer t.mu.RUnlock()
 	n := t.nodes[id]
 	return n.level == 0 && n.leader
-}
-
-// View is a process's knowledge of the execution: the set of history-tree
-// classes it has created or heard about, as a bitset over intern ids. The
-// per-round merge of two views — the protocol's hot path — is a word-wise
-// OR. The zero View is empty and ready for use.
-type View struct {
-	bits []uint64
-}
-
-// grow ensures the bitset covers word index w.
-func (v *View) grow(w int) {
-	for len(v.bits) <= w {
-		v.bits = append(v.bits, 0)
-	}
-}
-
-// Has reports whether the class is in the view.
-func (v *View) Has(id int32) bool {
-	w := int(id >> 6)
-	return w < len(v.bits) && v.bits[w]&(1<<uint(id&63)) != 0
-}
-
-// Add inserts a class and reports whether it was newly added.
-func (v *View) Add(id int32) bool {
-	w := int(id >> 6)
-	m := uint64(1) << uint(id&63)
-	if w < len(v.bits) {
-		old := v.bits[w]
-		if old&m != 0 {
-			return false
-		}
-		v.bits[w] = old | m
-		return true
-	}
-	v.grow(w)
-	v.bits[w] |= m
-	return true
-}
-
-// Merge ORs another view's snapshot into v.
-func (v *View) Merge(other []uint64) {
-	if len(other) > len(v.bits) {
-		v.grow(len(other) - 1)
-	}
-	for i, w := range other {
-		v.bits[i] |= w
-	}
-}
-
-// MergeCollect ORs other into v and appends every newly set id to out,
-// returning the extended slice. It is the leader-side merge: the caller
-// indexes the new classes incrementally instead of rescanning the bitset.
-func (v *View) MergeCollect(other []uint64, out []int32) []int32 {
-	if len(other) > len(v.bits) {
-		v.grow(len(other) - 1)
-	}
-	for i, w := range other {
-		diff := w &^ v.bits[i]
-		v.bits[i] |= w
-		for diff != 0 {
-			b := bits.TrailingZeros64(diff)
-			out = append(out, int32(i<<6+b))
-			diff &= diff - 1
-		}
-	}
-	return out
-}
-
-// Snapshot returns a copy of the bitset, safe to hand to another process.
-func (v *View) Snapshot() []uint64 {
-	out := make([]uint64, len(v.bits))
-	copy(out, v.bits)
-	return out
-}
-
-// Count returns the number of classes in the view.
-func (v *View) Count() int {
-	n := 0
-	for _, w := range v.bits {
-		n += bits.OnesCount64(w)
-	}
-	return n
 }

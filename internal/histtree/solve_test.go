@@ -39,7 +39,7 @@ func buildChainLeader(t *testing.T, fwd, back []int32) *leaderProc {
 	}
 	l := newLeaderProc(tr)
 	for id := int32(1); id < int32(tr.Len()); id++ {
-		l.note(id)
+		l.walk(id)
 	}
 	l.own = append(l.own, xs[0])
 	if st := l.classify(1); st != pairStable {
