@@ -129,6 +129,9 @@ func run(ctx context.Context, args []string, out io.Writer) (err error) {
 	if *n < 1 {
 		return cli.Usagef("-n must be >= 1, got %d", *n)
 	}
+	if *chainLen < 0 {
+		return cli.Usagef("-chain must be >= 0, got %d", *chainLen)
+	}
 	if err := obsCfg.Start(); err != nil {
 		return err
 	}

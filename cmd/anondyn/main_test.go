@@ -213,6 +213,8 @@ func TestErrorsAndUsage(t *testing.T) {
 		// sizes the chosen family cannot build
 		{"-algo", "histtree", "-n", "2"},
 		{"-algo", "histtree", "-adversary", "flooddelay", "-n", "1"},
+		// a negative chain length
+		{"-algo", "chain", "-n", "5", "-chain", "-1"},
 	}
 	for _, args := range cases {
 		_, err := capture(t, args)

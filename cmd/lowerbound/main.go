@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	lowerbound [-max 1000] [-verify] [-all] [-timeout 30s]
+//	lowerbound [-max 1000] [-verify | -csv] [-all] [-timeout 30s]
 //
 // The table honors SIGINT/SIGTERM and -timeout, stopping between sizes.
 // Exit codes: 0 success, 1 usage error, 2 runtime failure.
@@ -46,6 +46,9 @@ func run(ctx context.Context, args []string, out io.Writer) (err error) {
 	}
 	if *maxN < 1 {
 		return cli.Usagef("-max must be >= 1, got %d", *maxN)
+	}
+	if *csv && *verify {
+		return cli.Usagef("-verify prints a table column; it cannot be combined with -csv")
 	}
 	if err := obsCfg.Start(); err != nil {
 		return err

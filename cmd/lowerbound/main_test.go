@@ -4,6 +4,8 @@ import (
 	"context"
 	"strings"
 	"testing"
+
+	"anondyn/internal/cli"
 )
 
 func TestTableThresholds(t *testing.T) {
@@ -53,6 +55,19 @@ func TestBadArgs(t *testing.T) {
 	}
 	if err := run(context.Background(), []string{"-zzz"}, &sb); err == nil {
 		t.Fatal("bad flag should error")
+	}
+}
+
+// The CSV series has no verification column, so -verify with -csv is a
+// usage error rather than a verification that silently never runs.
+func TestCSVVerifyIsUsageError(t *testing.T) {
+	var sb strings.Builder
+	err := run(context.Background(), []string{"-max", "5", "-csv", "-verify"}, &sb)
+	if got := cli.ExitCode(err); got != cli.ExitUsage {
+		t.Fatalf("exit code %d (err %v), want %d (usage)", got, err, cli.ExitUsage)
+	}
+	if sb.Len() != 0 {
+		t.Fatalf("printed output before rejecting the flags:\n%s", sb.String())
 	}
 }
 

@@ -34,17 +34,6 @@ func ExampleWorstCasePair() {
 	// Output: sizes 4 and 5, views equal through 2 rounds: true
 }
 
-// The whole one-parameter family of Lemma 5, not just the pair.
-func ExampleIndistinguishableFamily() {
-	fam, err := core.IndistinguishableFamily(2, 1)
-	if err != nil {
-		fmt.Println(err)
-		return
-	}
-	fmt.Println(fam.Sizes)
-	// Output: [2 3 4]
-}
-
 // The optimal counter terminates exactly at the bound on the worst case.
 func ExampleCountOnMultigraph() {
 	res, err := core.WorstCaseCountRounds(13)

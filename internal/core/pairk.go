@@ -87,9 +87,3 @@ func IndistinguishablePairK(n, rounds, k int) (*Pair, error) {
 	}
 	return &Pair{M: m, MPrime: mp, N: n, Rounds: rounds}, nil
 }
-
-// WorstCasePairK is IndistinguishablePairK at the maximum sustainable
-// number of rounds for size n and alphabet size k.
-func WorstCasePairK(n, k int) (*Pair, error) {
-	return IndistinguishablePairK(n, MaxIndistinguishableRoundsK(n, k), k)
-}

@@ -92,7 +92,8 @@ func TestIndistinguishablePairKRejects(t *testing.T) {
 	if _, err := IndistinguishablePairK(2, 2, 2); err == nil {
 		t.Error("unsustainable rounds accepted (n=2 sustains only 1 round at k=2)")
 	}
-	if _, err := WorstCasePairK(MinSizeForRoundsK(1, 3), 3); err != nil {
-		t.Errorf("WorstCasePairK at exact threshold: %v", err)
+	n := MinSizeForRoundsK(1, 3)
+	if _, err := IndistinguishablePairK(n, MaxIndistinguishableRoundsK(n, 3), 3); err != nil {
+		t.Errorf("IndistinguishablePairK at exact threshold: %v", err)
 	}
 }

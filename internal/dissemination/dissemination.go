@@ -198,14 +198,3 @@ func SingleSource(n, src, k int) ([][]Token, error) {
 	}
 	return initial, nil
 }
-
-// OnePerNode assigns token i to node i — the classic all-to-all k = n token
-// dissemination instance whose completion, in networks with IDs, solves
-// counting [1].
-func OnePerNode(n int) [][]Token {
-	initial := make([][]Token, n)
-	for i := range initial {
-		initial[i] = []Token{Token(i)}
-	}
-	return initial
-}

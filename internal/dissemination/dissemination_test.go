@@ -49,7 +49,7 @@ func TestFloodAllToAllWithinDynamicDiameter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(net, OnePerNode(10), Unlimited, 100, runtime.RunSequential)
+	res, err := Run(net, onePerNode(10), Unlimited, 100, runtime.RunSequential)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestOneTokenPerRoundCompletes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(net, OnePerNode(8), OneTokenPerRound, 2000, runtime.RunSequential)
+	res, err := Run(net, onePerNode(8), OneTokenPerRound, 2000, runtime.RunSequential)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,4 +185,13 @@ func TestTokenSetSorted(t *testing.T) {
 			t.Fatalf("sorted = %v", got)
 		}
 	}
+}
+
+// onePerNode assigns token i to node i: the all-to-all k = n instance.
+func onePerNode(n int) [][]Token {
+	initial := make([][]Token, n)
+	for i := range initial {
+		initial[i] = []Token{Token(i)}
+	}
+	return initial
 }

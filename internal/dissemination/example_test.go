@@ -9,11 +9,13 @@ import (
 	"anondyn/internal/runtime"
 )
 
-// With unlimited bandwidth, all-to-all token dissemination completes
-// within the dynamic diameter: 4 rounds on a static 5-node path.
+// With unlimited bandwidth, all-to-all token dissemination (token i starts
+// at node i) completes within the dynamic diameter: 4 rounds on a static
+// 5-node path.
 func ExampleRun() {
 	net := dynet.NewStatic(graph.Path(5))
-	res, err := dissemination.Run(net, dissemination.OnePerNode(5),
+	initial := [][]dissemination.Token{{0}, {1}, {2}, {3}, {4}}
+	res, err := dissemination.Run(net, initial,
 		dissemination.Unlimited, 100, runtime.RunSequential)
 	if err != nil {
 		fmt.Println(err)

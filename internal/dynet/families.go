@@ -3,7 +3,6 @@ package dynet
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"anondyn/internal/graph"
 )
@@ -245,9 +244,6 @@ func NewTInterval(n, window int, p float64, seed int64) (*TInterval, error) {
 // N implements Dynamic.
 func (t *TInterval) N() int { return t.n }
 
-// Window returns the stability-window length T.
-func (t *TInterval) Window() int { return t.window }
-
 // Snapshot implements Dynamic: the window index, not the round, perturbs the
 // seed, so every round of a window draws the identical graph.
 func (t *TInterval) Snapshot(r int) *graph.Graph {
@@ -327,12 +323,6 @@ func NewChurn(n, core, dwell int, policy RejoinPolicy, p float64, seed int64) (*
 
 // N implements Dynamic.
 func (c *Churn) N() int { return c.n }
-
-// Core returns the stable-core size.
-func (c *Churn) Core() int { return c.core }
-
-// Policy returns the rejoin policy.
-func (c *Churn) Policy() RejoinPolicy { return c.policy }
 
 // phase returns the deterministic per-slot schedule offset in [0, 2·dwell),
 // derived SplitMix64-style from the seed and the slot index.
@@ -473,10 +463,7 @@ func (c *Churn) Properties() Properties {
 
 // Randomized is the seed-deterministic randomized adversary: a fresh random
 // connected topology every round, like RandomChurn, but registered as a
-// first-class family with declared Properties and the statistical
-// leader-view-divergence measurement (ViewDivergence) that quantifies how
-// quickly a non-adaptive random schedule leaks the network size the
-// worst-case adversary hides for Θ(log n) rounds.
+// first-class family with declared Properties.
 type Randomized struct {
 	rc RandomChurn
 }
@@ -500,111 +487,6 @@ func (rd *Randomized) Snapshot(r int) *graph.Graph { return rd.rc.Snapshot(r) }
 // Properties implements PropertyCarrier.
 func (rd *Randomized) Properties() Properties {
 	return Properties{IntervalConnected: true, SeedDeterministic: true}
-}
-
-// DivergenceStats summarizes a ViewDivergence measurement: the distribution,
-// over seeds, of the first completed round at which the anonymous leader
-// view of a size-n randomized network separates from that of a size-(n+1)
-// network.
-type DivergenceStats struct {
-	// Trials is the number of seed pairs measured.
-	Trials int
-	// Diverged counts trials that separated within the horizon.
-	Diverged int
-	// Min and Max are the extreme divergence rounds among separated trials.
-	Min, Max int
-	// Mean is the average divergence round among separated trials.
-	Mean float64
-}
-
-// ViewDivergence measures, over `trials` derived seeds, the first completed
-// round at which the anonymous leader view-hash of a size-n Randomized
-// network differs from that of a size-(n+1) network. All nodes start in the
-// same state and fold the sorted multiset of neighbor states each round, so
-// the leader's state sequence is exactly what an anonymous full-information
-// protocol can observe; a trial diverges at the round the size difference
-// first reaches node 0. The worst-case adversary sustains equality for
-// ⌊log₃(2n+1)⌋ rounds; a randomized schedule loses it almost immediately —
-// this measurement is the statistical form of that contrast.
-func ViewDivergence(n int, p float64, trials, horizon int, seed int64) (DivergenceStats, error) {
-	if n < 1 {
-		return DivergenceStats{}, fmt.Errorf("dynet: divergence needs n >= 1, got %d", n)
-	}
-	if trials < 1 || horizon < 1 {
-		return DivergenceStats{}, fmt.Errorf("dynet: divergence needs trials >= 1 and horizon >= 1, got %d, %d", trials, horizon)
-	}
-	stats := DivergenceStats{Trials: trials}
-	sum := 0
-	for t := 0; t < trials; t++ {
-		s := seed ^ (int64(t)+1)*roundMix
-		a, err := NewRandomized(n, p, s)
-		if err != nil {
-			return DivergenceStats{}, err
-		}
-		b, err := NewRandomized(n+1, p, s)
-		if err != nil {
-			return DivergenceStats{}, err
-		}
-		ta := anonymousLeaderTrace(a, horizon)
-		tb := anonymousLeaderTrace(b, horizon)
-		for r := 0; r < horizon; r++ {
-			if ta[r] != tb[r] {
-				round := r + 1
-				if stats.Diverged == 0 || round < stats.Min {
-					stats.Min = round
-				}
-				if round > stats.Max {
-					stats.Max = round
-				}
-				stats.Diverged++
-				sum += round
-				break
-			}
-		}
-	}
-	if stats.Diverged > 0 {
-		stats.Mean = float64(sum) / float64(stats.Diverged)
-	}
-	return stats, nil
-}
-
-// anonymousLeaderTrace runs the anonymous full-information fold on d for the
-// given number of rounds and returns the leader's per-round state hashes:
-// every node starts in state 0 and each round becomes the FNV fold of its own
-// state with the sorted multiset of its neighbors' states. No identifier
-// enters the fold, so equal traces mean indistinguishable anonymous views.
-func anonymousLeaderTrace(d Dynamic, rounds int) []uint64 {
-	n := d.N()
-	state := make([]uint64, n)
-	next := make([]uint64, n)
-	trace := make([]uint64, 0, rounds)
-	var inbox []uint64
-	for r := 0; r < rounds; r++ {
-		g := d.Snapshot(r)
-		for v := 0; v < n; v++ {
-			inbox = inbox[:0]
-			for _, u := range g.Neighbors(graph.NodeID(v)) {
-				inbox = append(inbox, state[u])
-			}
-			sort.Slice(inbox, func(i, j int) bool { return inbox[i] < inbox[j] })
-			h := uint64(1469598103934665603) // FNV-64a offset basis
-			mix := func(x uint64) {
-				for i := 0; i < 8; i++ {
-					h ^= x & 0xFF
-					h *= 1099511628211
-					x >>= 8
-				}
-			}
-			mix(state[v])
-			for _, x := range inbox {
-				mix(x)
-			}
-			next[v] = h
-		}
-		state, next = next, state
-		trace = append(trace, state[0])
-	}
-	return trace
 }
 
 // Family is one registered adversary family: a builder parameterized on the
@@ -674,17 +556,6 @@ func Families() []Family {
 			},
 		},
 	}
-}
-
-// FamilyByName resolves one registered family.
-func FamilyByName(name string) (*Family, error) {
-	for _, f := range Families() {
-		if f.Name == name {
-			f := f
-			return &f, nil
-		}
-	}
-	return nil, fmt.Errorf("dynet: unknown adversary family %q", name)
 }
 
 // Compile-time interface checks for the new families.

@@ -49,8 +49,8 @@ func TestTIntervalWindowLaw(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Window() != 4 {
-		t.Fatalf("Window() = %d, want 4", d.Window())
+	if d.window != 4 {
+		t.Fatalf("window = %d, want 4", d.window)
 	}
 	for r := 0; r < 24; r++ {
 		base := d.Snapshot(r - r%4)
@@ -266,49 +266,8 @@ func TestVerifyPropertiesCatchesGhostEdges(t *testing.T) {
 	}
 }
 
-// TestViewDivergenceRandomized: a randomized schedule leaks the size
-// difference between n and n+1 almost immediately — every trial diverges
-// within a small horizon, and the mean divergence round is far below the
-// worst-case ⌊log₃(2n+1)⌋ bound scaled to these sizes. The exact stats are
-// seed-deterministic, so repeated calls must agree.
-func TestViewDivergenceRandomized(t *testing.T) {
-	stats, err := ViewDivergence(9, 0.3, 20, 12, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Trials != 20 {
-		t.Errorf("Trials = %d, want 20", stats.Trials)
-	}
-	if stats.Diverged != 20 {
-		t.Errorf("Diverged = %d/20; a random schedule should separate n=9 from n=10 within 12 rounds", stats.Diverged)
-	}
-	if stats.Min < 1 || stats.Max > 12 || stats.Mean < float64(stats.Min) || stats.Mean > float64(stats.Max) {
-		t.Errorf("inconsistent stats: %+v", stats)
-	}
-	again, err := ViewDivergence(9, 0.3, 20, 12, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again != stats {
-		t.Errorf("ViewDivergence not seed-deterministic: %+v vs %+v", stats, again)
-	}
-}
-
-// TestViewDivergenceRejectsBadParams covers input validation.
-func TestViewDivergenceRejectsBadParams(t *testing.T) {
-	if _, err := ViewDivergence(0, 0.3, 5, 5, 1); err == nil {
-		t.Error("n=0 accepted")
-	}
-	if _, err := ViewDivergence(4, 0.3, 0, 5, 1); err == nil {
-		t.Error("trials=0 accepted")
-	}
-	if _, err := ViewDivergence(4, 0.3, 5, 0, 1); err == nil {
-		t.Error("horizon=0 accepted")
-	}
-}
-
-// TestFamilyByName pins lookup behavior and the registered name set.
-func TestFamilyByName(t *testing.T) {
+// TestFamilyNames pins the registered name set and its order.
+func TestFamilyNames(t *testing.T) {
 	want := []string{"tinterval", "joinleave", "randomized", "randomchurn", "flooddelay"}
 	fams := Families()
 	if len(fams) != len(want) {
@@ -318,13 +277,6 @@ func TestFamilyByName(t *testing.T) {
 		if f.Name != want[i] {
 			t.Errorf("family %d = %q, want %q", i, f.Name, want[i])
 		}
-		got, err := FamilyByName(f.Name)
-		if err != nil || got.Name != f.Name {
-			t.Errorf("FamilyByName(%q): %v", f.Name, err)
-		}
-	}
-	if _, err := FamilyByName("nope"); err == nil {
-		t.Error("unknown family name accepted")
 	}
 }
 

@@ -5,7 +5,8 @@ import (
 	"fmt"
 	"strings"
 
-	"anondyn/internal/montecarlo"
+	"anondyn/internal/core"
+	"anondyn/internal/sweep"
 )
 
 // AverageCase contrasts random (fair) schedules with the worst case: the
@@ -13,29 +14,41 @@ import (
 // while the adversarial time grows as ⌊log₃(2n+1)⌋+1 — and no random
 // schedule ever exceeds the worst case, which is also a correctness check
 // on the bound (beyond it, Σ⁻k_r > n forces uniqueness for every
-// schedule).
+// schedule). The random trials are the built-in "figures" sweep campaign,
+// so `sweep -spec figures` prints the same distributions.
 func AverageCase(ctx context.Context) ([]Row, error) {
-	comps, err := montecarlo.Compare(ctx, []int{13, 40, 121, 364}, 40, 10, 99)
+	spec, _ := sweep.Builtin("figures")
+	jobs, err := spec.Jobs()
 	if err != nil {
 		return nil, err
 	}
-	var bad []string
-	var series []string
-	for _, c := range comps {
-		series = append(series, fmt.Sprintf("n=%d: mean %.2f p99 %d worst %d",
-			c.N, c.Average.Mean, c.Average.P99, c.WorstCase))
-		if c.WorstCase != c.LowerBound {
-			bad = append(bad, fmt.Sprintf("n=%d: worst %d != bound %d", c.N, c.WorstCase, c.LowerBound))
-		}
-		if c.Average.Max > c.WorstCase {
-			bad = append(bad, fmt.Sprintf("n=%d: random max %d beats the worst case %d", c.N, c.Average.Max, c.WorstCase))
-		}
-		if c.Average.Failures > 0 {
-			bad = append(bad, fmt.Sprintf("n=%d: %d unresolved trials", c.N, c.Average.Failures))
-		}
+	rep, err := sweep.Run(ctx, jobs, sweep.MDBLCount, sweep.Options{})
+	if err != nil {
+		return nil, fmt.Errorf("%d/%d trials: %w", rep.Executed, len(jobs), err)
 	}
-	last := comps[len(comps)-1]
-	if float64(last.WorstCase)-last.Average.Mean < 1 {
+	var bad, series, sizes []string
+	var gap float64 // between the average and the worst case, at the largest size
+	for _, g := range sweep.Aggregate(rep.Results) {
+		wc, err := core.WorstCaseCountRounds(g.N)
+		if err != nil {
+			return nil, err
+		}
+		worst, bound := wc.Rounds, core.LowerBoundRounds(g.N)
+		sizes = append(sizes, fmt.Sprint(g.N))
+		series = append(series, fmt.Sprintf("n=%d: mean %.2f p99 %d worst %d",
+			g.N, g.Mean, g.P99, worst))
+		if worst != bound {
+			bad = append(bad, fmt.Sprintf("n=%d: worst %d != bound %d", g.N, worst, bound))
+		}
+		if g.Max > worst {
+			bad = append(bad, fmt.Sprintf("n=%d: random max %d beats the worst case %d", g.N, g.Max, worst))
+		}
+		if g.Failures > 0 {
+			bad = append(bad, fmt.Sprintf("n=%d: %d unresolved trials", g.N, g.Failures))
+		}
+		gap = float64(worst) - g.Mean
+	}
+	if gap < 1 {
 		bad = append(bad, "no visible gap between average and worst case at the largest size")
 	}
 	measured := strings.Join(series, "; ")
@@ -44,7 +57,7 @@ func AverageCase(ctx context.Context) ([]Row, error) {
 	}
 	return []Row{{
 		ID: "S1", Name: "Study: average vs worst case",
-		Params:   "40 random schedules per size, n ∈ {13,40,121,364}",
+		Params:   fmt.Sprintf("%d random schedules per size, n ∈ {%s}", spec.Trials, strings.Join(sizes, ",")),
 		Paper:    "the bound is adversarial: typical schedules resolve much faster, none slower",
 		Measured: measured,
 		Match:    len(bad) == 0,

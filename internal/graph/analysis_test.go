@@ -35,16 +35,6 @@ func TestBFSDistancesBadSource(t *testing.T) {
 	}
 }
 
-func TestDistance(t *testing.T) {
-	g := Path(4)
-	if d := g.Distance(0, 3); d != 3 {
-		t.Fatalf("Distance(0,3) = %d, want 3", d)
-	}
-	if d := g.Distance(0, 9); d != Unreachable {
-		t.Fatalf("Distance to out-of-range = %d, want Unreachable", d)
-	}
-}
-
 func TestConnected(t *testing.T) {
 	cases := []struct {
 		name string
@@ -79,43 +69,6 @@ func TestEccentricityAndDiameter(t *testing.T) {
 	disc := New(3)
 	if d := disc.Diameter(); d != Unreachable {
 		t.Fatalf("Diameter of disconnected = %d, want Unreachable", d)
-	}
-}
-
-func TestDistancePartition(t *testing.T) {
-	// Star: leader at center, all others at distance 1 — a PD_1 topology.
-	g, err := Star(5, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	part := g.DistancePartition(0)
-	if len(part[0]) != 1 || part[0][0] != 0 {
-		t.Fatalf("layer 0 = %v", part[0])
-	}
-	if len(part[1]) != 4 {
-		t.Fatalf("layer 1 = %v, want 4 nodes", part[1])
-	}
-}
-
-func TestCountPaths(t *testing.T) {
-	// Diamond: 0-1, 0-2, 1-3, 2-3 has two shortest paths 0->3.
-	g := MustFromEdges(4, []Edge{{0, 1}, {0, 2}, {1, 3}, {2, 3}})
-	if got := g.CountPaths(0, 3); got != 2 {
-		t.Fatalf("CountPaths(0,3) = %d, want 2", got)
-	}
-	if got := g.CountPaths(0, 0); got != 1 {
-		t.Fatalf("CountPaths(0,0) = %d, want 1", got)
-	}
-}
-
-func TestCountPathsUnreachable(t *testing.T) {
-	g := New(3)
-	_ = g.AddEdge(0, 1)
-	if got := g.CountPaths(0, 2); got != 0 {
-		t.Fatalf("CountPaths to unreachable = %d, want 0", got)
-	}
-	if got := g.CountPaths(-1, 2); got != 0 {
-		t.Fatalf("CountPaths bad source = %d, want 0", got)
 	}
 }
 
@@ -177,52 +130,6 @@ func TestRandomConnectedIsConnected(t *testing.T) {
 	}
 }
 
-func TestLayeredDistances(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	sizes := []int{3, 5, 2}
-	g, layerOf, err := Layered(sizes, true, 0.3, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dist := g.BFSDistances(0)
-	for v := 0; v < g.N(); v++ {
-		if dist[v] != layerOf[v] {
-			t.Fatalf("node %d at distance %d, want layer %d", v, dist[v], layerOf[v])
-		}
-	}
-}
-
-func TestLayeredBadSizes(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	if _, _, err := Layered([]int{2, 0}, false, 0, rng); err == nil {
-		t.Fatal("Layered with zero layer size should error")
-	}
-}
-
-// Property: in Layered graphs, every node's BFS distance from the leader
-// equals its layer, for arbitrary seeds and shapes. This is the static
-// precondition for persistent-distance dynamic graphs.
-func TestLayeredDistanceProperty(t *testing.T) {
-	f := func(seed int64, a, b uint8) bool {
-		rng := rand.New(rand.NewSource(seed))
-		sizes := []int{int(a%5) + 1, int(b%5) + 1}
-		g, layerOf, err := Layered(sizes, true, rng.Float64(), rng)
-		if err != nil {
-			return false
-		}
-		dist := g.BFSDistances(0)
-		for v := 0; v < g.N(); v++ {
-			if dist[v] != layerOf[v] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestDOT(t *testing.T) {
 	g := MustFromEdges(2, []Edge{{0, 1}})
 	dot := g.DOT("fig 1", 0)
@@ -259,11 +166,11 @@ func TestDistanceMetricProperties(t *testing.T) {
 		u := NodeID(rng.Intn(n))
 		v := NodeID(rng.Intn(n))
 		w := NodeID(rng.Intn(n))
-		duv := g.Distance(u, v)
-		if g.Distance(v, u) != duv {
+		du, dv, dw := g.BFSDistances(u), g.BFSDistances(v), g.BFSDistances(w)
+		if dv[u] != du[v] {
 			return false
 		}
-		return duv <= g.Distance(u, w)+g.Distance(w, v)
+		return du[v] <= du[w]+dw[v]
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

@@ -84,59 +84,3 @@ func RandomConnected(n int, p float64, rng *rand.Rand) *Graph {
 	}
 	return g
 }
-
-// Layered builds a graph stratified by distance from node 0 ("the leader"):
-// layer sizes give the number of nodes at each distance 1..len(sizes); every
-// node in layer i has at least one neighbor in layer i-1 (chosen by rng) and
-// no edges skip layers or stay inside a layer unless intra is true.
-// extra in [0,1] adds additional random cross-layer edges with that
-// probability. The result is a valid single-round snapshot of a PD_h graph
-// with h = len(sizes).
-func Layered(sizes []int, intra bool, extra float64, rng *rand.Rand) (*Graph, []int, error) {
-	n := 1
-	for i, s := range sizes {
-		if s <= 0 {
-			return nil, nil, fmt.Errorf("graph: layer %d has non-positive size %d", i+1, s)
-		}
-		n += s
-	}
-	g := New(n)
-	// layerOf[v] = distance layer of node v; node 0 is the leader at layer 0.
-	layerOf := make([]int, n)
-	start := 1
-	prev := []NodeID{0}
-	for li, s := range sizes {
-		cur := make([]NodeID, 0, s)
-		for v := start; v < start+s; v++ {
-			layerOf[v] = li + 1
-			cur = append(cur, NodeID(v))
-			// Mandatory uplink keeps the node at distance exactly li+1.
-			up := prev[rng.Intn(len(prev))]
-			if err := g.AddEdge(NodeID(v), up); err != nil {
-				return nil, nil, err
-			}
-			// Optional extra uplinks.
-			for _, u := range prev {
-				if u != up && rng.Float64() < extra {
-					if err := g.AddEdge(NodeID(v), u); err != nil {
-						return nil, nil, err
-					}
-				}
-			}
-		}
-		if intra {
-			for i := 0; i < len(cur); i++ {
-				for j := i + 1; j < len(cur); j++ {
-					if rng.Float64() < extra {
-						if err := g.AddEdge(cur[i], cur[j]); err != nil {
-							return nil, nil, err
-						}
-					}
-				}
-			}
-		}
-		prev = cur
-		start += s
-	}
-	return g, layerOf, nil
-}

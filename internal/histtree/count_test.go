@@ -212,7 +212,7 @@ func TestTreeInterning(t *testing.T) {
 	if tr.Root(true) != leaderRoot {
 		t.Fatal("re-interning the leader root produced a new id")
 	}
-	if !tr.Leader(leaderRoot) || tr.Leader(otherRoot) {
+	if !tr.nodes[leaderRoot].leader || tr.nodes[otherRoot].leader {
 		t.Fatal("Leader bit mismatch on roots")
 	}
 	a := tr.Extend(leaderRoot, []RedEdge{{Class: otherRoot, Mult: 2}})

@@ -396,11 +396,3 @@ func (t *Tree) Hash(id int32) uint64 {
 	defer t.mu.RUnlock()
 	return t.nodes[id].hash
 }
-
-// Leader reports whether id is the level-0 leader class.
-func (t *Tree) Leader(id int32) bool {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	n := t.nodes[id]
-	return n.level == 0 && n.leader
-}

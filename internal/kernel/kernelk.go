@@ -18,7 +18,7 @@ import (
 
 // ClosedFormKernelSignsK returns the general-k kernel of M_r as ±1 signs,
 // indexed by history index over length r+1. k = 2 agrees entrywise with
-// ClosedFormKernelSigns.
+// ClosedFormKernel.
 func ClosedFormKernelSignsK(r, k int) ([]int8, error) {
 	if r < 0 {
 		return nil, fmt.Errorf("kernel: negative round %d", r)
@@ -54,13 +54,4 @@ func KernelSumNegativeK(r, k int) (*big.Int, error) {
 	p := new(big.Int).Exp(big.NewInt(b), big.NewInt(int64(r+1)), nil)
 	p.Sub(p, big.NewInt(1))
 	return p.Rsh(p, 1), nil
-}
-
-// KernelSumPositiveK returns Σ⁺k_r = (B^{r+1} + 1)/2 for B = 2^k - 1.
-func KernelSumPositiveK(r, k int) (*big.Int, error) {
-	neg, err := KernelSumNegativeK(r, k)
-	if err != nil {
-		return nil, err
-	}
-	return neg.Add(neg, big.NewInt(1)), nil
 }

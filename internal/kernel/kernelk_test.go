@@ -30,11 +30,11 @@ func TestClosedFormKernelKIsKernel(t *testing.T) {
 }
 
 // TestClosedFormKernelKMatchesK2 pins the specialization: at k = 2 the
-// general construction must agree entrywise with both existing k = 2 forms.
+// general construction, as a vector and as signs, must agree entrywise with
+// the k = 2 closed form.
 func TestClosedFormKernelKMatchesK2(t *testing.T) {
 	for r := 0; r <= 5; r++ {
 		want := ClosedFormKernel(r)
-		wantSigns := ClosedFormKernelSigns(r)
 		got, err := ClosedFormKernelK(r, 2)
 		if err != nil {
 			t.Fatal(err)
@@ -43,13 +43,13 @@ func TestClosedFormKernelKMatchesK2(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(got) != len(want) || len(gotSigns) != len(wantSigns) {
+		if len(got) != len(want) || len(gotSigns) != len(want) {
 			t.Fatalf("r=%d: length mismatch", r)
 		}
 		for i := range want {
-			if want[i].Cmp(got[i]) != 0 || wantSigns[i] != gotSigns[i] {
-				t.Fatalf("r=%d entry %d: general-k %s/%d, k=2 closed form %s/%d",
-					r, i, got[i], gotSigns[i], want[i], wantSigns[i])
+			if want[i].Cmp(got[i]) != 0 || want[i].Cmp(big.NewInt(int64(gotSigns[i]))) != 0 {
+				t.Fatalf("r=%d entry %d: general-k %s/%d, k=2 closed form %s",
+					r, i, got[i], gotSigns[i], want[i])
 			}
 		}
 	}
@@ -76,10 +76,8 @@ func TestKernelSumsK(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			wantPos, err := KernelSumPositiveK(r, k)
-			if err != nil {
-				t.Fatal(err)
-			}
+			// Σ⁺ = Σ⁻ + 1: positives exceed negatives by exactly one.
+			wantPos := new(big.Int).Add(wantNeg, big.NewInt(1))
 			if wantNeg.Cmp(big.NewInt(int64(neg))) != 0 || wantPos.Cmp(big.NewInt(int64(pos))) != 0 {
 				t.Errorf("k=%d r=%d: sums (%s,%s), literal counts (%d,%d)", k, r, wantNeg, wantPos, neg, pos)
 			}

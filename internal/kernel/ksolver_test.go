@@ -17,9 +17,13 @@ func TestEnumerateSizesMatchesIntervalK2(t *testing.T) {
 		}
 		for rounds := 1; rounds <= 2; rounds++ {
 			view := mustView(t, mg, rounds)
-			want, err := ConsistentSizes(view)
+			iv, err := SolveCountInterval(view)
 			if err != nil {
 				t.Fatal(err)
+			}
+			var want []int
+			for n := iv.MinSize; !iv.Empty && n <= iv.MaxSize; n++ {
+				want = append(want, n)
 			}
 			got, err := EnumerateSizes(view, 2, EnumLimits{})
 			if err != nil {

@@ -197,28 +197,6 @@ func ClosedFormKernel(r int) linalg.Vector {
 	return vec
 }
 
-// ClosedFormKernelSigns returns the Lemma-3 kernel as int8 entries (every
-// component is ±1): the allocation-light counterpart of ClosedFormKernel
-// for callers that only need signs and small-integer arithmetic, such as
-// core.IndistinguishablePair on the worst-case construction hot path. The
-// sign of entry c is (-1)^{#{1,2} symbols in the history of index c}, read
-// off the base-3 digits directly (digit 2 is the {1,2} symbol) with no
-// History materialization.
-func ClosedFormKernelSigns(r int) []int8 {
-	cols := Cols(r, 2)
-	out := make([]int8, cols)
-	for c := 0; c < cols; c++ {
-		sign := int8(1)
-		for x := c; x > 0; x /= 3 {
-			if x%3 == 2 {
-				sign = -sign
-			}
-		}
-		out[c] = sign
-	}
-	return out
-}
-
 // KernelSumNegative returns Σ⁻k_r = (3^{r+1} - 1) / 2, the Lemma 4 quantity:
 // the number of processes the adversary needs in order to keep sizes n and
 // n+1 indistinguishable through round r.

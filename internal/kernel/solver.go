@@ -165,24 +165,3 @@ func ForcedConfiguration(view multigraph.LeaderView, c0 int) ([]int, error) {
 	}
 	return vals, nil
 }
-
-// ConsistentSizes lists every network size consistent with the view, in
-// increasing order. It errors on unbounded views (use SolveCountInterval to
-// detect that case first).
-func ConsistentSizes(view multigraph.LeaderView) ([]int, error) {
-	iv, err := SolveCountInterval(view)
-	if err != nil {
-		return nil, err
-	}
-	if iv.Unbounded {
-		return nil, fmt.Errorf("kernel: infinitely many sizes are consistent with an empty view")
-	}
-	if iv.Empty {
-		return nil, nil
-	}
-	out := make([]int, 0, iv.Width())
-	for n := iv.MinSize; n <= iv.MaxSize; n++ {
-		out = append(out, n)
-	}
-	return out, nil
-}

@@ -94,26 +94,6 @@ func TestRREFFastMinInt64Entries(t *testing.T) {
 	sameRREF(t, m)
 }
 
-func TestDetFastMatchesBigPath(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for iter := 0; iter < 200; iter++ {
-		n := 1 + rng.Intn(6)
-		mag := int64(9)
-		if iter%3 == 0 {
-			mag = int64(1) << 31 // straddles the spill
-		}
-		m := randMatrix(rng, n, n, mag)
-		got, err := m.Det()
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := m.detBig()
-		if got.Cmp(want) != 0 {
-			t.Fatalf("det: fast %s, big %s", got, want)
-		}
-	}
-}
-
 func TestCheckedOps(t *testing.T) {
 	cases := []struct {
 		a, b int64

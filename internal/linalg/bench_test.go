@@ -59,29 +59,6 @@ func BenchmarkRREFReference(b *testing.B) {
 	}
 }
 
-func BenchmarkDet(b *testing.B) {
-	cases := []struct {
-		name string
-		mag  int64
-	}{
-		{"int64", 9},
-		{"spill", int64(1) << 32},
-	}
-	for _, tc := range cases {
-		for _, n := range []int{8, 16} {
-			m := benchMatrix(2, n, n, tc.mag)
-			b.Run(fmt.Sprintf("%s/%dx%d", tc.name, n, n), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if _, err := m.Det(); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}
-
 var sinkRat [][]*big.Rat
 
 func BenchmarkKernelBasis(b *testing.B) {

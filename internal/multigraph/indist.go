@@ -28,7 +28,7 @@ func symbolSign(idx int) int8 {
 // alphabet size k, indexed exactly like HistoryFromIndex: entry c is the
 // product of the symbol signs along the history with index c. The result is
 // the closed-form kernel of the round-(length-1) coefficient matrix for
-// every k >= 2, specializing to kernel.ClosedFormKernelSigns at k = 2.
+// every k >= 2, specializing to the signs of kernel.ClosedFormKernel at k = 2.
 func HistorySigns(length, k int) ([]int8, error) {
 	if k < 2 || k > MaxK {
 		return nil, fmt.Errorf("multigraph: kernel signs need alphabet size in [2,%d], got %d", MaxK, k)

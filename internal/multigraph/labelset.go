@@ -16,7 +16,6 @@ package multigraph
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -227,31 +226,4 @@ func HistoryCount(length, k int) int {
 		n *= base
 	}
 	return n
-}
-
-// AllHistories enumerates every history of the given length in canonical
-// (index) order. Use with care: the count is exponential in length.
-func AllHistories(length, k int) []History {
-	total := HistoryCount(length, k)
-	out := make([]History, total)
-	for i := 0; i < total; i++ {
-		out[i] = HistoryFromIndex(i, length, k)
-	}
-	return out
-}
-
-// SortHistories sorts histories in canonical order (shorter first, then by
-// index). It is used to canonicalize multiset encodings.
-func SortHistories(hs []History) {
-	sort.Slice(hs, func(i, j int) bool {
-		if len(hs[i]) != len(hs[j]) {
-			return len(hs[i]) < len(hs[j])
-		}
-		for t := range hs[i] {
-			if hs[i][t] != hs[j][t] {
-				return hs[i][t] < hs[j][t]
-			}
-		}
-		return false
-	})
 }

@@ -160,7 +160,8 @@ func fmtKey(h History) string {
 
 func TestHistoryKeyMatchesFmt(t *testing.T) {
 	for length := 0; length <= 6; length++ {
-		for _, h := range AllHistories(length, 2) {
+		for i := 0; i < HistoryCount(length, 2); i++ {
+			h := HistoryFromIndex(i, length, 2)
 			if got, want := h.Key(), fmtKey(h); got != want {
 				t.Fatalf("k=2 %v: Key %q, fmt form %q", h, got, want)
 			}
@@ -241,34 +242,6 @@ func TestHistoryCountSaturatesAtMaxInt(t *testing.T) {
 	// k=3 (alphabet base 7) saturates earlier but the same way.
 	if got := HistoryCount(100, 3); got != math.MaxInt {
 		t.Fatalf("HistoryCount(100,3) = %d, want MaxInt saturation", got)
-	}
-}
-
-func TestAllHistories(t *testing.T) {
-	hs := AllHistories(2, 2)
-	if len(hs) != 9 {
-		t.Fatalf("AllHistories(2,2) has %d entries, want 9", len(hs))
-	}
-	for i, h := range hs {
-		if h.Index(2) != i {
-			t.Fatalf("history %d out of order", i)
-		}
-	}
-}
-
-func TestSortHistories(t *testing.T) {
-	hs := []History{
-		{SetOf(1, 2)},
-		{SetOf(1)},
-		{},
-		{SetOf(1), SetOf(2)},
-	}
-	SortHistories(hs)
-	if len(hs[0]) != 0 {
-		t.Fatal("empty history should sort first")
-	}
-	if !hs[1].Equal(History{SetOf(1)}) || !hs[2].Equal(History{SetOf(1, 2)}) {
-		t.Fatalf("sorted = %v", hs)
 	}
 }
 

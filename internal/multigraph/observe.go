@@ -59,9 +59,6 @@ func (m *Multigraph) NewObservationStream() (*ObservationStream, error) {
 	}, nil
 }
 
-// Round returns the next round Next will serve.
-func (s *ObservationStream) Round() int { return s.r }
-
 // Next returns the indexed observation of the next round and advances the
 // stream. The returned slice aliases stream-owned scratch (see the type
 // comment). Entries appear in first-seen node order, so the output is

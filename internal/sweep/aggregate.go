@@ -24,7 +24,7 @@ type Dist struct {
 
 // Distribution summarizes raw round counts; a negative count marks a
 // failed trial. It is the single definition of the repository's summary
-// statistics — montecarlo's Summary is computed through it.
+// statistics — the S1 study and the figure tables are computed through it.
 //
 // Percentile convention: Pxx is the sorted resolved sample's element at
 // index ⌊xx·(len-1)/100⌋, computed in exact integer arithmetic (the

@@ -245,3 +245,64 @@ func TestCampaignDeterministicAcrossWorkers(t *testing.T) {
 		}
 	}
 }
+
+// mdblDist runs an MDBLCount campaign over spec and summarizes the trials'
+// rounds, an unresolved trial counting as a failure.
+func mdblDist(t *testing.T, spec Spec, opts Options) (*Report, Dist) {
+	t.Helper()
+	jobs, err := spec.Jobs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := Run(context.Background(), jobs, MDBLCount, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rounds := make([]int, len(rep.Results))
+	for i, r := range rep.Results {
+		rounds[i] = r.Rounds
+		if r.Failed {
+			rounds[i] = -1
+		}
+	}
+	return rep, Distribution(rounds)
+}
+
+// TestGoldenSeedRegression pins the Monte-Carlo numbers for one fixed
+// (campaign seed, grid) point. Per-trial seeds derive from
+// JobSeed(seed, n, trial); any change to that derivation — or to how
+// MDBLCount consumes its RNG — shows up here as a different distribution,
+// which would mean resumed shards no longer reproduce old journals.
+func TestGoldenSeedRegression(t *testing.T) {
+	spec := Spec{Name: "golden", Proto: ProtoMDBLCount, Sizes: []int{10}, Trials: 20, Horizon: 8, Seed: 42}
+	_, got := mdblDist(t, spec, Options{})
+	want := Dist{Trials: 20, Mean: 2.40, Min: 2, Max: 3, P50: 2, P90: 3, P99: 3}
+	if got != want {
+		t.Fatalf("golden distribution drifted:\n got %+v\nwant %+v", got, want)
+	}
+}
+
+// A resumed shard must reproduce the original run's numbers exactly: the
+// per-trial results depend only on (campaign seed, size, trial index),
+// never on which process or worker executes the trial.
+func TestResumedShardReproducesStudy(t *testing.T) {
+	spec := Spec{Name: "shard", Proto: ProtoMDBLCount, Sizes: []int{10}, Trials: 30, Horizon: 8, Seed: 42}
+	full, fullDist := mdblDist(t, spec, Options{Workers: 4})
+	// Resume-style shard: the first 20 trials come from a "previous run's
+	// journal"; only the tail executes here, at a different worker count.
+	done := make(map[string]Result, 20)
+	for _, r := range full.Results[:20] {
+		done[r.Key] = r
+	}
+	shard, shardDist := mdblDist(t, spec, Options{Workers: 2, Done: done})
+	if shard.Resumed != 20 || shard.Executed != 10 {
+		t.Fatalf("resumed=%d executed=%d", shard.Resumed, shard.Executed)
+	}
+	if !reflect.DeepEqual(shard.Results, full.Results) {
+		t.Fatal("resumed shard diverged from the original run")
+	}
+	// And the whole study, re-run on one worker, agrees too.
+	if _, mono := mdblDist(t, spec, Options{Workers: 1}); mono != shardDist || mono != fullDist {
+		t.Fatalf("one-worker distribution %+v != sharded %+v", mono, shardDist)
+	}
+}

@@ -84,9 +84,9 @@ func Proto(name string) (ProtoFunc, bool) {
 
 // MDBLCount runs the leader-state counter on one uniformly random ℳ(DBL)₂
 // schedule of size job.N drawn from job.Seed — the Monte-Carlo trial behind
-// the S1 study and cmd/study. An unresolved count within the horizon is a
-// Failed result; a wrong count is an execution fault (it would falsify
-// Theorem 2's correctness side).
+// the S1 study. An unresolved count within the horizon is a Failed result;
+// a wrong count is an execution fault (it would falsify Theorem 2's
+// correctness side).
 func MDBLCount(ctx context.Context, job Job) (Result, error) {
 	if err := ctx.Err(); err != nil {
 		return Result{}, err

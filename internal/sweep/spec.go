@@ -121,7 +121,7 @@ func LoadSpec(nameOrPath string) (Spec, error) {
 // Builtin returns a named built-in campaign:
 //
 //   - "figures": the Figure-reproduction grid — the S1 study's sizes and
-//     trial count, the grid cmd/experiments runs sequentially today.
+//     trial count; experiment S1 runs this campaign.
 //   - "smoke": a seconds-scale grid for CI and resume drills.
 func Builtin(name string) (Spec, bool) {
 	switch name {

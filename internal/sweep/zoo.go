@@ -76,13 +76,6 @@ var ZooAlgorithms = func() map[string]string {
 	return out
 }()
 
-// WorstCaseZooProtos lists the protos measured on the worst-case family,
-// whose counts are unit-consistent at |V| = |W| + 3.
-func WorstCaseZooProtos() []string {
-	return []string{ProtoZooHistTree, ProtoZooIDCount, ProtoZooIncremental,
-		ProtoZooLeaderState, ProtoZooUpperBound, ProtoZooDegreeOracle}
-}
-
 func init() {
 	for proto, zp := range zooProtos {
 		proto, zp := proto, zp
