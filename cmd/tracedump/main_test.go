@@ -2,6 +2,8 @@ package main
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"os"
 	"path/filepath"
 	"strings"
@@ -24,6 +26,29 @@ func TestDumpToStdout(t *testing.T) {
 	}
 	if len(tr.Rounds) != 2 { // indistinguishability horizon for n=4
 		t.Fatalf("rounds = %d, want 2", len(tr.Rounds))
+	}
+}
+
+// TestDumpGolden pins three transcripts by the SHA-256 of their stdout, so
+// a change to the protocol, the engines' delivery order or the recorder
+// that alters a single byte shows.
+func TestDumpGolden(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		sha  string
+	}{
+		{[]string{"-n", "13", "-chain", "2"}, "b2101637213dad26d5a31f946ace8562c75608d8227fdf48669dbf7f52fe16ea"},
+		{[]string{"-n", "4", "-chain", "0"}, "9e71e5d5cbe431ff439e1fb03ea6edcbbad9674e8f09f2085e345764709116f0"},
+		{[]string{"-n", "40", "-chain", "1", "-twin"}, "da037dd64bba8f4cb0b1f1caf2e1b3b56f8374fdda6ca15299c3f80e68f73590"},
+	} {
+		var sb strings.Builder
+		if err := run(context.Background(), tc.args, &sb); err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256([]byte(sb.String()))
+		if got := hex.EncodeToString(sum[:]); got != tc.sha {
+			t.Errorf("tracedump %v: stdout SHA-256 %s, want %s", tc.args, got, tc.sha)
+		}
 	}
 }
 

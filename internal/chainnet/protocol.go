@@ -65,11 +65,12 @@ type (
 	}
 )
 
-// canonKey is RunCount's canonical key (runtime.Config.CanonKey): a content
-// fingerprint that never formats a string. A stateMsg hashes its state
-// key; a relayBeacon or forwardMsg adds up the fingerprints its facts
-// carry, so the key does not depend on the order of the facts, and a
-// fact's own fingerprint does not depend on the order of its States map.
+// canonKey is the protocol's ordering key (runtime.Config.CanonKey), in
+// RunCount and RecordTrace alike: a content fingerprint that never formats
+// a string. A stateMsg hashes its state key; a relayBeacon or forwardMsg
+// adds up the fingerprints its facts carry, so the key does not depend on
+// the order of the facts, and a fact's own fingerprint does not depend on
+// the order of its States map.
 // Equal messages get equal keys whoever sends them; nil, and any message
 // that is not the protocol's, maps to 0.
 //
@@ -81,11 +82,11 @@ type (
 func canonKey(m runtime.Message) uint64 {
 	switch v := m.(type) {
 	case stateMsg:
-		return mix64(tagState ^ strHash(v.StateKey))
+		return runtime.MixKey(tagState ^ runtime.StringKey(v.StateKey))
 	case relayBeacon:
-		return mix64((tagRelay ^ uint64(v.Label)) + sumFacts(v.Facts))
+		return runtime.MixKey((tagRelay ^ uint64(v.Label)) + sumFacts(v.Facts))
 	case forwardMsg:
-		return mix64(tagForward + sumFacts(v.Facts))
+		return runtime.MixKey(tagForward + sumFacts(v.Facts))
 	default:
 		return 0
 	}
@@ -112,32 +113,13 @@ func sumFacts(facts []fact) uint64 {
 func factHash(round, label int, states map[string]int) uint64 {
 	var sum uint64
 	for state, c := range states {
-		sum += mix64(strHash(state) ^ mix64(uint64(c)))
+		sum += runtime.MixKey(runtime.StringKey(state) ^ runtime.MixKey(uint64(c)))
 	}
-	return mix64((mix64(uint64(round)) ^ uint64(label)) + sum)
+	return runtime.MixKey((runtime.MixKey(uint64(round)) ^ uint64(label)) + sum)
 }
 
-// strHash is FNV-1a over the bytes of s.
-func strHash(s string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
-}
-
-// mix64 is the SplitMix64 finalizer, a bijective avalanche mixer.
-func mix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
-// canon is the string canonicalization of the protocol's messages. RunCount
-// orders inboxes by canonKey instead; RecordTrace keeps canon, whose
-// strings are the messages recorded in a transcript.
+// canon is the text form of the protocol's messages (runtime.Config.Canon):
+// the strings RecordTrace's transcripts record.
 func canon(m runtime.Message) string {
 	switch v := m.(type) {
 	case nil:

@@ -17,6 +17,7 @@ func RecordTrace(nw *Network, rounds int) (*trace.Trace, error) {
 		Net:       nw.Net,
 		Procs:     newProcs(nw),
 		Canon:     canon,
+		CanonKey:  canonKey,
 		MaxRounds: rounds,
 	}
 	rec, wrapped, err := trace.NewRecorder(cfg)

@@ -143,7 +143,7 @@ func TestFamilyOracleReplayReproduces(t *testing.T) {
 // number of rounds and returns each node's final folded state.
 func runTraces(net dynet.Dynamic, rounds int, run runtime.Engine) ([]string, int, error) {
 	procs := newTraceProcs(net.N())
-	ran, err := run(&runtime.Config{Net: net, Procs: procs, MaxRounds: rounds, Canon: traceCanon})
+	ran, err := run(&runtime.Config{Net: net, Procs: procs, MaxRounds: rounds, CanonKey: traceKey})
 	if err != nil {
 		return nil, 0, err
 	}

@@ -42,17 +42,8 @@ func newTraceProcs(n int) []runtime.Process {
 	return procs
 }
 
-// traceCanon is the identity canonicalizer for traceProc's string messages:
-// delivery order is the lexicographic order of the states themselves.
-func traceCanon(m runtime.Message) string { return m.(string) }
-
-func reverseString(s string) string {
-	b := []byte(s)
-	for i, j := 0, len(b)-1; i < j; i, j = i+1, j-1 {
-		b[i], b[j] = b[j], b[i]
-	}
-	return string(b)
-}
+// traceKey is the ordering key of traceProc's string messages.
+func traceKey(m runtime.Message) uint64 { return runtime.StringKey(m.(string)) }
 
 // shardedEngineOracle is the differential check for the sharded worker-pool
 // engine: RunSharded must reproduce RunSequential's execution trace-for-trace
@@ -99,7 +90,7 @@ func shardedEngineOracle() *Oracle {
 			n := seqNet.N()
 			seqProcs := newTraceProcs(n)
 			seqRounds, err := sys.EngineSeq(&runtime.Config{
-				Net: seqNet, Procs: seqProcs, MaxRounds: rounds, Canon: traceCanon,
+				Net: seqNet, Procs: seqProcs, MaxRounds: rounds, CanonKey: traceKey,
 			})
 			if err != nil {
 				return err
@@ -107,7 +98,7 @@ func shardedEngineOracle() *Oracle {
 			for _, shards := range []int{1, 2, 5} {
 				procs := newTraceProcs(n)
 				shRounds, err := sys.EngineSharded(&runtime.Config{
-					Net: shNet, Procs: procs, MaxRounds: rounds, Canon: traceCanon, Shards: shards,
+					Net: shNet, Procs: procs, MaxRounds: rounds, CanonKey: traceKey, Shards: shards,
 				})
 				if err != nil {
 					return fmt.Errorf("sharded (%d shards): %w", shards, err)
@@ -146,16 +137,16 @@ func shardedEngineOracle() *Oracle {
 					return inner(&c)
 				}
 			}},
-			// A sharded engine that sorts deliveries by the *reversed*
-			// canonical key: inbox contents are identical, only their order
-			// differs — caught exactly because traceProc's fold is
-			// order-sensitive.
+			// A sharded engine that sorts deliveries by the key with its
+			// bits flipped, which reverses the order of distinct keys: inbox
+			// contents are identical, only their order differs — caught
+			// exactly because traceProc's fold is order-sensitive.
 			{Name: "sharded-order-flip", Sys: func(sys *System) {
 				inner := sys.EngineSharded
 				sys.EngineSharded = func(cfg *runtime.Config) (int, error) {
 					c := *cfg
-					orig := c.Canon
-					c.Canon = func(m runtime.Message) string { return reverseString(orig(m)) }
+					orig := c.CanonKey
+					c.CanonKey = func(m runtime.Message) uint64 { return ^orig(m) }
 					return inner(&c)
 				}
 			}},

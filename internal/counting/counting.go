@@ -17,8 +17,9 @@ package counting
 
 import (
 	"fmt"
+	"math"
 	"math/big"
-	"strconv"
+	"slices"
 
 	"anondyn/internal/dynet"
 	"anondyn/internal/graph"
@@ -29,40 +30,47 @@ import (
 // runtime.RunSharded.
 type Runner func(*runtime.Config) (int, error)
 
-// canon canonicalizes this package's message types for deterministic
-// delivery order. The numeric keys are the strings fmt's %g and %d verbs
-// would print, appended into a stack buffer so that each call allocates
-// only the returned string.
-func canon(m runtime.Message) string {
-	var buf [64]byte
-	b := buf[:0]
+// key is the engines' ordering key for this package's messages
+// (runtime.Config.CanonKey): a hash of what the message says, tagged by
+// its type, which formats no string. Every receiver in this package reads
+// its inbox as a multiset — the float shares add up in ascending order
+// (sumAscending) — so neither ties nor collisions can change a run. nil,
+// and any message that is not the package's, maps to 0.
+func key(m runtime.Message) uint64 {
+	var tag, a, b uint64
 	switch v := m.(type) {
-	case nil:
-		return ""
 	case string:
-		return "s:" + v
+		return runtime.StringKey(v)
 	case *big.Rat:
-		return "r:" + v.RatString()
-	case float64:
-		b = appendG(append(b, "f:"...), v)
+		tag, a = 1, runtime.StringKey(v.RatString())
 	case [2]float64:
-		b = appendG(append(b, "p:"...), v[0])
-		b = appendG(append(b, ','), v[1])
+		tag, a, b = 2, math.Float64bits(v[0]), math.Float64bits(v[1])
 	case distMsg:
-		b = strconv.AppendInt(append(b, "d:"...), int64(v.Dist), 10)
-		b = strconv.AppendInt(append(b, ','), int64(v.MaxSeen), 10)
+		tag, a, b = 3, uint64(v.Dist), uint64(v.MaxSeen)
 	case incMsg:
-		b = appendG(append(b, "n:"...), v.Share)
-		b = strconv.AppendInt(append(b, ','), int64(v.AlarmK), 10)
+		tag, a, b = 4, math.Float64bits(v.Share), uint64(v.AlarmK)
+	case idSetMsg:
+		tag, a = 5, uint64(len(v))
+		for _, id := range v {
+			b = runtime.MixKey(b ^ uint64(id))
+		}
 	default:
-		return runtime.DefaultCanon(m)
+		return 0
 	}
-	return string(b)
+	return runtime.MixKey(runtime.MixKey(tag<<56^a) ^ b)
 }
 
-// appendG appends f exactly as fmt's %g verb prints it: the shortest
-// decimal that reads back as f.
-func appendG(b []byte, f float64) []byte { return strconv.AppendFloat(b, f, 'g', -1, 64) }
+// sumAscending sorts xs in place and adds it up in ascending order, so the
+// float64 sum of an inbox's shares does not depend on the order the engine
+// delivered them in.
+func sumAscending(xs []float64) float64 {
+	slices.Sort(xs)
+	sum := 0.0
+	for _, x := range xs {
+		sum += x
+	}
+	return sum
+}
 
 // helloProc broadcasts a constant beacon every round; used by leaf nodes of
 // the star counter.
@@ -112,7 +120,7 @@ func StarCount(net dynet.Dynamic, leader graph.NodeID, run Runner) (count, round
 			procs[i] = helloProc{}
 		}
 	}
-	cfg := &runtime.Config{Net: net, Procs: procs, Canon: canon, MaxRounds: 2}
+	cfg := &runtime.Config{Net: net, Procs: procs, CanonKey: key, MaxRounds: 2}
 	value, rounds, ok, err := runtime.RunUntilOutput(cfg, int(leader), run)
 	if err != nil {
 		return 0, 0, err

@@ -1,7 +1,6 @@
 package counting
 
 import (
-	"fmt"
 	"math"
 	"math/big"
 	"testing"
@@ -245,61 +244,6 @@ func TestPushSumRoundLimit(t *testing.T) {
 	}
 	if res.Rounds != 3 {
 		t.Fatalf("rounds = %d, want 3", res.Rounds)
-	}
-}
-
-func TestCanonCoversMessageTypes(t *testing.T) {
-	cases := []struct {
-		m    runtime.Message
-		want string
-	}{
-		{nil, ""},
-		{"x", "s:x"},
-		{big.NewRat(1, 3), "r:1/3"},
-		{2.5, "f:2.5"},
-		{[2]float64{1, 2}, "p:1,2"},
-	}
-	for _, tc := range cases {
-		if got := canon(tc.m); got != tc.want {
-			t.Fatalf("canon(%v) = %q, want %q", tc.m, got, tc.want)
-		}
-	}
-	// Unknown types fall back to the default canonicalizer.
-	if canon(struct{ X int }{1}) == "" {
-		t.Fatal("fallback canon empty")
-	}
-}
-
-// TestCanonMatchesFmt pins the numeric keys to the fmt.Sprintf strings they
-// replaced, byte for byte: canonical keys decide delivery order, so any
-// difference would change executions.
-func TestCanonMatchesFmt(t *testing.T) {
-	floats := []float64{
-		0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(),
-		5e-324, 1e21, 1.0 / 3, -2.5, math.MaxFloat64, -math.SmallestNonzeroFloat64,
-	}
-	ints := []int{0, -1, 7, math.MaxInt, math.MinInt}
-	for _, f := range floats {
-		for _, g := range floats {
-			if got, want := canon([2]float64{f, g}), fmt.Sprintf("p:%g,%g", f, g); got != want {
-				t.Errorf("canon([%v %v]) = %q, want %q", f, g, got, want)
-			}
-		}
-		if got, want := canon(f), fmt.Sprintf("f:%g", f); got != want {
-			t.Errorf("canon(%v) = %q, want %q", f, got, want)
-		}
-		for _, k := range ints {
-			if got, want := canon(incMsg{Share: f, AlarmK: k}), fmt.Sprintf("n:%g,%d", f, k); got != want {
-				t.Errorf("canon(incMsg{%v, %d}) = %q, want %q", f, k, got, want)
-			}
-		}
-	}
-	for _, a := range ints {
-		for _, b := range ints {
-			if got, want := canon(distMsg{Dist: a, MaxSeen: b}), fmt.Sprintf("d:%d,%d", a, b); got != want {
-				t.Errorf("canon(distMsg{%d, %d}) = %q, want %q", a, b, got, want)
-			}
-		}
 	}
 }
 

@@ -195,7 +195,7 @@ func DegreeOracleCount(net dynet.Dynamic, leader graph.NodeID, v1, v2 []graph.No
 			procs[i] = &degOracleWorker{}
 		}
 	}
-	cfg := &runtime.Config{Net: net, Procs: procs, Canon: canon, MaxRounds: 6}
+	cfg := &runtime.Config{Net: net, Procs: procs, CanonKey: key, MaxRounds: 6}
 	value, rounds, ok, err := runtime.RunUntilOutput(cfg, int(leader), run)
 	if err != nil {
 		return 0, 0, err

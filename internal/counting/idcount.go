@@ -3,8 +3,6 @@ package counting
 import (
 	"fmt"
 	"sort"
-	"strconv"
-	"strings"
 
 	"anondyn/internal/dynet"
 	"anondyn/internal/graph"
@@ -28,14 +26,6 @@ import (
 
 // idSetMsg carries a sorted set of node IDs.
 type idSetMsg []int
-
-func encodeIDs(ids []int) string {
-	parts := make([]string, len(ids))
-	for i, id := range ids {
-		parts[i] = strconv.Itoa(id)
-	}
-	return strings.Join(parts, ",")
-}
 
 // idProc floods its known-ID set.
 type idProc struct {
@@ -114,14 +104,9 @@ func IDCount(net dynet.Dynamic, leader graph.NodeID, maxRounds int, run Runner) 
 		}
 	}
 	cfg := &runtime.Config{
-		Net:   net,
-		Procs: procs,
-		Canon: func(m runtime.Message) string {
-			if ids, ok := m.(idSetMsg); ok {
-				return "i:" + encodeIDs(ids)
-			}
-			return canon(m)
-		},
+		Net:               net,
+		Procs:             procs,
+		CanonKey:          key,
 		MaxRounds:         maxRounds,
 		IntervalConnected: true,
 	}

@@ -93,7 +93,8 @@ type incProc struct {
 	rho    float64
 	share  float64 // the share broadcast this round, to settle in Receive
 	alarmK int
-	bad    bool // degree violation seen in the current guess: freeze sharing
+	bad    bool      // degree violation seen in the current guess: freeze sharing
+	shares []float64 // scratch: the shares heard this round
 }
 
 func newIncProc() *incProc { return &incProc{clock: newIncClock(), rho: 1, alarmK: -1} }
@@ -109,20 +110,19 @@ func (p *incProc) Send(int) runtime.Message {
 
 func (p *incProc) Receive(_ int, msgs []runtime.Message) {
 	k, drain, _ := p.clock.phase()
-	d := 0
-	recv := 0.0
+	p.shares = p.shares[:0]
 	for _, m := range msgs {
 		im, ok := m.(incMsg)
 		if !ok {
 			continue
 		}
-		d++
-		recv += im.Share
+		p.shares = append(p.shares, im.Share)
 		if im.AlarmK > p.alarmK {
 			p.alarmK = im.AlarmK
 		}
 	}
-	p.rho += recv - float64(d)*p.share
+	d := len(p.shares)
+	p.rho += sumAscending(p.shares) - float64(d)*p.share
 	if d > k {
 		p.bad = true
 		if k > p.alarmK {
@@ -148,6 +148,7 @@ type incLeader struct {
 	alarmK int
 	count  int
 	done   bool
+	shares []float64 // scratch: the shares heard this round
 }
 
 func newIncLeader() *incLeader { return &incLeader{clock: newIncClock(), alarmK: -1} }
@@ -161,19 +162,19 @@ func (l *incLeader) Receive(_ int, msgs []runtime.Message) {
 		return
 	}
 	k, _, last := l.clock.phase()
-	d := 0
+	l.shares = l.shares[:0]
 	for _, m := range msgs {
 		im, ok := m.(incMsg)
 		if !ok {
 			continue
 		}
-		d++
-		l.mass += im.Share
+		l.shares = append(l.shares, im.Share)
 		if im.AlarmK > l.alarmK {
 			l.alarmK = im.AlarmK
 		}
 	}
-	if d > k && k > l.alarmK {
+	l.mass += sumAscending(l.shares)
+	if d := len(l.shares); d > k && k > l.alarmK {
 		l.alarmK = k
 	}
 	if last {
@@ -213,7 +214,7 @@ func IncrementalCount(net dynet.Dynamic, leader graph.NodeID, maxRounds int, run
 			procs[i] = newIncProc()
 		}
 	}
-	cfg := &runtime.Config{Net: net, Procs: procs, Canon: canon, MaxRounds: maxRounds, IntervalConnected: true}
+	cfg := &runtime.Config{Net: net, Procs: procs, CanonKey: key, MaxRounds: maxRounds, IntervalConnected: true}
 	value, rounds, ok, err := runtime.RunUntilOutput(cfg, int(leader), run)
 	if err != nil {
 		return 0, 0, err

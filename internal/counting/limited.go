@@ -100,14 +100,9 @@ func LimitedIDCount(net dynet.Dynamic, leader graph.NodeID, cap, maxRounds int, 
 	}
 	completeAt := 0
 	cfg := &runtime.Config{
-		Net:   net,
-		Procs: procs,
-		Canon: func(m runtime.Message) string {
-			if ids, ok := m.(idSetMsg); ok {
-				return "i:" + encodeIDs(ids)
-			}
-			return canon(m)
-		},
+		Net:       net,
+		Procs:     procs,
+		CanonKey:  key,
 		MaxRounds: maxRounds,
 		Stop: func(r int) bool {
 			if completeAt == 0 && len(lp.known) == n {

@@ -169,7 +169,7 @@ func OracleCount(net dynet.Dynamic, leader graph.NodeID, v1, v2 []graph.NodeID, 
 			procs[i] = &oracleOuter{}
 		}
 	}
-	cfg := &runtime.Config{Net: net, Procs: procs, Canon: canon, MaxRounds: 3}
+	cfg := &runtime.Config{Net: net, Procs: procs, CanonKey: key, MaxRounds: 3}
 	value, rounds, ok, err := runtime.RunUntilOutput(cfg, int(leader), run)
 	if err != nil {
 		return 0, 0, err

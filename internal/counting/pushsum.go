@@ -21,6 +21,8 @@ import (
 type pushSumProc struct {
 	value, weight float64
 	degree        int
+	// scratch: the value and weight shares heard this round
+	values, weights []float64
 }
 
 func (p *pushSumProc) SetDegree(r, d int) { p.degree = d }
@@ -34,12 +36,15 @@ func (p *pushSumProc) Send(int) runtime.Message {
 }
 
 func (p *pushSumProc) Receive(_ int, msgs []runtime.Message) {
+	p.values, p.weights = p.values[:0], p.weights[:0]
 	for _, m := range msgs {
 		if pair, ok := m.([2]float64); ok {
-			p.value += pair[0]
-			p.weight += pair[1]
+			p.values = append(p.values, pair[0])
+			p.weights = append(p.weights, pair[1])
 		}
 	}
+	p.value += sumAscending(p.values)
+	p.weight += sumAscending(p.weights)
 }
 
 // estimate returns the node's current size estimate, or NaN with no weight.
@@ -87,7 +92,7 @@ func PushSumEstimate(net dynet.Dynamic, leader graph.NodeID, tol float64, patien
 	cfg := &runtime.Config{
 		Net:       net,
 		Procs:     procs,
-		Canon:     canon,
+		CanonKey:  key,
 		MaxRounds: maxRounds,
 		Stop: func(int) bool {
 			est := lp.estimate()

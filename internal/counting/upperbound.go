@@ -117,7 +117,7 @@ func UpperBoundCount(net dynet.Dynamic, leader graph.NodeID, maxDegree, rounds i
 	cfg := &runtime.Config{
 		Net:       net,
 		Procs:     procs,
-		Canon:     canon,
+		CanonKey:  key,
 		MaxRounds: rounds,
 	}
 	executed, err := run(cfg)

@@ -11,8 +11,6 @@ package dissemination
 import (
 	"fmt"
 	"sort"
-	"strconv"
-	"strings"
 
 	"anondyn/internal/dynet"
 	"anondyn/internal/runtime"
@@ -35,27 +33,20 @@ func (s tokenSet) sorted() []Token {
 	return out
 }
 
-func encodeTokens(ts []Token) string {
-	var sb strings.Builder
-	for i, t := range ts {
-		if i > 0 {
-			sb.WriteByte(',')
-		}
-		sb.WriteString(strconv.Itoa(int(t)))
+// key is the engines' ordering key for dissemination messages
+// (runtime.Config.CanonKey): a hash of the token list. Receivers take the
+// union of what they hear, so inbox order never matters. nil, and any
+// message that is not a token list, maps to 0.
+func key(m runtime.Message) uint64 {
+	ts, ok := m.([]Token)
+	if !ok {
+		return 0
 	}
-	return sb.String()
-}
-
-// canon canonicalizes dissemination messages.
-func canon(m runtime.Message) string {
-	switch v := m.(type) {
-	case nil:
-		return ""
-	case []Token:
-		return "t:" + encodeTokens(v)
-	default:
-		return runtime.DefaultCanon(m)
+	h := uint64(0x544f4b454e530000) // type tag
+	for _, t := range ts {
+		h = runtime.MixKey(h ^ uint64(t))
 	}
+	return h
 }
 
 // floodProc broadcasts its entire token set every round (unlimited
@@ -169,7 +160,7 @@ func Run(net dynet.Dynamic, initial [][]Token, mode Mode, maxRounds int, run fun
 	cfg := &runtime.Config{
 		Net:       net,
 		Procs:     procs,
-		Canon:     canon,
+		CanonKey:  key,
 		MaxRounds: maxRounds,
 		Stop:      func(int) bool { return complete() },
 	}

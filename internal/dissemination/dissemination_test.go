@@ -1,6 +1,10 @@
 package dissemination
 
 import (
+	"errors"
+	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 
 	"anondyn/internal/dynet"
@@ -161,15 +165,102 @@ func TestSingleSourceErrors(t *testing.T) {
 	}
 }
 
-func TestCanonEncoding(t *testing.T) {
-	if got := canon([]Token{3, 1, 2}); got != "t:3,1,2" {
-		t.Fatalf("canon = %q", got)
+// TestKeyDependsOnContentOnly checks that key hashes the token list a
+// message carries: equal lists built apart key alike, distinct lists key
+// apart, and nil and foreign messages key 0.
+func TestKeyDependsOnContentOnly(t *testing.T) {
+	if key([]Token{3, 1, 2}) != key(append([]Token(nil), 3, 1, 2)) {
+		t.Fatal("equal token lists keyed apart")
 	}
-	if got := canon(nil); got != "" {
-		t.Fatalf("canon(nil) = %q", got)
+	seen := map[uint64][]Token{}
+	for _, ts := range [][]Token{{}, {0}, {1}, {1, 2}, {2, 1}, {12}, {3, 1, 2}} {
+		k := key(ts)
+		if prev, dup := seen[k]; dup {
+			t.Fatalf("%v and %v share key %#x", prev, ts, k)
+		}
+		seen[k] = ts
 	}
-	if canon(42) == "" {
-		t.Fatal("fallback canon empty")
+	if key(nil) != 0 || key(42) != 0 {
+		t.Fatal("nil or a foreign message has a nonzero key")
+	}
+}
+
+// inboxLog forwards to its process and records every inbox it is handed.
+type inboxLog struct {
+	runtime.Process
+	inboxes [][]runtime.Message
+}
+
+func (l *inboxLog) Receive(r int, msgs []runtime.Message) {
+	l.inboxes = append(l.inboxes, slices.Clone(msgs))
+	l.Process.Receive(r, msgs)
+}
+
+var errNotRun = errors.New("processes taken before the run")
+
+// TestProcessesIgnoreInboxOrder replays every inbox of a real run of both
+// process types to fresh processes — in the engine's order, reversed, and
+// shuffled twice — and requires equal states after every round: a process
+// hears a multiset, so its state must not depend on the engines' order.
+func TestProcessesIgnoreInboxOrder(t *testing.T) {
+	const n = 9
+	net, err := dynet.NewRandomChurn(n, 0.4, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(5))
+	for _, mode := range []Mode{Unlimited, OneTokenPerRound} {
+		var procs []runtime.Process
+		var logs []*inboxLog
+		_, err := Run(net, onePerNode(n), mode, 200, func(cfg *runtime.Config) (int, error) {
+			procs = cfg.Procs
+			run := *cfg
+			run.Procs = make([]runtime.Process, n)
+			logs = make([]*inboxLog, n)
+			for v, p := range procs {
+				logs[v] = &inboxLog{Process: p}
+				run.Procs[v] = logs[v]
+			}
+			return runtime.RunSequential(&run)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var trials [4][]runtime.Process
+		for i := range trials {
+			if _, err := Run(net, onePerNode(n), mode, 200, func(cfg *runtime.Config) (int, error) {
+				trials[i] = cfg.Procs
+				return 0, errNotRun
+			}); !errors.Is(err, errNotRun) {
+				t.Fatal(err)
+			}
+		}
+		for r := range logs[0].inboxes {
+			for v := range procs {
+				for i, trial := range trials {
+					trial[v].Send(r)
+					inbox := slices.Clone(logs[v].inboxes[r])
+					switch i {
+					case 1:
+						slices.Reverse(inbox)
+					case 2, 3:
+						rng.Shuffle(len(inbox), func(a, b int) { inbox[a], inbox[b] = inbox[b], inbox[a] })
+					}
+					trial[v].Receive(r, inbox)
+				}
+				for i := 1; i < len(trials); i++ {
+					if !reflect.DeepEqual(trials[i][v], trials[0][v]) {
+						t.Fatalf("mode %d: node %d (%T) reached another state at round %d on a permuted inbox (trial %d)",
+							mode, v, procs[v], r, i)
+					}
+				}
+			}
+		}
+		for v := range procs {
+			if !reflect.DeepEqual(trials[0][v], procs[v]) {
+				t.Fatalf("mode %d: node %d: replaying the run's inboxes did not reproduce it", mode, v)
+			}
+		}
 	}
 }
 

@@ -27,11 +27,11 @@ func (p *quietProc) Receive(_ int, msgs []Message) {
 	}
 }
 
-func quietCanon(m Message) string {
+func quietKey(m Message) uint64 {
 	if m == 1 {
-		return "1"
+		return 1
 	}
-	return "0"
+	return 0
 }
 
 // TestRoundLoopStepAllocCeiling locks the steady-state allocation budget of
@@ -57,7 +57,7 @@ func TestRoundLoopStepAllocCeiling(t *testing.T) {
 		for i := range procs {
 			procs[i] = &quietProc{seen: i == 0}
 		}
-		cfg := &Config{Net: net, Procs: procs, MaxRounds: rounds, Canon: quietCanon}
+		cfg := &Config{Net: net, Procs: procs, MaxRounds: rounds, CanonKey: quietKey}
 		if _, err := RunSequential(cfg); err != nil {
 			t.Fatal(err)
 		}

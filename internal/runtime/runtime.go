@@ -14,8 +14,10 @@
 // identical executions.
 //
 // Anonymity is enforced structurally: a process is given only the multiset
-// of messages it received, in an order canonicalized by the message
-// encoding, never the identity of a sender.
+// of messages it received, never the identity of a sender. The engines
+// deliver each inbox in one canonical order, ascending by a content key of
+// each message (Config.CanonKey, ties broken by sender id), which makes
+// runs deterministic; a protocol's receivers must not depend on that order.
 //
 // Both engines are cancellation-aware: RunSequentialCtx and RunShardedCtx
 // honor a context.Context at round granularity (checked at the top of each
@@ -84,21 +86,40 @@ type Outputter interface {
 	Output() (int, bool)
 }
 
-// Canonicalizer converts a message to a canonical string used to sort each
-// inbox, making delivery deterministic without leaking sender identity.
+// Canonicalizer converts a message to its text form: the encoding trace
+// recorders write, and, when a Config sets no CanonKey, the source of the
+// engines' ordering key.
 type Canonicalizer func(Message) string
 
-// KeyCanonicalizer is the integer fast path of Canonicalizer: it converts a
-// message to a canonical uint64 key. Producing a uint64 instead of a string
-// keeps the per-sender canonicalization and the per-round key sorts
-// allocation-free and turns every key comparison into one integer compare.
-// Protocols whose messages already carry a collision-free fingerprint (the
-// history-tree counter's structural hash, for instance) should prefer it.
+// KeyCanonicalizer converts a message to the engines' ordering key. A key
+// must depend only on what the message says, never on who sent it;
+// messages that share a key form one ordering class, delivered by sender
+// id.
 type KeyCanonicalizer func(Message) uint64
 
-// DefaultCanon formats the message with %#v. Protocol packages usually
-// provide a cheaper, collision-free encoding of their own message type.
+// DefaultCanon formats the message with %#v.
 func DefaultCanon(m Message) string { return fmt.Sprintf("%#v", m) }
+
+// StringKey is FNV-1a over the bytes of s: the ordering key of a message's
+// text form, and the hash protocols apply to the strings inside their
+// messages.
+func StringKey(s string) uint64 {
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= 1099511628211
+	}
+	return h
+}
+
+// MixKey is the SplitMix64 finalizer, a bijective avalanche mixer. A
+// protocol folds the fields of a message into one key with it.
+func MixKey(x uint64) uint64 {
+	x += 0x9e3779b97f4a7c15
+	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
+	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
+	return x ^ (x >> 31)
+}
 
 // Config describes an execution: a dynamic network, one process per node,
 // and the run controls.
@@ -117,16 +138,13 @@ type Config struct {
 	Adaptive func(r int, outbox []Message) *graph.Graph
 	// Procs holds one Process per node; Procs[i] runs at node i.
 	Procs []Process
-	// Canon canonicalizes messages for deterministic delivery order.
-	// Nil means DefaultCanon. Ignored when CanonKey is set.
+	// Canon is the text form of a message, which trace recorders write.
+	// Nil means DefaultCanon.
 	Canon Canonicalizer
-	// CanonKey, if non-nil, replaces Canon with an allocation-free integer
-	// canonical key: inboxes are sorted by ascending uint64 key, ties
-	// broken by sender id exactly as on the string path, in both
-	// engines. The caller owns collision behavior the same way it does
-	// with Canon — messages mapping to the same key form one ordering
-	// class. Protocol packages with an id-free message fingerprint should
-	// set this; the string Canon remains as the general fallback.
+	// CanonKey is the engines' delivery order: each inbox lists its
+	// messages by ascending key, ties broken by sender id, in both engines.
+	// Nil means StringKey of the Canon text. Protocol packages set it to a
+	// content hash of their own message types, which formats no string.
 	CanonKey KeyCanonicalizer
 	// MaxRounds bounds the execution length.
 	MaxRounds int
@@ -227,11 +245,17 @@ func (c *Config) validate() error {
 	return nil
 }
 
-func (c *Config) canon() Canonicalizer {
-	if c.Canon != nil {
-		return c.Canon
+// key resolves the run's ordering key: CanonKey, or else StringKey of the
+// message's text form.
+func (c *Config) key() KeyCanonicalizer {
+	if c.CanonKey != nil {
+		return c.CanonKey
 	}
-	return DefaultCanon
+	canon := c.Canon
+	if canon == nil {
+		canon = DefaultCanon
+	}
+	return func(m Message) uint64 { return StringKey(canon(m)) }
 }
 
 // Engine is the signature shared by RunSequential and RunSharded, used by
@@ -282,79 +306,56 @@ func guardSetDegree(da DegreeAware, v, r, degree int) (err error) {
 	return nil
 }
 
-// inboxEntry pairs a broadcast with its canonical key for sorting.
-type inboxEntry[K cmp.Ordered] struct {
-	key K
+// inboxEntry pairs a broadcast with its ordering key for sorting.
+type inboxEntry struct {
+	key uint64
 	msg Message
 }
 
-// assembler groups a round's broadcasts into canonically ordered
-// per-receiver inboxes. The sequential engine holds one per run; the two
-// instantiations of roundScratch (string keys from Canon, uint64 keys from
-// CanonKey) both satisfy it, so its round loop stays key-type agnostic.
-type assembler interface {
-	assemble(g *graph.Graph, outbox []Message) [][]Message
-}
-
-// roundScratch holds the engine-owned buffers reused across rounds when
-// assembling inboxes: the per-receiver inbox slices, the per-sender
-// canonical keys (computed once per sender per round instead of once per
+// roundScratch holds the sequential engine's buffers reused across rounds
+// when assembling inboxes: the per-receiver inbox slices, the per-sender
+// ordering keys (computed once per sender per round instead of once per
 // comparison), and the neighbor/sort scratch. Reuse is what makes the
 // round loop allocation-free in steady state — and is why inbox slices
 // handed to Process.Receive are valid only during the call (see the
-// Receive ownership rule). It is generic over the canonical key type:
-// string for Config.Canon, uint64 for the Config.CanonKey fast path.
-type roundScratch[K cmp.Ordered] struct {
-	canon   func(Message) K
+// Receive ownership rule).
+type roundScratch struct {
+	key     KeyCanonicalizer
 	inboxes [][]Message
-	keys    []K
+	keys    []uint64
 	nb      []graph.NodeID
-	entries []inboxEntry[K]
+	entries []inboxEntry
 }
 
-// newAssembler picks the key representation for the run: the uint64 fast
-// path when Config.CanonKey is set, the string path otherwise.
-func newAssembler(cfg *Config, n int) assembler {
-	if cfg.CanonKey != nil {
-		return &roundScratch[uint64]{
-			canon:   cfg.CanonKey,
-			inboxes: make([][]Message, n),
-			keys:    make([]uint64, n),
-		}
-	}
-	return &roundScratch[string]{
-		canon:   cfg.canon(),
-		inboxes: make([][]Message, n),
-		keys:    make([]string, n),
-	}
+func newRoundScratch(cfg *Config, n int) *roundScratch {
+	return &roundScratch{key: cfg.key(), inboxes: make([][]Message, n), keys: make([]uint64, n)}
 }
 
 // assemble groups the round's broadcasts by receiver and sorts each inbox
 // canonically. outbox[i] is the message node i broadcast on graph g. The
 // returned slices are owned by the scratch and overwritten by the next
 // assemble call.
-func (sc *roundScratch[K]) assemble(g *graph.Graph, outbox []Message) [][]Message {
+func (sc *roundScratch) assemble(g *graph.Graph, outbox []Message) [][]Message {
 	n := g.N()
 	for u := 0; u < n; u++ {
-		sc.keys[u] = sc.canon(outbox[u])
+		sc.keys[u] = sc.key(outbox[u])
 	}
 	for v := 0; v < n; v++ {
 		sc.nb = g.NeighborsAppend(graph.NodeID(v), sc.nb[:0])
 		sc.entries = sc.entries[:0]
 		for _, u := range sc.nb {
-			sc.entries = append(sc.entries, inboxEntry[K]{key: sc.keys[u], msg: outbox[u]})
+			sc.entries = append(sc.entries, inboxEntry{key: sc.keys[u], msg: outbox[u]})
 		}
-		// Stable by key with senders pre-sorted by NodeID: the same
-		// delivery order the previous sort.SliceStable-per-inbox produced.
-		// Inboxes of at most two messages — every node of a cycle or path,
-		// the protocol families' common case — order with one comparison
-		// instead of a generic sort call.
+		// Stable by key with senders pre-sorted by NodeID, so ties go by
+		// sender id. Inboxes of at most two messages — every node of a
+		// cycle or path, the protocol families' common case — order with
+		// one comparison instead of a generic sort call.
 		if len(sc.entries) == 2 {
 			if sc.entries[1].key < sc.entries[0].key {
 				sc.entries[0], sc.entries[1] = sc.entries[1], sc.entries[0]
 			}
 		} else if len(sc.entries) > 2 {
-			slices.SortStableFunc(sc.entries, func(a, b inboxEntry[K]) int {
+			slices.SortStableFunc(sc.entries, func(a, b inboxEntry) int {
 				return cmp.Compare(a.key, b.key)
 			})
 		}

@@ -1,6 +1,8 @@
 package runtime
 
 import (
+	"cmp"
+	"slices"
 	"strconv"
 	"testing"
 
@@ -269,31 +271,41 @@ func (e *echoProc) Receive(_ int, msgs []Message) {
 	}
 }
 
+// digitKey keys a one-digit string message by the digit, reversed: it
+// delivers "3" before "2" before "1", which no text order does.
+func digitKey(m Message) uint64 { return uint64('9' - m.(string)[0]) }
+
 func TestCanonicalDeliveryOrder(t *testing.T) {
 	// Node 0 is adjacent to 3, 1, 2 (inserted in scrambled order); its
-	// inbox must arrive sorted by the canonical encoding, independent of
-	// adjacency iteration order.
+	// inbox must arrive in ascending key order, independent of adjacency
+	// iteration order. Without a CanonKey the key is StringKey of the
+	// Canon text.
 	g := graph.MustFromEdges(4, []graph.Edge{{U: 0, V: 3}, {U: 0, V: 1}, {U: 0, V: 2}})
-	procs := []Process{
-		&echoProc{id: 0}, &echoProc{id: 1}, &echoProc{id: 2}, &echoProc{id: 3},
-	}
-	cfg := &Config{
-		Net:       dynet.NewStatic(g),
-		Procs:     procs,
-		MaxRounds: 1,
-		Canon:     func(m Message) string { return m.(string) },
-	}
-	if _, err := RunSequential(cfg); err != nil {
-		t.Fatal(err)
-	}
-	got := procs[0].(*echoProc).heard
-	want := []string{"1", "2", "3"}
-	if len(got) != len(want) {
-		t.Fatalf("heard = %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("heard = %v, want %v", got, want)
+	byText := []string{"1", "2", "3"}
+	slices.SortFunc(byText, func(a, b string) int { return cmp.Compare(StringKey(a), StringKey(b)) })
+	for _, tc := range []struct {
+		name string
+		key  KeyCanonicalizer
+		want []string
+	}{
+		{"CanonKey", digitKey, []string{"3", "2", "1"}},
+		{"StringKey(Canon)", nil, byText},
+	} {
+		procs := []Process{
+			&echoProc{id: 0}, &echoProc{id: 1}, &echoProc{id: 2}, &echoProc{id: 3},
+		}
+		cfg := &Config{
+			Net:       dynet.NewStatic(g),
+			Procs:     procs,
+			MaxRounds: 1,
+			Canon:     func(m Message) string { return m.(string) },
+			CanonKey:  tc.key,
+		}
+		if _, err := RunSequential(cfg); err != nil {
+			t.Fatal(err)
+		}
+		if got := procs[0].(*echoProc).heard; !slices.Equal(got, tc.want) {
+			t.Fatalf("%s: heard = %v, want %v", tc.name, got, tc.want)
 		}
 	}
 }

@@ -38,7 +38,7 @@ func RunSequentialCtx(ctx context.Context, cfg *Config) (int, error) {
 		return 0, nil
 	}
 	outbox := make([]Message, n)
-	sc := newAssembler(cfg, n)
+	sc := newRoundScratch(cfg, n)
 	conn := connChecker{on: cfg.IntervalConnected}
 	for r := 0; r < cfg.MaxRounds; r++ {
 		if err := ctx.Err(); err != nil {

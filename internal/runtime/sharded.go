@@ -7,7 +7,7 @@ import (
 	"math"
 	goruntime "runtime"
 	"runtime/debug"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -25,10 +25,10 @@ import (
 // in steady state.
 //
 // Delivery order is the sequential engine's exactly: each inbox lists
-// senders sorted by (canonical key, node id). The engine computes one global
+// senders sorted by (ordering key, node id). The engine computes one global
 // canonical order of the round's senders and has each shard replay it
-// against its own receivers, so no per-inbox sort — and no string
-// comparison beyond the per-round distinct-key sort — happens at all.
+// against its own receivers, so no per-inbox sort happens at all: the only
+// sort is the per-round sort of the distinct keys.
 //
 // Topology is consumed in CSR form. Networks implementing dynet.CSRDynamic
 // are queried natively (no map-based graphs are ever materialized — the
@@ -65,56 +65,43 @@ func shardBounds(n, nw, s int) (lo, hi int) {
 }
 
 // shardState is one worker's partition plus its send-phase key census: the
-// distinct canonical keys seen among its own senders, in first-seen order
+// distinct ordering keys seen among its own senders, in first-seen order
 // (deterministic: nodes are iterated ascending), with per-key counts. The
 // coordinator merges the censuses into the global canonical ranking and
 // hands back, per local key, the placement cursor into the global order
-// array. It is generic over the canonical key type — string for
-// Config.Canon, uint64 for the Config.CanonKey fast path — so the uint64
-// path never materializes a key string anywhere in the round.
-type shardState[K cmp.Ordered] struct {
+// array.
+type shardState struct {
 	lo, hi int
 	node   int // node currently executing protocol code, for panic attribution
 
-	localMap  map[K]int32 // canonical key -> local census index
-	localKeys []K         // census index -> key, first-seen order
-	localCnt  []int32     // census index -> own senders with that key
-	toGlobal  []int32     // census index -> coordinator's distinct-key index
-	placePos  []int32     // census index -> next free slot in the order array
+	localMap  map[uint64]int32 // ordering key -> local census index
+	localKeys []uint64         // census index -> key, first-seen order
+	localCnt  []int32          // census index -> own senders with that key
+	toGlobal  []int32          // census index -> coordinator's distinct-key index
+	placePos  []int32          // census index -> next free slot in the order array
 }
 
-// keyRankSorter sorts the distinct-key permutation by key. It is a stored
-// sort.Interface so the per-round sort allocates nothing.
-type keyRankSorter[K cmp.Ordered] struct {
-	keys []K
-	perm []int32
+// distinctKey is one distinct ordering key of a round with its
+// coordinator index, which stays valid when the keys are sorted.
+type distinctKey struct {
+	key uint64
+	gi  int32
 }
-
-func (s *keyRankSorter[K]) Len() int           { return len(s.perm) }
-func (s *keyRankSorter[K]) Less(i, j int) bool { return s.keys[s.perm[i]] < s.keys[s.perm[j]] }
-func (s *keyRankSorter[K]) Swap(i, j int)      { s.perm[i], s.perm[j] = s.perm[j], s.perm[i] }
 
 // phase identifiers sent over the start channels.
 const (
-	phaseSend    = 1 // degree oracle, Send, canonical keys, key census
+	phaseSend    = 1 // degree oracle, Send, ordering keys, key census
 	phasePlace   = 2 // scatter own senders into the global canonical order
 	phaseDeliver = 3 // fill own receivers' arena ranges, run Receive
 )
 
-// RunShardedCtx validates the configuration and dispatches to the key-typed
-// engine body: the uint64 census path when Config.CanonKey is set, the
-// string path otherwise. Both instantiations execute identical semantics.
+// RunShardedCtx is RunSharded under a context, with the cancellation,
+// deadline and panic semantics of RunSequentialCtx.
 func RunShardedCtx(ctx context.Context, cfg *Config) (int, error) {
 	if err := cfg.validate(); err != nil {
 		return 0, err
 	}
-	if cfg.CanonKey != nil {
-		return runShardedCtx(ctx, cfg, cfg.CanonKey)
-	}
-	return runShardedCtx(ctx, cfg, cfg.canon())
-}
-
-func runShardedCtx[K cmp.Ordered](ctx context.Context, cfg *Config, canon func(Message) K) (int, error) {
+	key := cfg.key()
 	m := cfg.metrics()
 	n := cfg.Net.N()
 	if n == 0 || cfg.MaxRounds == 0 {
@@ -135,7 +122,7 @@ func runShardedCtx[K cmp.Ordered](ctx context.Context, cfg *Config, canon func(M
 	var (
 		// Struct-of-arrays node state, reused every round.
 		outbox = make([]Message, n)
-		keys   = make([]K, n)
+		keys   = make([]uint64, n)
 		kidx   = make([]int32, n) // per node: census index within its shard
 		order  = make([]int32, n) // senders in canonical (key, id) order
 		cur    = make([]int, n)   // per node: next write offset into flat
@@ -144,14 +131,13 @@ func runShardedCtx[K cmp.Ordered](ctx context.Context, cfg *Config, canon func(M
 		da    = make([]DegreeAware, n)
 		anyDA bool
 
-		shards = make([]shardState[K], nw)
+		shards = make([]shardState, nw)
 
 		// Coordinator distinct-key scratch, reused every round.
-		gIdx   = make(map[K]int32)
-		dKeys  []K
-		dTotal []int32
+		gIdx   = make(map[uint64]int32)
+		dKeys  []distinctKey
+		dTotal []int32 // per coordinator index: senders with that key
 		acc    []int32
-		sorter keyRankSorter[K]
 
 		// Topology state. csr is the round's snapshot; the conversion
 		// cache holds while the map-graph pointer is unchanged. bfs is the
@@ -170,7 +156,7 @@ func runShardedCtx[K cmp.Ordered](ctx context.Context, cfg *Config, canon func(M
 	}
 	for s := range shards {
 		lo, hi := shardBounds(n, nw, s)
-		shards[s] = shardState[K]{lo: lo, hi: hi, localMap: make(map[K]int32)}
+		shards[s] = shardState{lo: lo, hi: hi, localMap: make(map[uint64]int32)}
 	}
 	csrDyn, _ := cfg.Net.(dynet.CSRDynamic)
 	if cfg.Adaptive != nil {
@@ -225,7 +211,7 @@ func runShardedCtx[K cmp.Ordered](ctx context.Context, cfg *Config, canon func(M
 		start[s] = make(chan int, 1)
 	}
 
-	runPhase := func(sh *shardState[K], ph int) {
+	runPhase := func(sh *shardState, ph int) {
 		r := round
 		switch ph {
 		case phaseSend:
@@ -245,7 +231,7 @@ func runShardedCtx[K cmp.Ordered](ctx context.Context, cfg *Config, canon func(M
 			for v := sh.lo; v < sh.hi; v++ {
 				sh.node = v
 				outbox[v] = cfg.Procs[v].Send(r)
-				k := canon(outbox[v])
+				k := key(outbox[v])
 				keys[v] = k
 				li, ok := sh.localMap[k]
 				if !ok {
@@ -406,8 +392,7 @@ func runShardedCtx[K cmp.Ordered](ctx context.Context, cfg *Config, canon func(M
 		// Merge the shard key censuses into the global canonical ranking
 		// and reserve, for every (distinct key, shard) pair, its slot range
 		// in the order array. All cross-shard coordination happens here, on
-		// integer indices; the only string comparisons are the distinct-key
-		// sort.
+		// integer indices.
 		clear(gIdx)
 		dKeys = dKeys[:0]
 		dTotal = dTotal[:0]
@@ -419,32 +404,27 @@ func runShardedCtx[K cmp.Ordered](ctx context.Context, cfg *Config, canon func(M
 				if !ok {
 					gi = int32(len(dKeys))
 					gIdx[k] = gi
-					dKeys = append(dKeys, k)
+					dKeys = append(dKeys, distinctKey{k, gi})
 					dTotal = append(dTotal, 0)
 				}
 				dTotal[gi] += sh.localCnt[li]
 				sh.toGlobal = append(sh.toGlobal, gi)
 			}
 		}
-		sorter.keys = dKeys
-		sorter.perm = sorter.perm[:0]
-		for gi := range dKeys {
-			sorter.perm = append(sorter.perm, int32(gi))
-		}
 		// gIdx dedups the keys, so no two compare equal and an unstable
-		// sort yields the one ascending permutation.
-		sort.Sort(&sorter)
+		// sort yields the one ascending order.
+		slices.SortFunc(dKeys, func(a, b distinctKey) int { return cmp.Compare(a.key, b.key) })
 		if cap(acc) < len(dKeys) {
 			acc = make([]int32, len(dKeys))
 		} else {
 			acc = acc[:len(dKeys)]
 		}
-		// No zeroing: every distinct key appears in perm, so every entry
+		// No zeroing: every distinct key appears in dKeys, so every entry
 		// is assigned below before it is read.
 		running := int32(0)
-		for _, gi := range sorter.perm {
-			acc[gi] = running
-			running += dTotal[gi]
+		for _, d := range dKeys {
+			acc[d.gi] = running
+			running += dTotal[d.gi]
 		}
 		for s := range shards {
 			sh := &shards[s]

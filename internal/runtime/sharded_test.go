@@ -1,12 +1,13 @@
 package runtime
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"math"
 	"math/rand"
+	"slices"
 	"strconv"
 	"testing"
 	"time"
@@ -131,34 +132,41 @@ func TestRunShardedMatchesSequential(t *testing.T) {
 }
 
 // TestRunShardedCanonicalOrder pins delivery order against the documented
-// rule directly (senders sorted by canonical key, ties by node id), not just
+// rule directly (senders sorted by ordering key, ties by node id), not just
 // against the sequential engine.
 func TestRunShardedCanonicalOrder(t *testing.T) {
-	// Star center node 0 hears every leaf; leaves 1..6 send distinct
-	// messages whose canonical keys invert numeric order.
+	// Star center node 0 hears every leaf; leaves 1..6 send the distinct
+	// digits 8..3. digitKey delivers them in descending digit order;
+	// without a CanonKey the key is StringKey of DefaultCanon's text.
 	n := 7
-	procs := make([]Process, n)
-	for i := range procs {
-		procs[i] = &transcriptProc{id: i, state: strconv.Itoa(9 - i)}
-	}
-	_, err := RunSharded(&Config{
-		Net:       dynet.NewStatic(mustStar(n)),
-		Procs:     procs,
-		MaxRounds: 1,
-		Shards:    3,
+	byText := []Message{"3", "4", "5", "6", "7", "8"}
+	slices.SortFunc(byText, func(a, b Message) int {
+		return cmp.Compare(StringKey(DefaultCanon(a)), StringKey(DefaultCanon(b)))
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	center := procs[0].(*transcriptProc)
-	got := center.received[0]
-	want := []Message{"3", "4", "5", "6", "7", "8"} // keys of leaves 6..1 ascending
-	if len(got) != len(want) {
-		t.Fatalf("center inbox %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("center inbox %v, want %v", got, want)
+	for _, tc := range []struct {
+		name string
+		key  KeyCanonicalizer
+		want []Message
+	}{
+		{"CanonKey", digitKey, []Message{"8", "7", "6", "5", "4", "3"}},
+		{"StringKey(DefaultCanon)", nil, byText},
+	} {
+		procs := make([]Process, n)
+		for i := range procs {
+			procs[i] = &transcriptProc{id: i, state: strconv.Itoa(9 - i)}
+		}
+		_, err := RunSharded(&Config{
+			Net:       dynet.NewStatic(mustStar(n)),
+			Procs:     procs,
+			MaxRounds: 1,
+			Shards:    3,
+			CanonKey:  tc.key,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := procs[0].(*transcriptProc).received[0]; !slices.Equal(got, tc.want) {
+			t.Fatalf("%s: center inbox %v, want %v", tc.name, got, tc.want)
 		}
 	}
 }
@@ -166,8 +174,9 @@ func TestRunShardedCanonicalOrder(t *testing.T) {
 // TestRunShardedManyKeysMatchesSequential delivers rounds with far more
 // than 12 distinct canonical keys, the size past which sort.Sort stops
 // running an insertion sort, whose first-seen order is random with respect
-// to node ids, with repeats for id tie-breaks. Both key types must
-// deliver in the sequential engine's order.
+// to node ids, with repeats for id tie-breaks. With an explicit CanonKey
+// and with the StringKey fallback, delivery must follow the sequential
+// engine's order.
 func TestRunShardedManyKeysMatchesSequential(t *testing.T) {
 	const n = 60
 	rng := rand.New(rand.NewSource(12))
@@ -184,17 +193,13 @@ func TestRunShardedManyKeysMatchesSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	nets := map[string]dynet.Dynamic{"star": dynet.NewStatic(mustStar(n)), "churn": churn}
-	strHash := func(m Message) uint64 {
-		h := fnv.New64a()
-		h.Write([]byte(m.(string)))
-		return h.Sum64()
-	}
+	textKey := func(m Message) uint64 { return MixKey(StringKey(m.(string))) }
 	for name, net := range nets {
 		for _, keyed := range []bool{false, true} {
 			cfg := func(procs []Process, shards int) *Config {
 				c := &Config{Net: net, Procs: procs, MaxRounds: 3, Shards: shards}
 				if keyed {
-					c.CanonKey = strHash
+					c.CanonKey = textKey
 				}
 				return c
 			}
@@ -600,7 +605,7 @@ func TestShardedRoundStepAllocCeiling(t *testing.T) {
 			for i := range procs {
 				procs[i] = &quietProc{seen: i == 0}
 			}
-			cfg := &Config{Net: tc.net, Procs: procs, MaxRounds: rounds, Canon: quietCanon, Shards: 2,
+			cfg := &Config{Net: tc.net, Procs: procs, MaxRounds: rounds, CanonKey: quietKey, Shards: 2,
 				IntervalConnected: tc.connected}
 			if _, err := RunSharded(cfg); err != nil {
 				t.Fatal(err)
@@ -651,11 +656,11 @@ func (p *tokenProc) Receive(_ int, msgs []Message) {
 	}
 }
 
-func tokenCanon(m Message) string {
+func tokenKey(m Message) uint64 {
 	if m == 1 {
-		return "1"
+		return 1
 	}
-	return "0"
+	return 0
 }
 
 // BenchmarkShardedMDBL2Million is a million-W ℳ(DBL)₂ instance transformed
@@ -693,7 +698,7 @@ func BenchmarkShardedMDBL2Million(b *testing.B) {
 		for j := range backing {
 			backing[j].seen = j == 0
 		}
-		cfg := &Config{Net: net, Procs: procs, MaxRounds: millionRounds, Canon: tokenCanon}
+		cfg := &Config{Net: net, Procs: procs, MaxRounds: millionRounds, CanonKey: tokenKey}
 		if _, err := RunSharded(cfg); err != nil {
 			b.Fatal(err)
 		}

@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"anondyn/internal/counting"
@@ -89,7 +90,9 @@ func init() {
 // job.N. An exact algorithm returning a wrong count is an execution fault
 // (it would falsify the algorithm's correctness claim), as is an upper
 // bound below the truth; an over-counting upper bound and a push-sum
-// estimate are the expected measurements and are recorded as-is.
+// estimate are the expected measurements and are recorded as-is. The run
+// honors ctx at round granularity, and a run that ctx stops is the job's
+// error, not a measurement.
 func zooRun(ctx context.Context, job Job, zp zooProto) (Result, error) {
 	if err := ctx.Err(); err != nil {
 		return Result{}, err
@@ -106,8 +109,12 @@ func zooRun(ctx context.Context, job Job, zp zooProto) (Result, error) {
 		return Result{}, err
 	}
 	res := Result{Key: job.Key, Proto: job.Proto, N: job.N, Trial: job.Trial}
-	out, err := counting.RunAlgorithm(zp.algo, inst, counting.Runner(runtime.RunSequential))
+	out, err := counting.RunAlgorithm(zp.algo, inst, counting.Runner(runtime.SequentialEngine(ctx)))
 	if err != nil {
+		if ctxErr := ctx.Err(); ctxErr != nil && errors.Is(err, ctxErr) {
+			// Stopped, not measured: the job fails with its context.
+			return Result{}, err
+		}
 		res.Rounds = -1
 		res.Failed = true
 		res.Err = err.Error()

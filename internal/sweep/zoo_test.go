@@ -2,8 +2,10 @@ package sweep
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestBuiltinSetNames(t *testing.T) {
@@ -161,5 +163,23 @@ func TestZooCampaignEndToEnd(t *testing.T) {
 		if !strings.Contains(table, proto) {
 			t.Fatalf("combined table missing %s:\n%s", proto, table)
 		}
+	}
+}
+
+// TestZooJobHonorsCancellation runs the zoo's longest job, which takes
+// seconds, under a 50ms deadline: it must stop at a round boundary and
+// fail with the deadline, not run to completion or record a failed
+// measurement.
+func TestZooJobHonorsCancellation(t *testing.T) {
+	fn, _ := Proto(ProtoZooIncremental)
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	res, err := fn(ctx, Job{Key: "cancel", Proto: ProtoZooIncremental, N: 40, Horizon: 1, Seed: 99})
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("got %+v, %v; want the deadline as the job's error", res, err)
+	}
+	if elapsed := time.Since(start); elapsed > 2*time.Second {
+		t.Fatalf("job stopped %v after the start of its 50ms deadline", elapsed)
 	}
 }

@@ -9,6 +9,7 @@ package trace
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 
 	"anondyn/internal/graph"
 	"anondyn/internal/runtime"
@@ -20,8 +21,9 @@ type Round struct {
 	Edges []graph.Edge `json:"edges"`
 	// Sent[i] is the canonical encoding of node i's broadcast.
 	Sent []string `json:"sent"`
-	// Inbox[i] lists the canonical encodings node i received, in
-	// delivery order.
+	// Inbox[i] lists the canonical encodings node i received, sorted: a
+	// process hears the multiset of its neighbors' messages, so the
+	// record does not depend on the engine's delivery order.
 	Inbox [][]string `json:"inbox"`
 }
 
@@ -59,23 +61,38 @@ func (p *recProc) Receive(r int, msgs []runtime.Message) {
 	for i, m := range msgs {
 		enc[i] = p.rec.canon(m)
 	}
+	slices.Sort(enc)
 	p.rec.cur.Inbox[p.node] = enc
 	p.inner.Receive(r, msgs)
 }
 
-// SetDegree forwards the degree oracle when the inner process uses it.
-func (p *recProc) SetDegree(r, d int) {
-	if da, ok := p.inner.(runtime.DegreeAware); ok {
-		da.SetDegree(r, d)
+// wrap decorates p for recording. The decorator implements
+// runtime.DegreeAware and runtime.Outputter exactly when p does, so the
+// engine treats the recorded run as it treats the plain one: a degree
+// oracle nobody asked for would, for one, make an adaptive run invalid.
+func (rec *Recorder) wrap(p runtime.Process, node int) runtime.Process {
+	rp := &recProc{inner: p, rec: rec, node: node}
+	da, isDA := p.(runtime.DegreeAware)
+	out, isOut := p.(runtime.Outputter)
+	switch {
+	case isDA && isOut:
+		return struct {
+			*recProc
+			runtime.DegreeAware
+			runtime.Outputter
+		}{rp, da, out}
+	case isDA:
+		return struct {
+			*recProc
+			runtime.DegreeAware
+		}{rp, da}
+	case isOut:
+		return struct {
+			*recProc
+			runtime.Outputter
+		}{rp, out}
 	}
-}
-
-// Output forwards the Outputter interface when the inner process has one.
-func (p *recProc) Output() (int, bool) {
-	if o, ok := p.inner.(runtime.Outputter); ok {
-		return o.Output()
-	}
-	return 0, false
+	return rp
 }
 
 // NewRecorder wraps cfg so that running it captures a full Trace. The
@@ -98,12 +115,23 @@ func NewRecorder(cfg *runtime.Config) (*Recorder, *runtime.Config, error) {
 	wrapped := *cfg
 	wrapped.Procs = make([]runtime.Process, n)
 	for i, p := range cfg.Procs {
-		wrapped.Procs[i] = &recProc{inner: p, rec: rec, node: i}
+		wrapped.Procs[i] = rec.wrap(p, i)
+	}
+	// The topology of a round is the graph the engine ran it on: the
+	// network's snapshot, or what the adaptive adversary chose.
+	topology := cfg.Net.Snapshot
+	if adaptive := cfg.Adaptive; adaptive != nil {
+		var chosen *graph.Graph
+		wrapped.Adaptive = func(r int, outbox []runtime.Message) *graph.Graph {
+			chosen = adaptive(r, outbox)
+			return chosen
+		}
+		topology = func(int) *graph.Graph { return chosen }
 	}
 	userOnRound := cfg.OnRound
 	rec.startRound(cfg.Net, 0)
 	wrapped.OnRound = func(r int) {
-		rec.cur.Edges = cfg.Net.Snapshot(r).Edges()
+		rec.cur.Edges = topology(r).Edges()
 		rec.trace.Rounds = append(rec.trace.Rounds, *rec.cur)
 		rec.startRound(cfg.Net, r+1)
 		if userOnRound != nil {

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"slices"
 	"testing"
 
 	"anondyn/internal/core"
@@ -85,6 +86,86 @@ func TestRecorderPreservesUserOnRound(t *testing.T) {
 	}
 	if len(seen) != 3 {
 		t.Fatalf("user OnRound saw %v", seen)
+	}
+}
+
+// TestRecorderSortsInboxes records a run whose key delivers each inbox in
+// reverse text order: the record lists the inbox sorted all the same, so
+// it does not depend on the engine's delivery order.
+func TestRecorderSortsInboxes(t *testing.T) {
+	cfg := mkConfig(3, dynet.NewStatic(graph.Complete(3)), 1)
+	cfg.CanonKey = func(m runtime.Message) uint64 { return uint64('z' - m.(string)[0]) }
+	var heard []runtime.Message
+	cfg.Procs[1] = inboxSpy{beacon{id: "b"}, &heard}
+	rec, wrapped, err := NewRecorder(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := runtime.RunSequential(wrapped); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(heard, []runtime.Message{"c", "a"}) {
+		t.Fatalf("delivered %v, want [c a]", heard)
+	}
+	if got := rec.Trace().Rounds[0].Inbox[1]; !slices.Equal(got, []string{"a", "c"}) {
+		t.Fatalf("recorded inbox %v, want [a c]", got)
+	}
+}
+
+// inboxSpy is a beacon that keeps the inbox it was handed last.
+type inboxSpy struct {
+	beacon
+	heard *[]runtime.Message
+}
+
+func (s inboxSpy) Receive(_ int, msgs []runtime.Message) { *s.heard = slices.Clone(msgs) }
+
+// degreeOutput is a beacon with a degree oracle and an output.
+type degreeOutput struct{ beacon }
+
+func (degreeOutput) SetDegree(int, int)  {}
+func (degreeOutput) Output() (int, bool) { return 0, false }
+
+// TestRecorderKeepsOptionalInterfaces checks that a recorded process
+// offers the degree oracle and an output exactly when its process does.
+func TestRecorderKeepsOptionalInterfaces(t *testing.T) {
+	cfg := mkConfig(2, dynet.NewStatic(graph.Path(2)), 1)
+	cfg.Procs[1] = degreeOutput{beacon{id: "b"}}
+	_, wrapped, err := NewRecorder(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for v, want := range []bool{false, true} {
+		_, isDA := wrapped.Procs[v].(runtime.DegreeAware)
+		_, isOut := wrapped.Procs[v].(runtime.Outputter)
+		if isDA != want || isOut != want {
+			t.Errorf("node %d: DegreeAware %v, Outputter %v; want both %v", v, isDA, isOut, want)
+		}
+	}
+}
+
+// TestRecorderRecordsAdaptiveRun records a run under an adaptive adversary
+// that puts node 0 in the middle of what the network serves as the path
+// 0-1-2: the recorded run must be valid, and each round must record the
+// adversary's edges and the inboxes they delivered.
+func TestRecorderRecordsAdaptiveRun(t *testing.T) {
+	cfg := mkConfig(3, dynet.NewStatic(graph.Path(3)), 2)
+	star := graph.MustFromEdges(3, []graph.Edge{{U: 0, V: 1}, {U: 0, V: 2}})
+	cfg.Adaptive = func(int, []runtime.Message) *graph.Graph { return star }
+	rec, wrapped, err := NewRecorder(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := runtime.RunSequential(wrapped); err != nil {
+		t.Fatal(err)
+	}
+	for r, round := range rec.Trace().Rounds {
+		if !slices.Equal(round.Edges, star.Edges()) {
+			t.Fatalf("round %d recorded edges %v, want the adversary's %v", r, round.Edges, star.Edges())
+		}
+		if !slices.Equal(round.Inbox[0], []string{"b", "c"}) {
+			t.Fatalf("round %d: node 0 heard %v, want [b c]", r, round.Inbox[0])
+		}
 	}
 }
 
