@@ -79,7 +79,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) (err error) {
 	if record <= 0 {
 		record = pair.Rounds
 	}
-	tr, err := chainnet.RecordTrace(nw, record)
+	tr, err := chainnet.RecordTrace(ctx, nw, record)
 	if err != nil {
 		return err
 	}

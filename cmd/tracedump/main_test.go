@@ -4,11 +4,13 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"anondyn/internal/cli"
 	"anondyn/internal/trace"
 )
 
@@ -117,5 +119,23 @@ func TestDumpErrors(t *testing.T) {
 		if err := run(context.Background(), args, &sb); err == nil {
 			t.Fatalf("args %v should error", args)
 		}
+	}
+}
+
+// TestDumpHonorsTimeout stops a recording that outlasts -timeout: uncut,
+// this one takes eight rounds and writes about 108 MB. The run returns the
+// deadline error, a runtime failure (exit 2), and writes no file.
+func TestDumpHonorsTimeout(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "trace.json")
+	var sb strings.Builder
+	err := run(context.Background(), []string{"-n", "3280", "-chain", "0", "-timeout", "50ms", "-o", path}, &sb)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want the deadline error", err)
+	}
+	if got := cli.ExitCode(err); got != cli.ExitRuntime {
+		t.Fatalf("exit code %d, want %d", got, cli.ExitRuntime)
+	}
+	if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("a timed-out recording left a file: %v", err)
 	}
 }

@@ -5,8 +5,9 @@
 // context.Context and stop at round granularity. This example shows the
 // three ways a run ends early, on the sharded worker-pool engine:
 //
-//  1. the caller's context is canceled (here: a wall-clock timeout) and the
-//     run returns at the next round boundary with the rounds it completed;
+//  1. the caller's context is canceled (here: by the caller itself, once
+//     round 9 completes) and the run returns at the next round boundary
+//     with the rounds it completed;
 //  2. a single round overruns Config.RoundDeadline — in a synchronous model
 //     a round that cannot complete is an execution fault, reported as a
 //     typed *RoundDeadlineError;
@@ -80,15 +81,21 @@ func run() error {
 
 	before := rt.NumGoroutine()
 
-	// 1. A deadline on the whole run: rounds take ~5ms each, the context
-	// expires mid-run, and the engine reports how far it got.
-	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-	slow := cfg(never)
-	slow.OnRound = func(int) { time.Sleep(5 * time.Millisecond) }
-	rounds, err := runtime.RunShardedCtx(ctx, slow)
+	// 1. A canceled context: the caller cancels it mid-run, after round 9
+	// completes, and the engine reports how far it got. (A wall-clock
+	// deadline, context.WithTimeout, stops a run the same way, but after a
+	// number of rounds that depends on the host.)
+	ctx, cancel := context.WithCancel(context.Background())
+	stopped := cfg(never)
+	stopped.OnRound = func(r int) {
+		if r == 9 {
+			cancel()
+		}
+	}
+	rounds, err := runtime.RunShardedCtx(ctx, stopped)
 	cancel()
-	if !errors.Is(err, context.DeadlineExceeded) {
-		return fmt.Errorf("want a deadline error, got rounds=%d err=%v", rounds, err)
+	if !errors.Is(err, context.Canceled) {
+		return fmt.Errorf("want a cancellation error, got rounds=%d err=%v", rounds, err)
 	}
 	fmt.Printf("canceled run     : stopped after %d completed rounds: %v\n", rounds, err)
 

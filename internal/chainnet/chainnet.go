@@ -14,6 +14,15 @@
 //	          round to its linear-system solver (kernel.IncrementalSolver),
 //	          terminating when exactly one network size remains consistent.
 //
+// A state travels as its History.Index(2), the base-3 index the solver
+// keys by, for as long as that index is exact in an int64 (length 39): a W
+// node extends its index in O(1) a round, a relay counts the indices it
+// hears into (index, count) pairs sorted by index, and the leader merges
+// the two relays' lists into one sorted indexed observation
+// (kernel.IncrementalSolver.AddRoundIndexed). Past that length the three
+// switch to History.Key strings and the solver's string path. Either way a
+// trace records each state as its History.Key.
+//
 // Every relay beacon crosses m+1 hops to reach the leader, so the count
 // lands exactly delay = m+1 rounds after the ℳ(DBL)₂ bound: measured
 // rounds = (m+1) + ⌊log₃(2n+1)⌋ + 1, the paper's D + Ω(log |V|) with the

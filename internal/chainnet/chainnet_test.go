@@ -1,6 +1,8 @@
 package chainnet
 
 import (
+	"bytes"
+	"context"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -11,6 +13,7 @@ import (
 	"anondyn/internal/core"
 	"anondyn/internal/dynet"
 	"anondyn/internal/graph"
+	"anondyn/internal/kernel"
 	"anondyn/internal/multigraph"
 	"anondyn/internal/runtime"
 )
@@ -215,28 +218,41 @@ func TestWStateTrackingMatchesSchedule(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !wp.history.Equal(want) {
-			t.Fatalf("W %d history %v, schedule says %v", i, wp.history, want)
+		if got := wHistory(wp); !got.Equal(want) {
+			t.Fatalf("W %d history %v, schedule says %v", i, got, want)
 		}
 	}
 }
 
-func TestFactCanonicalDeterministic(t *testing.T) {
-	f := fact{Round: 2, Label: 1, States: map[string]int{"3": 2, "1": 1}}
-	a := f.canonical()
-	b := f.canonical()
-	if a != b {
-		t.Fatal("fact canonical not deterministic")
+// wHistory is the history a W node holds, in either of its forms.
+func wHistory(p *wProc) multigraph.History {
+	if p.history != nil {
+		return p.history
 	}
-	if a == "" {
-		t.Fatal("empty canonical")
+	return multigraph.HistoryFromIndex(int(p.index), p.n, 2)
+}
+
+func TestFactCanonicalDeterministic(t *testing.T) {
+	// The same round-2 multiset as indices and as keys: {1,2}{1} twice,
+	// {1}{2} once. Both forms print the keys in string order.
+	indexed := newFact(2, 1, []stateCount{{State: 1, Count: 1}, {State: 6, Count: 2}}, nil)
+	keyed := newFact(2, 1, nil, map[string]int{"3.1": 2, "1.2": 1})
+	const want = "f2/1{[1.2]x1;[3.1]x2;}"
+	for _, f := range []fact{indexed, keyed} {
+		if got := f.canonical(); got != want {
+			t.Fatalf("canonical %q, want %q", got, want)
+		}
+		if f.canonical() != f.canonical() {
+			t.Fatal("fact canonical not deterministic")
+		}
 	}
 }
 
 func TestCanonMessageKinds(t *testing.T) {
 	msgs := []runtime.Message{
 		nil,
-		stateMsg{StateKey: "1.2"},
+		stateMsg{Index: 1, Len: 2},
+		keyMsg{Key: "3.3"},
 		relayBeacon{Label: 1},
 		forwardMsg{},
 		42,
@@ -255,6 +271,10 @@ func TestCanonMessageKinds(t *testing.T) {
 	if canon(nil) != "" {
 		t.Fatal("canon(nil) should be empty")
 	}
+	// A state prints as its key in either form.
+	if a, b := canon(stateMsg{Index: 1, Len: 2}), canon(keyMsg{Key: "1.2"}); a != b {
+		t.Fatalf("state 1.2 prints as %q indexed and %q keyed", a, b)
+	}
 }
 
 // TestLeaderRejectsInconsistentFacts injects fabricated relay facts that no
@@ -264,9 +284,10 @@ func TestCanonMessageKinds(t *testing.T) {
 func TestLeaderRejectsInconsistentFacts(t *testing.T) {
 	lp := newLeaderProc()
 	// Round 0: one node on each label.
+	root := []stateCount{{State: 0, Count: 1}}
 	lp.Receive(0, []runtime.Message{
-		relayBeacon{Label: 1, Facts: []fact{{Round: 0, Label: 1, States: map[string]int{"": 1}}}},
-		relayBeacon{Label: 2, Facts: []fact{{Round: 0, Label: 2, States: map[string]int{"": 1}}}},
+		relayBeacon{Label: 1, Facts: []fact{newFact(0, 1, root, nil)}},
+		relayBeacon{Label: 2, Facts: []fact{newFact(0, 2, root, nil)}},
 	})
 	if _, done := lp.Output(); done {
 		t.Fatal("leader terminated on an ambiguous single round")
@@ -274,11 +295,11 @@ func TestLeaderRejectsInconsistentFacts(t *testing.T) {
 	// Round 1: claim a node whose state was {2} on relay 1 AND a node
 	// whose state was {1} on relay 2, while round 0 showed only one node
 	// per label — inconsistent multiplicities.
-	k1 := multigraph.History{multigraph.SetOf(1)}.Key()
-	k2 := multigraph.History{multigraph.SetOf(2)}.Key()
+	i1 := int64(multigraph.History{multigraph.SetOf(1)}.Index(2))
+	i2 := int64(multigraph.History{multigraph.SetOf(2)}.Index(2))
 	lp.Receive(1, []runtime.Message{
-		relayBeacon{Label: 1, Facts: []fact{{Round: 1, Label: 1, States: map[string]int{k2: 5}}}},
-		relayBeacon{Label: 2, Facts: []fact{{Round: 1, Label: 2, States: map[string]int{k1: 5}}}},
+		relayBeacon{Label: 1, Facts: []fact{newFact(1, 1, []stateCount{{State: i2, Count: 5}}, nil)}},
+		relayBeacon{Label: 2, Facts: []fact{newFact(1, 2, []stateCount{{State: i1, Count: 5}}, nil)}},
 	})
 	if _, done := lp.Output(); done {
 		t.Fatal("leader terminated on inconsistent facts")
@@ -414,11 +435,9 @@ func TestProcessesIgnoreInboxOrder(t *testing.T) {
 // TestCanonKeyDependsOnContentOnly checks that canonKey fingerprints what a
 // message says, not who sent it or in which order its parts were built.
 func TestCanonKeyDependsOnContentOnly(t *testing.T) {
-	k1 := multigraph.History{multigraph.SetOf(1)}.Key()
-	k2 := multigraph.History{multigraph.SetOf(1, 2)}.Key()
-	inbox := []runtime.Message{
-		stateMsg{StateKey: k1}, stateMsg{StateKey: k2}, stateMsg{StateKey: k1}, nil,
-	}
+	s1 := stateMsg{Index: int64(multigraph.History{multigraph.SetOf(1)}.Index(2)), Len: 1}
+	s2 := stateMsg{Index: int64(multigraph.History{multigraph.SetOf(1, 2)}.Index(2)), Len: 1}
+	inbox := []runtime.Message{s1, s2, s1, nil}
 	// Two relays of the same label hear the same states in opposite
 	// orders: equal facts, equal beacons, equal keys.
 	a, b := &relayProc{label: 1}, &relayProc{label: 1}
@@ -427,7 +446,7 @@ func TestCanonKeyDependsOnContentOnly(t *testing.T) {
 	if ka, kb := canonKey(a.Send(1)), canonKey(b.Send(1)); ka != kb {
 		t.Fatalf("equal beacons keyed %#x and %#x", ka, kb)
 	}
-	// States maps filled in different orders fingerprint alike; map
+	// Keys maps filled in different orders fingerprint alike; map
 	// iteration order is randomized, so repeat.
 	fwd, rev := make(map[string]int), make(map[string]int)
 	keys := []string{"", "1", "2", "3", "1.3", "3.2.1", "2.2"}
@@ -437,24 +456,26 @@ func TestCanonKeyDependsOnContentOnly(t *testing.T) {
 	for i := len(keys) - 1; i >= 0; i-- {
 		rev[keys[i]] = i + 1
 	}
-	want := factHash(4, 2, fwd)
+	want := newFact(4, 2, nil, fwd).hash
 	for i := 0; i < 20; i++ {
-		if got := factHash(4, 2, rev); got != want {
+		if got := newFact(4, 2, nil, rev).hash; got != want {
 			t.Fatalf("fact hash %#x, want %#x", got, want)
 		}
 	}
 	// A forwarded fact list keys alike in any order, and equal state
 	// messages key alike.
-	f1, f2 := newFact(0, 1, fwd), newFact(0, 2, rev)
+	f1 := newFact(0, 1, []stateCount{{State: 0, Count: 3}}, nil)
+	f2 := newFact(0, 2, nil, rev)
 	if canonKey(forwardMsg{Facts: []fact{f1, f2}}) != canonKey(forwardMsg{Facts: []fact{f2, f1}}) {
 		t.Fatal("fact order changed a forward key")
 	}
-	if canonKey(stateMsg{StateKey: k1}) != canonKey(stateMsg{StateKey: k1}) {
+	if canonKey(stateMsg{Index: s1.Index, Len: 1}) != canonKey(s1) || canonKey(keyMsg{Key: "1"}) != canonKey(keyMsg{Key: "1"}) {
 		t.Fatal("equal state messages keyed apart")
 	}
 	// Distinct messages key apart; nil and foreign messages key 0.
 	distinct := []runtime.Message{
-		stateMsg{StateKey: k1}, stateMsg{StateKey: k2}, stateMsg{},
+		s1, s2, stateMsg{}, stateMsg{Index: s1.Index, Len: 2},
+		keyMsg{Key: "1"}, keyMsg{Key: "1.3"}, keyMsg{},
 		relayBeacon{Label: 1}, relayBeacon{Label: 2}, relayBeacon{Label: 1, Facts: []fact{f1}},
 		forwardMsg{}, forwardMsg{Facts: []fact{f1}}, forwardMsg{Facts: []fact{f1, f2}},
 	}
@@ -468,5 +489,187 @@ func TestCanonKeyDependsOnContentOnly(t *testing.T) {
 	}
 	if canonKey(nil) != 0 || canonKey(42) != 0 {
 		t.Fatal("nil or a foreign message has a nonzero key")
+	}
+}
+
+// TestStateKeysFollowIndexOrder checks the level-order state keys: the
+// states of one length key in ascending index order, every shorter state
+// keys below every longer one, and the longest indexed states stay below
+// 2^63.
+func TestStateKeysFollowIndexOrder(t *testing.T) {
+	prev := uint64(0)
+	for l := 0; l <= 4; l++ {
+		for i := 0; i < multigraph.HistoryCount(l, 2); i++ {
+			k := canonKey(stateMsg{Index: int64(i), Len: l})
+			if k != prev+1 {
+				t.Fatalf("state %d of length %d keyed %d after %d", i, l, k, prev)
+			}
+			prev = k
+		}
+	}
+	top := multigraph.MaxIndexedRounds
+	last := int64(multigraph.HistoryCount(top, 2) - 1)
+	if k := canonKey(stateMsg{Index: last, Len: top}); k >= 1<<63 || k <= canonKey(stateMsg{Index: 0, Len: top}) {
+		t.Fatalf("last state of length %d keyed %#x", top, k)
+	}
+}
+
+// TestRunCountPastIndexCapacity runs a chain long enough that the W
+// histories pass indexLimit before the leader terminates: W nodes switch to
+// key messages and the relays to key facts mid-run, and the count still
+// lands at exactly delay + bound on both engines.
+func TestRunCountPastIndexCapacity(t *testing.T) {
+	for _, engine := range []struct {
+		name string
+		run  runtime.Engine
+	}{{"sequential", runtime.RunSequential}, {"sharded", runtime.RunSharded}} {
+		nw, err := Build(13, 45)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := core.LowerBoundRounds(13) + nw.Delay()
+		if want <= indexLimit+1 {
+			t.Fatalf("run of %d rounds never passes index capacity %d", want, indexLimit)
+		}
+		res, err := RunCount(nw, want+5, engine.run)
+		if err != nil {
+			t.Fatalf("%s: %v", engine.name, err)
+		}
+		if res.Count != 13 || res.Rounds != want {
+			t.Fatalf("%s: counted %d in %d rounds, want 13 in %d", engine.name, res.Count, res.Rounds, want)
+		}
+	}
+}
+
+// withIndexLimit moves the protocol's index→key crossover for one test.
+func withIndexLimit(t *testing.T, limit int) {
+	prev := indexLimit
+	indexLimit = limit
+	t.Cleanup(func() { indexLimit = prev })
+}
+
+// TestEarlyKeyCrossover moves the index→key crossover to round 2: from
+// there on, W nodes send keys, relays make key facts and the leader solves
+// through AddRound. On both engines the leader's interval after every round
+// equals that of the indexed run, and so does the recorded transcript.
+func TestEarlyKeyCrossover(t *testing.T) {
+	indexedIntervals := leaderIntervals(t, runtime.RunSequential)
+	if last := indexedIntervals[len(indexedIntervals)-1]; !last.Unique() || last.MinSize != 13 {
+		t.Fatalf("indexed run ends at %v, want [13,13]", last)
+	}
+	indexedTrace := recordJSON(t)
+
+	withIndexLimit(t, 1)
+	for _, run := range []runtime.Engine{runtime.RunSequential, runtime.RunSharded} {
+		if got := leaderIntervals(t, run); !slices.Equal(got, indexedIntervals) {
+			t.Fatalf("leader intervals %v with keys from round 2, %v indexed", got, indexedIntervals)
+		}
+	}
+	if !bytes.Equal(recordJSON(t), indexedTrace) {
+		t.Fatal("the transcript changed when states switched to keys at round 2")
+	}
+}
+
+// leaderIntervals runs the protocol on Build(13, 2) through the round the
+// leader terminates in and returns its interval after every round.
+func leaderIntervals(t *testing.T, run runtime.Engine) []kernel.Interval {
+	nw, err := Build(13, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	procs := newProcs(nw)
+	leader := procs[nw.Leader].(*leaderProc)
+	var ivs []kernel.Interval
+	cfg := &runtime.Config{
+		Net: nw.Net, Procs: procs, CanonKey: canonKey,
+		MaxRounds: core.LowerBoundRounds(13) + nw.Delay(),
+		OnRound: func(int) {
+			iv, err := leader.solver.Interval()
+			if err != nil {
+				t.Fatal(err)
+			}
+			ivs = append(ivs, iv)
+		},
+	}
+	if _, err := run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	return ivs
+}
+
+// recordJSON records the protocol on Build(13, 2) through the round the
+// leader terminates in.
+func recordJSON(t *testing.T) []byte {
+	nw, err := Build(13, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := RecordTrace(context.Background(), nw, core.LowerBoundRounds(13)+nw.Delay())
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := tr.ToJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// TestRelaysHearStatesSorted checks what lets a relay count without a sort:
+// in both engines' delivery order, the states in a relay's inbox ascend.
+func TestRelaysHearStatesSorted(t *testing.T) {
+	for _, run := range []runtime.Engine{runtime.RunSequential, runtime.RunSharded} {
+		nw, err := Build(121, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		procs := newProcs(nw)
+		logs := make([]*inboxLog, len(nw.Relays))
+		for j, r := range nw.Relays {
+			logs[j] = &inboxLog{Process: procs[r]}
+			procs[r] = logs[j]
+		}
+		cfg := &runtime.Config{Net: nw.Net, Procs: procs, CanonKey: canonKey, MaxRounds: nw.Schedule.Horizon()}
+		if _, err := run(cfg); err != nil {
+			t.Fatal(err)
+		}
+		for j, l := range logs {
+			for r, inbox := range l.inboxes {
+				var states []int64
+				for _, m := range inbox {
+					if sm, ok := m.(stateMsg); ok {
+						states = append(states, sm.Index)
+					}
+				}
+				if !slices.IsSorted(states) {
+					t.Fatalf("relay %d round %d heard states %v", j+1, r, states)
+				}
+			}
+		}
+	}
+}
+
+// TestRunCountAllocsPerWNode bounds what a W node costs a count on the
+// sharded engine: its one boxed state message a round, and the protocol's
+// other allocations spread over the W nodes. Formatting a key string or
+// copying the history each round would show as about one more each.
+func TestRunCountAllocsPerWNode(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are inflated under -race")
+	}
+	nw, err := Build(364, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rounds := core.LowerBoundRounds(364) + nw.Delay()
+	allocs := testing.AllocsPerRun(5, func() {
+		res, err := RunCount(nw, rounds+5, runtime.RunSharded)
+		if err != nil || res.Count != 364 || res.Rounds != rounds {
+			t.Fatalf("count %+v, %v", res, err)
+		}
+	})
+	// 1.2 measured: 2,912 boxed messages of 3,490 allocations.
+	if per := allocs / float64(len(nw.W)*rounds); per > 1.5 {
+		t.Fatalf("%.0f allocations, %.2f per W node per round, want <= 1.5", allocs, per)
 	}
 }

@@ -2,6 +2,7 @@ package chainnet
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -10,37 +11,89 @@ import (
 	"anondyn/internal/runtime"
 )
 
+// indexLimit is the longest node state the protocol carries as its
+// History.Index(2), the capacity of an exact int64 index; past it, states
+// travel as History.Key strings. The W nodes, the relays and the leader all
+// switch by this one rule, the leader's solver switches at the same length,
+// and a state's length is the round it is sent in. A variable so tests can
+// move the crossover.
+var indexLimit = multigraph.MaxIndexedRounds
+
+// indexed reports whether a state of the given length travels as its index.
+func indexed(length int) bool { return length <= indexLimit }
+
+// stateKey is the History.Key of the state with the given index and length.
+func stateKey(index int64, length int) string {
+	return multigraph.HistoryFromIndex(int(index), length, 2).Key()
+}
+
+// stateCount is one entry of a fact's multiset: Count neighbors were in the
+// state whose History.Index(2) is State.
+type stateCount struct {
+	State int64
+	Count int
+}
+
 // fact is one relay observation: at round Round, the relay carrying Label
-// saw the given multiset of neighbor states (state key → count). Facts are
-// the unit of forwarding; they carry no node identities.
+// saw the given multiset of neighbor states. While the states are indexed
+// (their length is the round), the multiset is States, sorted by index;
+// past indexLimit it is Keys, counted by state key. Facts are the unit of
+// forwarding; they carry no node identities. No process modifies a fact
+// once its relay made it, so forwarding copies the struct and shares its
+// States slice.
 type fact struct {
 	Round  int
 	Label  int
-	States map[string]int
-	// hash is the fact's content fingerprint (factHash), computed once by
-	// the relay that makes the fact and carried along as it is forwarded.
+	States []stateCount
+	Keys   map[string]int
+	// hash is the fact's content fingerprint, computed once by the relay
+	// that makes the fact and carried along as it is forwarded.
 	hash uint64
 }
 
 // newFact makes a fact and computes its fingerprint.
-func newFact(round, label int, states map[string]int) fact {
-	return fact{Round: round, Label: label, States: states, hash: factHash(round, label, states)}
+func newFact(round, label int, states []stateCount, keys map[string]int) fact {
+	f := fact{Round: round, Label: label, States: states, Keys: keys}
+	f.hash = f.fingerprint()
+	return f
 }
 
 // key identifies a fact uniquely (one fact per (round, label)).
 func (f fact) key() [2]int { return [2]int{f.Round, f.Label} }
 
-// canonical renders a fact deterministically.
-func (f fact) canonical() string {
-	keys := make([]string, 0, len(f.States))
-	for k := range f.States {
-		keys = append(keys, k)
+// fingerprint hashes a fact's content. The entries are combined by a sum of
+// per-entry hashes, which does not depend on the order of States or on
+// map iteration order.
+func (f fact) fingerprint() uint64 {
+	var sum uint64
+	for _, sc := range f.States {
+		sum += runtime.MixKey(runtime.MixKey(uint64(sc.State)) ^ runtime.MixKey(uint64(sc.Count)))
 	}
-	sort.Strings(keys)
+	for state, c := range f.Keys {
+		sum += runtime.MixKey(runtime.StringKey(state) ^ runtime.MixKey(uint64(c)))
+	}
+	return runtime.MixKey((runtime.MixKey(uint64(f.Round)) ^ uint64(f.Label)) + sum)
+}
+
+// canonical renders a fact deterministically, with its states as
+// History.Key strings in string order, whichever form the fact holds.
+func (f fact) canonical() string {
+	type entry struct {
+		key   string
+		count int
+	}
+	entries := make([]entry, 0, len(f.States)+len(f.Keys))
+	for _, sc := range f.States {
+		entries = append(entries, entry{stateKey(sc.State, f.Round), sc.Count})
+	}
+	for k, c := range f.Keys {
+		entries = append(entries, entry{k, c})
+	}
+	slices.SortFunc(entries, func(a, b entry) int { return strings.Compare(a.key, b.key) })
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "f%d/%d{", f.Round, f.Label)
-	for _, k := range keys {
-		fmt.Fprintf(&sb, "[%s]x%d;", k, f.States[k])
+	for _, e := range entries {
+		fmt.Fprintf(&sb, "[%s]x%d;", e.key, e.count)
 	}
 	sb.WriteByte('}')
 	return sb.String()
@@ -59,30 +112,42 @@ type (
 	forwardMsg struct {
 		Facts []fact
 	}
-	// stateMsg is what a W node broadcasts: its current state key.
+	// stateMsg is what a W node broadcasts while its state is indexed:
+	// the state's History.Index(2) and length.
 	stateMsg struct {
-		StateKey string
+		Index int64
+		Len   int
+	}
+	// keyMsg is what a W node broadcasts past indexLimit: its state's
+	// History.Key.
+	keyMsg struct {
+		Key string
 	}
 )
 
 // canonKey is the protocol's ordering key (runtime.Config.CanonKey), in
-// RunCount and RecordTrace alike: a content fingerprint that never formats
-// a string. A stateMsg hashes its state key; a relayBeacon or forwardMsg
-// adds up the fingerprints its facts carry, so the key does not depend on
-// the order of the facts, and a fact's own fingerprint does not depend on
-// the order of its States map.
+// RunCount and RecordTrace alike; it never formats a string. A stateMsg
+// keys by its state's rank in level order (shorter histories first, then
+// by index): distinct states key apart, and, since the states of one round
+// share a length, the engines deliver a relay the states it hears in
+// ascending index order, which it counts without a sort. A keyMsg hashes
+// its key; a relayBeacon or forwardMsg adds up the fingerprints its facts
+// carry, so the key does not depend on the order of the facts.
 // Equal messages get equal keys whoever sends them; nil, and any message
 // that is not the protocol's, maps to 0.
 //
 // Ties — equal messages, or unequal ones whose fingerprints collide — are
 // broken by sender id in both engines, and that order is harmless: no
-// receiver reads its inbox order. Relays count states into a map, W nodes
-// OR label bits, and chain nodes and the leader key facts by (round,
-// label), of which an honest relay makes exactly one.
+// receiver's state depends on its inbox order. Relays count states, sorting
+// what does not arrive sorted; W nodes OR label bits; and chain nodes and
+// the leader key facts by (round, label), of which an honest relay makes
+// exactly one.
 func canonKey(m runtime.Message) uint64 {
 	switch v := m.(type) {
 	case stateMsg:
-		return runtime.MixKey(tagState ^ runtime.StringKey(v.StateKey))
+		return levelStart[v.Len] + uint64(v.Index)
+	case keyMsg:
+		return runtime.MixKey(tagState ^ runtime.StringKey(v.Key))
 	case relayBeacon:
 		return runtime.MixKey((tagRelay ^ uint64(v.Label)) + sumFacts(v.Facts))
 	case forwardMsg:
@@ -92,7 +157,19 @@ func canonKey(m runtime.Message) uint64 {
 	}
 }
 
-// Type tags keep the three message kinds' fingerprints apart.
+// levelStart[L] is the level-order rank of the first history of length L,
+// (3^L+1)/2: the empty history ranks 1, the three of length 1 rank 2–4,
+// and every indexed state ranks below 2^63.
+var levelStart = func() (start [multigraph.MaxIndexedRounds + 1]uint64) {
+	pow := uint64(1)
+	for l := range start {
+		start[l] = (pow + 1) / 2
+		pow *= 3
+	}
+	return start
+}()
+
+// Type tags keep the message kinds' fingerprints apart.
 const (
 	tagState   = 0x5354415445000000
 	tagRelay   = 0x52454c4159000000
@@ -107,25 +184,17 @@ func sumFacts(facts []fact) uint64 {
 	return sum
 }
 
-// factHash fingerprints a fact. The States entries are combined by a sum
-// of per-entry hashes, which is independent of map iteration order, so no
-// sort is needed.
-func factHash(round, label int, states map[string]int) uint64 {
-	var sum uint64
-	for state, c := range states {
-		sum += runtime.MixKey(runtime.StringKey(state) ^ runtime.MixKey(uint64(c)))
-	}
-	return runtime.MixKey((runtime.MixKey(uint64(round)) ^ uint64(label)) + sum)
-}
-
 // canon is the text form of the protocol's messages (runtime.Config.Canon):
-// the strings RecordTrace's transcripts record.
+// the strings RecordTrace's transcripts record. A state prints as its
+// History.Key in either form.
 func canon(m runtime.Message) string {
 	switch v := m.(type) {
 	case nil:
 		return ""
 	case stateMsg:
-		return "w:" + v.StateKey
+		return "w:" + stateKey(v.Index, v.Len)
+	case keyMsg:
+		return "w:" + v.Key
 	case relayBeacon:
 		return "r" + encodeFacts(v.Label, v.Facts)
 	case forwardMsg:
@@ -145,13 +214,21 @@ func encodeFacts(label int, facts []fact) string {
 }
 
 // wProc is a counted node: it broadcasts its label-set history and learns
-// its round-r label set from the relay beacons delivered in round r.
+// its round-r label set from the relay beacons delivered in round r. While
+// the history is indexed, the node keeps only its length n and its
+// History.Index(2), extended in O(1) a round as 3·index + symbol; past
+// indexLimit it keeps the history itself.
 type wProc struct {
-	history multigraph.History
+	n       int
+	index   int64
+	history multigraph.History // nil while indexed(n)
 }
 
 func (p *wProc) Send(int) runtime.Message {
-	return stateMsg{StateKey: p.history.Key()}
+	if indexed(p.n) {
+		return stateMsg{Index: p.index, Len: p.n}
+	}
+	return keyMsg{Key: p.history.Key()}
 }
 
 func (p *wProc) Receive(_ int, msgs []runtime.Message) {
@@ -161,7 +238,15 @@ func (p *wProc) Receive(_ int, msgs []runtime.Message) {
 			ls |= multigraph.SetOf(rb.Label)
 		}
 	}
-	p.history = p.history.Extend(ls)
+	switch {
+	case indexed(p.n + 1):
+		p.index = 3*p.index + int64(multigraph.SymbolIndex(ls))
+	case indexed(p.n):
+		p.history = append(multigraph.HistoryFromIndex(int(p.index), p.n, 2), ls)
+	default:
+		p.history = append(p.history, ls)
+	}
+	p.n++
 }
 
 // relayProc carries a fixed label. Each round it broadcasts its label and
@@ -170,22 +255,57 @@ func (p *wProc) Receive(_ int, msgs []runtime.Message) {
 type relayProc struct {
 	label int
 	facts []fact
+	heard []int64 // the round's heard state indices (scratch)
 }
 
+// Send shares the relay's fact list: Receive only appends past the
+// receivers' length, and the capped slice keeps them from appending into it.
 func (p *relayProc) Send(int) runtime.Message {
-	out := make([]fact, len(p.facts))
-	copy(out, p.facts)
-	return relayBeacon{Label: p.label, Facts: out}
+	return relayBeacon{Label: p.label, Facts: p.facts[:len(p.facts):len(p.facts)]}
 }
 
 func (p *relayProc) Receive(r int, msgs []runtime.Message) {
-	states := make(map[string]int)
+	if !indexed(r) {
+		keys := make(map[string]int)
+		for _, m := range msgs {
+			if km, ok := m.(keyMsg); ok {
+				keys[km.Key]++
+			}
+		}
+		p.facts = append(p.facts, newFact(r, p.label, nil, keys))
+		return
+	}
+	p.heard = p.heard[:0]
 	for _, m := range msgs {
 		if sm, ok := m.(stateMsg); ok {
-			states[sm.StateKey]++
+			p.heard = append(p.heard, sm.Index)
 		}
 	}
-	p.facts = append(p.facts, newFact(r, p.label, states))
+	p.facts = append(p.facts, newFact(r, p.label, countStates(p.heard), nil))
+}
+
+// countStates returns the multiset of the given state indices as
+// (index, count) pairs in ascending index order. It sorts states in place,
+// unless they are sorted already, as the engines deliver them (canonKey).
+func countStates(states []int64) []stateCount {
+	if !slices.IsSorted(states) {
+		slices.Sort(states)
+	}
+	distinct := 0
+	for i := range states {
+		if i == 0 || states[i] != states[i-1] {
+			distinct++
+		}
+	}
+	out := make([]stateCount, 0, distinct)
+	for i, s := range states {
+		if i > 0 && s == states[i-1] {
+			out[len(out)-1].Count++
+		} else {
+			out = append(out, stateCount{State: s, Count: 1})
+		}
+	}
+	return out
 }
 
 // chainProc forwards the union of all facts it has heard.
@@ -229,10 +349,11 @@ func (p *chainProc) Receive(_ int, msgs []runtime.Message) {
 // rounds are fed to an incremental solver, so each protocol round costs
 // only the newest level of the state tree.
 type leaderProc struct {
-	facts  map[[2]int]fact
-	solver *kernel.IncrementalSolver
-	count  int
-	done   bool
+	facts   map[[2]int]fact
+	solver  *kernel.IncrementalSolver
+	entries []multigraph.IndexedObsEntry // a round's merged facts (scratch)
+	count   int
+	done    bool
 }
 
 func newLeaderProc() *leaderProc {
@@ -269,14 +390,23 @@ func (p *leaderProc) Receive(_ int, msgs []runtime.Message) {
 		if !ok1 || !ok2 {
 			return
 		}
-		obs := make(multigraph.Observation)
-		for state, c := range f1.States {
-			obs[multigraph.ObsKey{Label: 1, StateKey: state}] = c
+		var (
+			iv  kernel.Interval
+			err error
+		)
+		if indexed(r) {
+			p.entries = mergeStates(p.entries[:0], f1.States, f2.States)
+			iv, err = p.solver.AddRoundIndexed(p.entries)
+		} else {
+			obs := make(multigraph.Observation, len(f1.Keys)+len(f2.Keys))
+			for state, c := range f1.Keys {
+				obs[multigraph.ObsKey{Label: 1, StateKey: state}] = c
+			}
+			for state, c := range f2.Keys {
+				obs[multigraph.ObsKey{Label: 2, StateKey: state}] = c
+			}
+			iv, err = p.solver.AddRound(obs)
 		}
-		for state, c := range f2.States {
-			obs[multigraph.ObsKey{Label: 2, StateKey: state}] = c
-		}
-		iv, err := p.solver.AddRound(obs)
 		if err != nil {
 			return // malformed observations; wait (cannot happen with honest relays)
 		}
@@ -286,6 +416,29 @@ func (p *leaderProc) Receive(_ int, msgs []runtime.Message) {
 			return
 		}
 	}
+}
+
+// mergeStates appends to dst the round's observation from the two relays'
+// multisets, each sorted by state index, in the same order: one entry per
+// state, with the label-1 relay's count as Count1 and the label-2 relay's
+// as Count2.
+func mergeStates(dst []multigraph.IndexedObsEntry, s1, s2 []stateCount) []multigraph.IndexedObsEntry {
+	i, j := 0, 0
+	for i < len(s1) || j < len(s2) {
+		switch {
+		case j == len(s2) || i < len(s1) && s1[i].State < s2[j].State:
+			dst = append(dst, multigraph.IndexedObsEntry{State: s1[i].State, Count1: s1[i].Count})
+			i++
+		case i == len(s1) || s2[j].State < s1[i].State:
+			dst = append(dst, multigraph.IndexedObsEntry{State: s2[j].State, Count2: s2[j].Count})
+			j++
+		default:
+			dst = append(dst, multigraph.IndexedObsEntry{State: s1[i].State, Count1: s1[i].Count, Count2: s2[j].Count})
+			i++
+			j++
+		}
+	}
+	return dst
 }
 
 // Output implements runtime.Outputter.

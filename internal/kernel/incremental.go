@@ -1,8 +1,10 @@
 package kernel
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 
 	"anondyn/internal/multigraph"
@@ -11,15 +13,23 @@ import (
 
 // solverIndexLimit is the longest node-state history the incremental solver
 // keys by int64 index: 3^39 < MaxInt64 < 3^40, so histories through length
-// 39 have exact base-3 indices. Past it the sparse layer spills to canonical
+// 39 (multigraph.MaxIndexedRounds, the capacity chainnet's states share)
+// have exact base-3 indices. Past it the sparse layer spills to canonical
 // History.Key strings. A package variable so tests can force the spill at
 // tiny lengths.
-var solverIndexLimit = 39
+var solverIndexLimit = multigraph.MaxIndexedRounds
 
 // obsPair aggregates one state's per-label counts within a round's
 // observation: o1/o2 are the numbers of label-1/label-2 edges from nodes in
 // that state.
 type obsPair struct{ o1, o2 int }
+
+// stateForm is one entry of the sparse layer: the form of the observable
+// state whose History.Index(2) is state.
+type stateForm struct {
+	state int64
+	f     form
+}
 
 // IncrementalSolver maintains the leader's count interval across rounds
 // without re-walking the whole state tree. Conceptually round t has one
@@ -36,10 +46,16 @@ type obsPair struct{ o1, o2 int }
 //
 //   - Duplicate forms are therefore massively redundant, and the Lemma-3
 //     kernel structure needs only the set of forms, not which state carries
-//     which. The solver keeps an exact `sparse` map for the (few) states the
-//     next observation may mention and coalesces everything else into `bulk`
-//     multiplicity classes with the doubling rule
+//     which. The solver keeps the (few) states the next observation may
+//     mention exactly, in `sparse`, and coalesces everything else into
+//     `bulk` multiplicity classes with the doubling rule
 //     new[g] = 2·old[g] + old[-g].
+//
+// `sparse` is a slice sorted by state index, and a round walks it and the
+// observation, sorted the same way, in one merge pass. The children
+// 3i+{0,1,2} of ascending parents come out ascending, so a round hashes no
+// state and never sorts the sparse layer. Past state length
+// solverIndexLimit the layer spills to maps keyed by History.Key.
 //
 // This turns the old O(3^{t+1}) AddRound into O(observed states), which is
 // bounded by 3·|W|. Intervals are bit-for-bit those of the batch solver
@@ -50,26 +66,30 @@ type obsPair struct{ o1, o2 int }
 //
 // Protocol leaders (core.CountOnMultigraph, chainnet) use it to re-evaluate
 // their uncertainty every round; the allocation-free hot path is
-// AddRoundIndexed fed by multigraph.ObservationStream.
+// AddRoundIndexed, fed by multigraph.ObservationStream or, already sorted,
+// by chainnet's relay facts.
 //
 // The zero value is not usable; construct with NewIncrementalSolver.
 type IncrementalSolver struct {
 	rounds int
 	total  int // R1(⊥) + R2(⊥); n = total - c0
 
-	// sparse holds the forms of observable states, keyed by History.Index
-	// while state length <= solverIndexLimit, then spilled to History.Key
-	// strings (sparseStr, strMode). bulk coalesces every other form into
-	// multiplicities, saturating at MaxInt (only the form set matters for
-	// the interval). The *Next twins are double buffers swapped each round
-	// so steady-state AddRounds allocate nothing beyond amortized map
-	// growth.
-	sparse, sparseNext       map[int64]form
+	// sparse holds the forms of observable states in ascending
+	// History.Index order while state length <= solverIndexLimit, then
+	// spills to History.Key strings (sparseStr, strMode). bulk coalesces
+	// every other form into multiplicities, saturating at MaxInt (only the
+	// form set matters for the interval). The *Next twins are double
+	// buffers swapped each round so steady-state AddRounds allocate
+	// nothing beyond amortized growth.
+	sparse, sparseNext       []stateForm
 	sparseStr, sparseStrNext map[string]form
 	strMode                  bool
 	bulk, bulkNext           map[form]int
 
-	agg    map[int64]obsPair // per-round observation aggregation (reused)
+	// agg is the round's observation sorted by state with duplicates
+	// summed, for input that arrives unsorted (reused); aggStr is the
+	// string-mode aggregation.
+	agg    []multigraph.IndexedObsEntry
 	aggStr map[string]obsPair
 
 	// obsRounds/obsRoundNS report per-round solve work through the
@@ -82,11 +102,8 @@ type IncrementalSolver struct {
 // NewIncrementalSolver returns a solver with no observations yet.
 func NewIncrementalSolver() *IncrementalSolver {
 	s := &IncrementalSolver{
-		sparse:     make(map[int64]form),
-		sparseNext: make(map[int64]form),
-		bulk:       make(map[form]int),
-		bulkNext:   make(map[form]int),
-		agg:        make(map[int64]obsPair),
+		bulk:     make(map[form]int),
+		bulkNext: make(map[form]int),
 	}
 	s.obsRounds, s.obsRoundNS = incrementalMetrics()
 	return s
@@ -106,26 +123,7 @@ func (s *IncrementalSolver) AddRound(obs multigraph.Observation) (Interval, erro
 		s.obsRounds.Inc()
 		s.obsRoundNS.Stop(start)
 	}()
-	if !s.strMode {
-		clear(s.agg)
-		for key, n := range obs {
-			if key.Label != 1 && key.Label != 2 {
-				continue
-			}
-			y, err := historyFromKey(key.StateKey, s.rounds)
-			if err != nil {
-				continue
-			}
-			si := int64(y.Index(2))
-			p := s.agg[si]
-			if key.Label == 1 {
-				p.o1 += n
-			} else {
-				p.o2 += n
-			}
-			s.agg[si] = p
-		}
-	} else {
+	if s.strMode {
 		clear(s.aggStr)
 		for key, n := range obs {
 			if key.Label != 1 && key.Label != 2 {
@@ -142,16 +140,37 @@ func (s *IncrementalSolver) AddRound(obs multigraph.Observation) (Interval, erro
 			}
 			s.aggStr[key.StateKey] = p
 		}
+		return s.addRoundObs(nil)
 	}
-	return s.addRoundAgg()
+	s.agg = s.agg[:0]
+	for key, n := range obs {
+		if key.Label != 1 && key.Label != 2 {
+			continue
+		}
+		y, err := historyFromKey(key.StateKey, s.rounds)
+		if err != nil {
+			continue
+		}
+		e := multigraph.IndexedObsEntry{State: int64(y.Index(2))}
+		if key.Label == 1 {
+			e.Count1 = n
+		} else {
+			e.Count2 = n
+		}
+		s.agg = append(s.agg, e)
+	}
+	return s.addRoundObs(s.sortAgg())
 }
 
-// AddRoundIndexed is AddRound for indexed observations (the output of
-// multigraph.ObservationStream.Next): the hot path used by the core round
-// loop, allocation-free in steady state. Duplicate entries for a state are
-// summed. Once the solver has spilled to string keys (state length beyond
-// solverIndexLimit) indexed observations can no longer address states and
-// the caller must switch to AddRound.
+// AddRoundIndexed is AddRound for indexed observations: the hot path of the
+// protocol leaders, allocation-free in steady state. Entries may come in
+// any order, and duplicate entries for a state are summed. Entries already
+// in strictly ascending state order (chainnet's merged relay facts) are
+// read in place; any other order (multigraph.ObservationStream's
+// first-seen order) is sorted in a reused copy first. Once the solver has
+// spilled to string keys (state length beyond solverIndexLimit) indexed
+// observations can no longer address states and the caller must switch to
+// AddRound.
 func (s *IncrementalSolver) AddRoundIndexed(entries []multigraph.IndexedObsEntry) (Interval, error) {
 	start := s.obsRoundNS.Start()
 	defer func() {
@@ -161,19 +180,39 @@ func (s *IncrementalSolver) AddRoundIndexed(entries []multigraph.IndexedObsEntry
 	if s.strMode {
 		return Interval{}, fmt.Errorf("kernel: indexed observations unavailable past state length %d; use AddRound", solverIndexLimit)
 	}
-	clear(s.agg)
-	for _, e := range entries {
-		p := s.agg[e.State]
-		p.o1 += e.Count1
-		p.o2 += e.Count2
-		s.agg[e.State] = p
+	for i := 1; i < len(entries); i++ {
+		if entries[i].State <= entries[i-1].State {
+			s.agg = append(s.agg[:0], entries...)
+			entries = s.sortAgg()
+			break
+		}
 	}
-	return s.addRoundAgg()
+	return s.addRoundObs(entries)
 }
 
-// addRoundAgg folds the aggregated observation of round s.rounds (in s.agg
-// or s.aggStr) into the solver state.
-func (s *IncrementalSolver) addRoundAgg() (Interval, error) {
+// sortAgg sorts s.agg by state and sums the entries of each state into one,
+// in place, and returns the result.
+func (s *IncrementalSolver) sortAgg() []multigraph.IndexedObsEntry {
+	slices.SortFunc(s.agg, func(a, b multigraph.IndexedObsEntry) int {
+		return cmp.Compare(a.State, b.State)
+	})
+	out := s.agg[:0]
+	for _, e := range s.agg {
+		if n := len(out); n > 0 && out[n-1].State == e.State {
+			out[n-1].Count1 += e.Count1
+			out[n-1].Count2 += e.Count2
+			continue
+		}
+		out = append(out, e)
+	}
+	s.agg = out
+	return out
+}
+
+// addRoundObs folds the observation of round s.rounds into the solver
+// state: obs, in strictly ascending state order, in index mode; s.aggStr
+// in string mode. An error leaves the solver as it was.
+func (s *IncrementalSolver) addRoundObs(obs []multigraph.IndexedObsEntry) (Interval, error) {
 	// Children outgrow the int64 index at this round? Expand into string
 	// keys and stay there.
 	spill := !s.strMode && s.rounds+1 > solverIndexLimit
@@ -182,42 +221,23 @@ func (s *IncrementalSolver) addRoundAgg() (Interval, error) {
 		// Round 0 is the generic step applied to the single virtual parent
 		// ⊥ with form total - c0 (evaluating to |W|): its children are the
 		// paper's initial forms R1-c0, R2-c0, c0.
-		p := s.agg[0]
-		s.total = p.o1 + p.o2
-		s.sparse[0] = form{a: s.total, b: -1}
+		s.total = 0
+		if len(obs) > 0 && obs[0].State == 0 {
+			s.total = obs[0].Count1 + obs[0].Count2
+		}
+		s.sparse = append(s.sparse[:0], stateForm{state: 0, f: form{a: s.total, b: -1}})
 	}
 
 	// Expand observed sparse states exactly; evict the rest into bulk.
-	matched := 0
-	if !s.strMode {
-		for si, f := range s.sparse {
-			if p, ok := s.agg[si]; ok && (p.o1 != 0 || p.o2 != 0) {
-				matched++
-				c0, c1, c2 := childForms(f, p)
-				if !spill {
-					s.sparseNext[3*si+0] = c0
-					s.sparseNext[3*si+1] = c1
-					s.sparseNext[3*si+2] = c2
-				} else {
-					key := multigraph.HistoryFromIndex(int(si), s.rounds, 2).Key()
-					s.spillStr(key, c0, c1, c2)
-				}
-			} else {
-				s.evict(f)
-			}
-		}
+	var err error
+	if s.strMode {
+		err = s.expandStr()
 	} else {
-		for key, f := range s.sparseStr {
-			if p, ok := s.aggStr[key]; ok && (p.o1 != 0 || p.o2 != 0) {
-				matched++
-				c0, c1, c2 := childForms(f, p)
-				s.spillStr(key, c0, c1, c2)
-			} else {
-				s.evict(f)
-			}
-		}
+		err = s.expand(obs, spill)
 	}
-	if err := s.checkOrphans(matched); err != nil {
+	if err != nil {
+		clear(s.sparseStrNext)
+		clear(s.bulkNext)
 		return Interval{}, err
 	}
 
@@ -235,20 +255,96 @@ func (s *IncrementalSolver) addRoundAgg() (Interval, error) {
 		clear(s.sparseStrNext)
 		if spill {
 			s.strMode = true
-			clear(s.sparse)
+			s.sparse = s.sparse[:0]
 			if s.aggStr == nil {
 				s.aggStr = make(map[string]obsPair)
 			}
 		}
 	} else {
 		s.sparse, s.sparseNext = s.sparseNext, s.sparse
-		clear(s.sparseNext)
 	}
 	s.bulk, s.bulkNext = s.bulkNext, s.bulk
 	clear(s.bulkNext)
 
 	s.rounds++
 	return s.Interval()
+}
+
+// expand walks the sparse layer and the observation together, both in
+// ascending state order. An observed state branches into its three children
+// in sparseNext (or, when spill is set, under string keys); a state the
+// observation skips is evicted into bulk; an observed state outside the
+// sparse layer is an orphan.
+func (s *IncrementalSolver) expand(obs []multigraph.IndexedObsEntry, spill bool) error {
+	next := s.sparseNext[:0]
+	j := 0
+	for _, sf := range s.sparse {
+		for ; j < len(obs) && obs[j].State < sf.state; j++ {
+			if observed(obs[j]) {
+				return s.orphan(obs[j].State)
+			}
+		}
+		if j == len(obs) || obs[j].State != sf.state || !observed(obs[j]) {
+			s.evict(sf.f)
+			continue
+		}
+		c0, c1, c2 := childForms(sf.f, obsPair{o1: obs[j].Count1, o2: obs[j].Count2})
+		j++
+		if spill {
+			s.spillStr(multigraph.HistoryFromIndex(int(sf.state), s.rounds, 2).Key(), c0, c1, c2)
+			continue
+		}
+		i := 3 * sf.state
+		next = append(next, stateForm{i, c0}, stateForm{i + 1, c1}, stateForm{i + 2, c2})
+	}
+	for ; j < len(obs); j++ {
+		if observed(obs[j]) {
+			return s.orphan(obs[j].State)
+		}
+	}
+	s.sparseNext = next
+	return nil
+}
+
+// expandStr is expand in string mode, over the maps sparseStr and aggStr.
+func (s *IncrementalSolver) expandStr() error {
+	matched, observedN := 0, 0
+	for key, f := range s.sparseStr {
+		if p, ok := s.aggStr[key]; ok && (p.o1 != 0 || p.o2 != 0) {
+			matched++
+			c0, c1, c2 := childForms(f, p)
+			s.spillStr(key, c0, c1, c2)
+		} else {
+			s.evict(f)
+		}
+	}
+	for _, p := range s.aggStr {
+		if p.o1 != 0 || p.o2 != 0 {
+			observedN++
+		}
+	}
+	if matched == observedN {
+		return nil
+	}
+	for key, p := range s.aggStr {
+		if p.o1 != 0 || p.o2 != 0 {
+			if _, ok := s.sparseStr[key]; !ok {
+				return fmt.Errorf("kernel: round-%d observation names state %q, which no consistent execution populates", s.rounds, key)
+			}
+		}
+	}
+	return fmt.Errorf("kernel: round-%d observation names an unpopulated state", s.rounds)
+}
+
+// observed reports whether an observation entry counts any edge.
+func observed(e multigraph.IndexedObsEntry) bool { return e.Count1 != 0 || e.Count2 != 0 }
+
+// orphan is the error for an observed state outside the sparse support:
+// such a state provably holds zero nodes, so no execution emits it, and
+// folding it in silently (as the pre-coalescing solver did) would corrupt
+// the interval.
+func (s *IncrementalSolver) orphan(state int64) error {
+	return fmt.Errorf("kernel: round-%d observation names state index %d, which no consistent execution populates", s.rounds, state)
 }
 
 // childForms applies the paper's per-state recurrence: a parent with form f
@@ -288,51 +384,6 @@ func (s *IncrementalSolver) evict(f form) {
 	s.bulkNext[nf] = satAdd(s.bulkNext[nf], 1)
 }
 
-// checkOrphans errors if the observation named a state outside the sparse
-// support: such a state provably holds zero nodes, so no execution emits
-// it, and folding it in silently (as the pre-coalescing solver did) would
-// corrupt the interval.
-func (s *IncrementalSolver) checkOrphans(matched int) error {
-	observed := 0
-	if !s.strMode {
-		for _, p := range s.agg {
-			if p.o1 != 0 || p.o2 != 0 {
-				observed++
-			}
-		}
-		if matched == observed {
-			return nil
-		}
-		for si, p := range s.agg {
-			if (p.o1 != 0 || p.o2 != 0) && !s.inSparse(si) {
-				return fmt.Errorf("kernel: round-%d observation names state index %d, which no consistent execution populates", s.rounds, si)
-			}
-		}
-	} else {
-		for _, p := range s.aggStr {
-			if p.o1 != 0 || p.o2 != 0 {
-				observed++
-			}
-		}
-		if matched == observed {
-			return nil
-		}
-		for key, p := range s.aggStr {
-			if p.o1 != 0 || p.o2 != 0 {
-				if _, ok := s.sparseStr[key]; !ok {
-					return fmt.Errorf("kernel: round-%d observation names state %q, which no consistent execution populates", s.rounds, key)
-				}
-			}
-		}
-	}
-	return fmt.Errorf("kernel: round-%d observation names an unpopulated state", s.rounds)
-}
-
-func (s *IncrementalSolver) inSparse(si int64) bool {
-	_, ok := s.sparse[si]
-	return ok
-}
-
 // satAdd returns a+b for non-negative operands, saturating at MaxInt.
 func satAdd(a, b int) int {
 	c := a + b
@@ -350,8 +401,8 @@ func (s *IncrementalSolver) Interval() (Interval, error) {
 	}
 	const unset = int(^uint(0) >> 1)
 	lo, hi := 0, unset
-	for _, f := range s.sparse {
-		if f.b > 0 {
+	for _, sf := range s.sparse {
+		if f := sf.f; f.b > 0 {
 			if c := -f.a; c > lo {
 				lo = c
 			}

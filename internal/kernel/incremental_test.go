@@ -1,6 +1,9 @@
 package kernel
 
 import (
+	"cmp"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"anondyn/internal/multigraph"
@@ -102,6 +105,65 @@ func TestIncrementalIndexedMatchesString(t *testing.T) {
 	}
 }
 
+// TestAddRoundIndexedIgnoresEntryOrder feeds one observation sequence to
+// five solvers: in the stream's first-seen order, in ascending state order,
+// reversed, shuffled, and sorted with every entry split into one row per
+// label. The intervals agree at every round, and no input is reordered.
+func TestAddRoundIndexedIgnoresEntryOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for seed := int64(0); seed < 20; seed++ {
+		mg, err := multigraph.Random(2, int(3+seed%9), 6, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stream, err := mg.NewObservationStream()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var solvers [5]*IncrementalSolver
+		for i := range solvers {
+			solvers[i] = NewIncrementalSolver()
+		}
+		for r := 0; r < 6; r++ {
+			entries, err := stream.Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			sorted := slices.Clone(entries)
+			slices.SortFunc(sorted, func(a, b multigraph.IndexedObsEntry) int {
+				return cmp.Compare(a.State, b.State)
+			})
+			reversed := slices.Clone(sorted)
+			slices.Reverse(reversed)
+			shuffled := slices.Clone(sorted)
+			rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+			var split []multigraph.IndexedObsEntry
+			for _, e := range sorted {
+				split = append(split,
+					multigraph.IndexedObsEntry{State: e.State, Count1: e.Count1},
+					multigraph.IndexedObsEntry{State: e.State, Count2: e.Count2})
+			}
+			inputs := [5][]multigraph.IndexedObsEntry{slices.Clone(entries), sorted, reversed, shuffled, split}
+			var want Interval
+			for i, in := range inputs {
+				before := slices.Clone(in)
+				got, err := solvers[i].AddRoundIndexed(in)
+				if err != nil {
+					t.Fatalf("seed=%d round=%d input %d: %v", seed, r, i, err)
+				}
+				if i == 0 {
+					want = got
+				} else if got != want {
+					t.Fatalf("seed=%d round=%d input %d: interval %v, first-seen order gives %v", seed, r, i, got, want)
+				}
+				if !slices.Equal(in, before) {
+					t.Fatalf("seed=%d round=%d input %d: AddRoundIndexed reordered its input", seed, r, i)
+				}
+			}
+		}
+	}
+}
+
 // TestIncrementalSpillMode forces the int64-index capacity limit down to 2
 // so the sparse layer spills to string keys after a few rounds, and checks
 // that the spilled solver still matches the batch solver — and that
@@ -167,6 +229,45 @@ func TestIncrementalOrphanObservation(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("observation of a provably unpopulated state was accepted")
+	}
+}
+
+// TestIndexedOrphanLeavesSolverUnchanged names a provably unpopulated state
+// between the observable states of a round and past the last of them: each
+// round fails, and the solver then takes the round's real observation as a
+// twin that never saw the failures does.
+func TestIndexedOrphanLeavesSolverUnchanged(t *testing.T) {
+	rounds := [][]multigraph.IndexedObsEntry{
+		{{State: 0, Count1: 2, Count2: 1}},
+		// States {1} and {1,2} are observed, so round 2 can name only
+		// their children, indices 0–2 and 6–8.
+		{{State: 0, Count1: 1}, {State: 2, Count1: 1, Count2: 1}},
+		{{State: 0, Count1: 1}, {State: 6, Count2: 1}},
+	}
+	solver, twin := NewIncrementalSolver(), NewIncrementalSolver()
+	for _, obs := range rounds[:2] {
+		for _, s := range []*IncrementalSolver{solver, twin} {
+			if _, err := s.AddRoundIndexed(obs); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for _, orphan := range []int64{4, 9} {
+		bad := append(slices.Clone(rounds[2]), multigraph.IndexedObsEntry{State: orphan, Count1: 1})
+		if _, err := solver.AddRoundIndexed(bad); err == nil {
+			t.Fatalf("round 2 naming state %d was accepted", orphan)
+		}
+	}
+	got, err := solver.AddRoundIndexed(rounds[2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := twin.AddRoundIndexed(rounds[2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want || solver.Rounds() != 3 {
+		t.Fatalf("after the failed rounds: %v in %d rounds, want %v in 3", got, solver.Rounds(), want)
 	}
 }
 
