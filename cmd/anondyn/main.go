@@ -120,7 +120,7 @@ func run(ctx context.Context, args []string, out io.Writer) (err error) {
 	seed := fs.Int64("seed", 1, "seed for randomized adversaries")
 	bound := fs.Bool("bound", false, "print the exact Theorem 1 bound for -n and exit")
 	pair := fs.Bool("pair", false, "construct and describe the adversarial pair for -n and exit")
-	engineName := fs.String("engine", "", "round engine: sequential (default) | sharded")
+	engineName := fs.String("engine", "", "round engine: sequential (default; one shard on the calling goroutine) | sharded (GOMAXPROCS shards)")
 	timeout := fs.Duration("timeout", 0, "abort the run after this duration (0 = no limit)")
 	obsCfg := cli.ObsFlags(fs)
 	if err := fs.Parse(args); err != nil {

@@ -43,7 +43,7 @@ import (
 // Network is a chain-composed Corollary 1 instance.
 type Network struct {
 	// Net is the dynamic graph: the schedule's Lemma-1 network with the
-	// chain inserted, a *multigraph.PD2Net that serves the sharded engine
+	// chain inserted, a *multigraph.PD2Net that serves the round engine
 	// in CSR form.
 	Net dynet.Dynamic
 	// Leader is always node 0.
@@ -90,7 +90,7 @@ func Build(n, chainLen int) (*Network, error) {
 
 // buildFromSchedule wires an arbitrary ℳ(DBL)₂ schedule behind a chain: the
 // network is the schedule's Lemma-1 transformation with the chain inserted
-// (multigraph.ToPD2Chain), served to the sharded engine in CSR form.
+// (multigraph.ToPD2Chain), served to the round engine in CSR form.
 func buildFromSchedule(m *multigraph.Multigraph, chainLen int) (*Network, error) {
 	if m.K() != 2 {
 		return nil, fmt.Errorf("chainnet: schedule must have k=2, got %d", m.K())

@@ -15,7 +15,7 @@ import (
 // every adversary family registered in dynet.Families() must (a) satisfy its
 // declared machine-checkable properties at several sizes and seeds, and
 // (b) drive the order-sensitive trace protocol to identical per-node traces
-// on the sequential and sharded engines. A family whose
+// on the reference round loop, RunSequential and RunSharded. A family whose
 // schedule depends on engine internals — shared rand state, map iteration
 // order, goroutine interleaving — fails (b); a family whose declared
 // guarantees drift from its construction fails (a).
@@ -27,6 +27,7 @@ func TestFamilyConformanceAcrossEngines(t *testing.T) {
 		name string
 		run  runtime.Engine
 	}{
+		{"reference", referenceRun},
 		{"sequential", runtime.SequentialEngine(context.Background())},
 		{"sharded", runtime.ShardedEngine(context.Background())},
 	}
@@ -55,12 +56,12 @@ func TestFamilyConformanceAcrossEngines(t *testing.T) {
 							continue
 						}
 						if ran != refRounds {
-							t.Fatalf("n=%d seed=%d engine=%s: ran %d rounds, sequential ran %d",
+							t.Fatalf("n=%d seed=%d engine=%s: ran %d rounds, the reference ran %d",
 								n, seed, eng.name, ran, refRounds)
 						}
 						for v := range traces {
 							if traces[v] != ref[v] {
-								t.Fatalf("n=%d seed=%d engine=%s: node %d trace %s, sequential %s",
+								t.Fatalf("n=%d seed=%d engine=%s: node %d trace %s, reference %s",
 									n, seed, eng.name, v, traces[v], ref[v])
 							}
 						}

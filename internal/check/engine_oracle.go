@@ -1,14 +1,79 @@
 package check
 
 import (
+	"cmp"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"math/rand"
+	"slices"
 	"strconv"
 
 	"anondyn/internal/dynet"
+	"anondyn/internal/graph"
 	"anondyn/internal/runtime"
 )
+
+// referenceRun is the paper's round loop in its plainest form, written
+// independently of internal/runtime so the engine oracle compares two
+// implementations. Each round every process broadcasts, then each node
+// receives its neighbors' messages in the map graph Net.Snapshot(r),
+// ordered by (ordering key, sender id). It honors MaxRounds, OnRound and
+// Stop, and has no context, deadline, metrics, panic recovery or degree
+// oracle.
+func referenceRun(cfg *runtime.Config) (int, error) {
+	if cfg.Adaptive != nil || cfg.IntervalConnected {
+		return 0, errors.New("check: the reference loop runs oblivious networks without a connectivity check")
+	}
+	n := cfg.Net.N()
+	if len(cfg.Procs) != n {
+		return 0, fmt.Errorf("check: %d processes for %d nodes", len(cfg.Procs), n)
+	}
+	key := cfg.CanonKey
+	if key == nil {
+		canon := cfg.Canon
+		if canon == nil {
+			canon = runtime.DefaultCanon
+		}
+		key = func(m runtime.Message) uint64 { return runtime.StringKey(canon(m)) }
+	}
+	type sent struct {
+		key  uint64
+		from graph.NodeID
+		msg  runtime.Message
+	}
+	outbox := make([]sent, n)
+	for r := 0; r < cfg.MaxRounds; r++ {
+		g := cfg.Net.Snapshot(r)
+		for v, p := range cfg.Procs {
+			m := p.Send(r)
+			outbox[v] = sent{key: key(m), from: graph.NodeID(v), msg: m}
+		}
+		inboxes := make([][]runtime.Message, n)
+		for v := range inboxes {
+			var in []sent
+			for _, u := range g.Neighbors(graph.NodeID(v)) {
+				in = append(in, outbox[u])
+			}
+			slices.SortFunc(in, func(a, b sent) int {
+				return cmp.Or(cmp.Compare(a.key, b.key), cmp.Compare(a.from, b.from))
+			})
+			for _, s := range in {
+				inboxes[v] = append(inboxes[v], s.msg)
+			}
+		}
+		for v, p := range cfg.Procs {
+			p.Receive(r, inboxes[v])
+		}
+		if cfg.OnRound != nil {
+			cfg.OnRound(r)
+		}
+		if cfg.Stop != nil && cfg.Stop(r) {
+			return r + 1, nil
+		}
+	}
+	return cfg.MaxRounds, nil
+}
 
 // traceProc is the order-sensitive protocol the engine-equivalence oracle
 // runs: every node starts with a distinct state (its index) and folds each
@@ -45,17 +110,19 @@ func newTraceProcs(n int) []runtime.Process {
 // traceKey is the ordering key of traceProc's string messages.
 func traceKey(m runtime.Message) uint64 { return runtime.StringKey(m.(string)) }
 
-// shardedEngineOracle is the differential check for the sharded worker-pool
-// engine: RunSharded must reproduce RunSequential's execution trace-for-trace
+// shardedEngineOracle is the differential check for runtime's round loop:
+// RunSharded must reproduce the reference loop's execution trace-for-trace
 // at every shard count — same round count, same per-node state after every
-// round. Half the draws are the Lemma-1 transformation of a random schedule
-// (exercising the CSR-native PD2Net snapshots), the other half are dynet
-// adversary families — T-interval, churn, randomized — which reach the
-// sharded engine through its map-graph fallback.
+// round. One shard runs on the calling goroutine, as RunSequential does;
+// two and five run on workers. Half the draws are the Lemma-1
+// transformation of a random schedule (exercising the CSR-native PD2Net
+// snapshots, while the reference reads its map graphs), the other half are
+// dynet adversary families — T-interval, churn, randomized — which reach
+// the engine through its map-graph fallback.
 func shardedEngineOracle() *Oracle {
 	return &Oracle{
 		Name: "sharded-engine",
-		Doc:  "RunSharded matches RunSequential trace-for-trace on CSR transforms and adversary families",
+		Doc:  "RunSharded at 1, 2 and 5 shards matches the reference round loop trace-for-trace on CSR transforms and adversary families",
 		Gen: func(rng *rand.Rand) (*Instance, error) {
 			if rng.Intn(2) == 0 {
 				return genFamily(rng, "")
@@ -63,19 +130,19 @@ func shardedEngineOracle() *Oracle {
 			return genSchedule(rng, 10, 4)
 		},
 		Check: func(inst *Instance, sys *System) error {
-			var seqNet, shNet dynet.Dynamic
+			var refNet, shNet dynet.Dynamic
 			var rounds int
 			if inst.Fam != nil {
 				d, _, err := buildFamilyNet(inst.Fam, sys)
 				if err != nil {
 					return err
 				}
-				seqNet, shNet = d, d
+				refNet, shNet = d, d
 				rounds = inst.Fam.Rounds
 			} else {
 				m := inst.M
 				var err error
-				seqNet, _, err = m.ToPD2()
+				refNet, _, err = m.ToPD2()
 				if err != nil {
 					return err
 				}
@@ -87,10 +154,10 @@ func shardedEngineOracle() *Oracle {
 				// clamp on both transforms.
 				rounds = m.Horizon() + 1
 			}
-			n := seqNet.N()
-			seqProcs := newTraceProcs(n)
-			seqRounds, err := sys.EngineSeq(&runtime.Config{
-				Net: seqNet, Procs: seqProcs, MaxRounds: rounds, CanonKey: traceKey,
+			n := refNet.N()
+			refProcs := newTraceProcs(n)
+			refRounds, err := sys.EngineSeq(&runtime.Config{
+				Net: refNet, Procs: refProcs, MaxRounds: rounds, CanonKey: traceKey,
 			})
 			if err != nil {
 				return err
@@ -103,19 +170,19 @@ func shardedEngineOracle() *Oracle {
 				if err != nil {
 					return fmt.Errorf("sharded (%d shards): %w", shards, err)
 				}
-				if shRounds != seqRounds {
-					return fmt.Errorf("sharded (%d shards) ran %d rounds, sequential ran %d",
-						shards, shRounds, seqRounds)
+				if shRounds != refRounds {
+					return fmt.Errorf("sharded (%d shards) ran %d rounds, the reference ran %d",
+						shards, shRounds, refRounds)
 				}
 				for v := 0; v < n; v++ {
-					a, b := seqProcs[v].(*traceProc), procs[v].(*traceProc)
+					a, b := refProcs[v].(*traceProc), procs[v].(*traceProc)
 					if len(a.trace) != len(b.trace) {
-						return fmt.Errorf("sharded (%d shards): node %d has %d trace entries, sequential %d",
+						return fmt.Errorf("sharded (%d shards): node %d has %d trace entries, the reference %d",
 							shards, v, len(b.trace), len(a.trace))
 					}
 					for r := range a.trace {
 						if a.trace[r] != b.trace[r] {
-							return fmt.Errorf("sharded (%d shards): node %d diverges at round %d: %s vs sequential %s",
+							return fmt.Errorf("sharded (%d shards): node %d diverges at round %d: %s vs reference %s",
 								shards, v, r, b.trace[r], a.trace[r])
 						}
 					}
@@ -125,7 +192,7 @@ func shardedEngineOracle() *Oracle {
 		},
 		Mutants: []Mutant{
 			// A sharded engine that quietly runs one round short: every
-			// trace is a prefix of the sequential one, so only a check that
+			// trace is a prefix of the reference one, so only a check that
 			// compares round counts (not just common-prefix states) sees it.
 			{Name: "sharded-round-drop", Sys: func(sys *System) {
 				inner := sys.EngineSharded

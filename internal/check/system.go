@@ -57,10 +57,10 @@ type System struct {
 	HistCount func(net dynet.Dynamic, leader graph.NodeID, maxRounds int) (count, rounds int, err error)
 	// Transform is the Lemma-1 multigraph → 𝒢(PD)₂ transformation.
 	Transform func(m *multigraph.Multigraph) (dynet.Dynamic, *multigraph.PD2Layout, error)
-	// EngineSeq is the reference sequential round engine
-	// (runtime.RunSequential), the semantics every other engine must match.
+	// EngineSeq is the reference round loop (referenceRun), written apart
+	// from internal/runtime: the semantics the engine must match.
 	EngineSeq runtime.Engine
-	// EngineSharded is the sharded worker-pool round engine
+	// EngineSharded is runtime's round loop at any shard count
 	// (runtime.RunSharded).
 	EngineSharded runtime.Engine
 	// RREFFast is the fraction-free int64 Bareiss RREF with big.Int
@@ -121,7 +121,7 @@ func Healthy() *System {
 		Transform: func(m *multigraph.Multigraph) (dynet.Dynamic, *multigraph.PD2Layout, error) {
 			return m.ToPD2()
 		},
-		EngineSeq:     runtime.RunSequential,
+		EngineSeq:     referenceRun,
 		EngineSharded: runtime.RunSharded,
 		RREFFast:      (*linalg.Matrix).RREF,
 		RREFRef:       (*linalg.Matrix).RREFReference,
@@ -130,12 +130,10 @@ func Healthy() *System {
 		KernelSumNegK: kernel.KernelSumNegativeK,
 		MaxIndistK:    core.MaxIndistinguishableRoundsK,
 		DegOracleCount: func(net dynet.Dynamic, leader graph.NodeID, v1, v2 []graph.NodeID) (int, int, error) {
-			return counting.DegreeOracleCount(net, leader, v1, v2,
-				counting.Runner(runtime.SequentialEngine(context.Background())))
+			return counting.DegreeOracleCount(net, leader, v1, v2, runtime.SequentialEngine(context.Background()))
 		},
 		LayoutOracleCount: func(net dynet.Dynamic, leader graph.NodeID, v1, v2 []graph.NodeID) (int, int, error) {
-			return counting.OracleCount(net, leader, v1, v2,
-				counting.Runner(runtime.SequentialEngine(context.Background())))
+			return counting.OracleCount(net, leader, v1, v2, runtime.SequentialEngine(context.Background()))
 		},
 		NewTInterval: func(n, window int, p float64, seed int64) (dynet.Dynamic, error) {
 			return dynet.NewTInterval(n, window, p, seed)

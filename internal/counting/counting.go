@@ -26,9 +26,9 @@ import (
 	"anondyn/internal/runtime"
 )
 
-// Runner is an execution engine: runtime.RunSequential or
-// runtime.RunSharded.
-type Runner func(*runtime.Config) (int, error)
+// Runner is the round engine a count runs on: runtime.RunSequential,
+// runtime.RunSharded, or either one bound to a context.
+type Runner = runtime.Engine
 
 // key is the engines' ordering key for this package's messages
 // (runtime.Config.CanonKey): a hash of what the message says, tagged by

@@ -315,14 +315,14 @@ func RunAlgorithm(name string, inst *Instance, run Runner) (Result, error) {
 }
 
 // EngineByName resolves the shared -engine flag value to a Runner bound to
-// ctx: "" or "sequential" for the reference engine, "sharded" for the
-// worker-pool engine.
+// ctx: "" or "sequential" for one shard on the calling goroutine, "sharded"
+// for GOMAXPROCS shards.
 func EngineByName(ctx context.Context, name string) (Runner, error) {
 	switch name {
 	case "", "sequential":
-		return Runner(runtime.SequentialEngine(ctx)), nil
+		return runtime.SequentialEngine(ctx), nil
 	case "sharded":
-		return Runner(runtime.ShardedEngine(ctx)), nil
+		return runtime.ShardedEngine(ctx), nil
 	default:
 		return nil, fmt.Errorf("counting: unknown engine %q (want sequential or sharded)", name)
 	}

@@ -100,7 +100,7 @@ func (p *PD2Net) clampRound(r int) int {
 // adjacent at round r exactly to the W-nodes whose label set contains j,
 // and the chain's static edges join the leader to all of V₁. A round whose
 // clamped index matches the last build returns that build's graph; the
-// sharded engine never calls Snapshot when SnapshotCSR is available.
+// round engine never calls Snapshot when SnapshotCSR is available.
 // Callers must not mutate the returned graph.
 func (p *PD2Net) Snapshot(r int) *graph.Graph {
 	r = p.clampRound(r)

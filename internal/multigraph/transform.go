@@ -35,7 +35,7 @@ func (l *PD2Layout) N() int { return 1 + len(l.Chain) + len(l.V1) + len(l.V2) }
 // only in the layout metadata) yields the anonymous instance G; counting on
 // G is at least as hard as on G^id.
 //
-// The result is the *PD2Net that ToPD2CSR builds, so the sharded engine
+// The result is the *PD2Net that ToPD2CSR builds, so the round engine
 // reads it in CSR form while every other consumer gets map graphs. Rounds
 // at or beyond the multigraph's horizon repeat the final round's topology,
 // making the result a legitimate infinite dynamic graph. A zero-horizon

@@ -45,7 +45,7 @@ const (
 	RuntimePanics    = "runtime.process_panics"     // counter: runs aborted by a process panic
 	RuntimeCancels   = "runtime.cancels"            // counter: runs stopped by context cancellation
 	RuntimeDeadlines = "runtime.deadline_overruns"  // counter: runs aborted by Config.RoundDeadline
-	RuntimeShards    = "runtime.engine_shards"      // gauge: worker count of the last sharded run
+	RuntimeShards    = "runtime.engine_shards"      // gauge: shard count of the last engine run
 
 	// Sweep engine (internal/sweep): campaign throughput and durability.
 	SweepJobs            = "sweep.jobs_executed"     // counter: jobs executed by this process

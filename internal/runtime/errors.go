@@ -13,11 +13,10 @@ func errNotOutputter(i int) error {
 	return fmt.Errorf("runtime: process at node %d does not implement Outputter", i)
 }
 
-// ProcessPanicError reports that a Process panicked during a run. Both
-// engines convert process panics into this error instead of crashing the
-// harness: the sequential engine recovers around each protocol call, and
-// the sharded engine recovers inside each worker goroutine, aborts the
-// round, and joins every worker before returning.
+// ProcessPanicError reports that a Process panicked during a run. The round
+// loop converts process panics into this error instead of crashing the
+// harness: each shard recovers around each phase it runs, the run aborts
+// the round, and every worker is joined before it returns.
 type ProcessPanicError struct {
 	// Node is the index of the panicking process.
 	Node int
@@ -26,8 +25,8 @@ type ProcessPanicError struct {
 	// Value is the value passed to panic.
 	Value any
 	// Stack is the stack of the panicking call, captured at recover time.
-	// It differs between engines (goroutine vs direct call) and is meant
-	// for diagnostics, not comparison.
+	// It differs with the shard count (a worker goroutine's stack or the
+	// caller's) and is meant for diagnostics, not comparison.
 	Stack []byte
 }
 
@@ -49,9 +48,9 @@ func (e *RoundDeadlineError) Error() string {
 	return fmt.Sprintf("runtime: round %d exceeded the %v round deadline", e.Round, e.Limit)
 }
 
-// canceled wraps a context error so that both engines report cancellation
-// with identical errors for the same schedule: errors.Is sees the
-// underlying context.Canceled or context.DeadlineExceeded.
+// canceled wraps a context error so that every shard count reports
+// cancellation with identical errors for the same schedule: errors.Is sees
+// the underlying context.Canceled or context.DeadlineExceeded.
 func canceled(r int, err error) error {
 	return fmt.Errorf("runtime: run canceled before completing round %d: %w", r, err)
 }

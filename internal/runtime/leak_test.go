@@ -79,3 +79,39 @@ func TestNoGoroutineLeak(t *testing.T) {
 	}
 	t.Fatalf("goroutines leaked: %d now vs %d baseline", gort.NumGoroutine(), baseline)
 }
+
+// goroutineProbe records the goroutine count its Send runs under.
+type goroutineProbe struct{ seen int }
+
+func (p *goroutineProbe) Send(int) Message       { p.seen = gort.NumGoroutine(); return nil }
+func (p *goroutineProbe) Receive(int, []Message) {}
+
+// TestOneShardStartsNoGoroutine checks that a one-shard run executes on the
+// calling goroutine: inside Send, the goroutine count is the caller's.
+// RunSequential runs one shard whatever Config.Shards says.
+func TestOneShardStartsNoGoroutine(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		run    Engine
+		shards int
+	}{
+		{"RunSharded", RunSharded, 1},
+		{"RunSequential", RunSequential, 3},
+	} {
+		probe := &goroutineProbe{}
+		cfg := &Config{
+			Net:       dynet.NewStatic(graph.Path(3)),
+			Procs:     []Process{probe, &goroutineProbe{}, &goroutineProbe{}},
+			MaxRounds: 2,
+			Shards:    tc.shards,
+		}
+		before := gort.NumGoroutine()
+		if _, err := tc.run(cfg); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if probe.seen != before {
+			t.Errorf("%s with Shards %d: %d goroutines inside Send, %d before the run",
+				tc.name, tc.shards, probe.seen, before)
+		}
+	}
+}

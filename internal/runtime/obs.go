@@ -19,7 +19,7 @@ type engineMetrics struct {
 	panics    *obs.Counter   // runs aborted by a process panic
 	cancels   *obs.Counter   // runs stopped by context cancellation
 	deadlines *obs.Counter   // runs aborted by Config.RoundDeadline
-	shards    *obs.Gauge     // worker count of the last sharded run
+	shards    *obs.Gauge     // shard count of the last run
 }
 
 // metrics resolves the run's collector: Config.Obs when set, else the
@@ -45,8 +45,8 @@ func (c *Config) metrics() engineMetrics {
 }
 
 // recordFailure classifies a run-aborting error into the panic, deadline,
-// or cancel counter. The sharded engine funnels its mid-round abort paths
-// through it; the sequential engine increments at each site directly.
+// or cancel counter. The round loop funnels every abort through it; other
+// errors, such as a bad snapshot, count in none.
 func (m engineMetrics) recordFailure(err error) {
 	if err == nil {
 		// Return before the errors.As targets are declared: their address
@@ -67,14 +67,4 @@ func (m engineMetrics) recordFailure(err error) {
 	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 		m.cancels.Inc()
 	}
-}
-
-// delivered counts the messages in a round's inboxes. Only called when the
-// messages counter is live.
-func delivered(inboxes [][]Message) int64 {
-	total := int64(0)
-	for _, in := range inboxes {
-		total += int64(len(in))
-	}
-	return total
 }

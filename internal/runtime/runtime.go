@@ -5,37 +5,31 @@
 // unlimited bandwidth, and a receive phase, in which it processes the
 // multiset of messages delivered by its neighbors.
 //
-// Two interchangeable engines are provided. The sequential engine runs all
-// processes in a deterministic loop and is the reference implementation.
-// The sharded engine partitions the node range across a fixed worker pool
-// (one goroutine per process when Config.Shards equals the node count) and
-// assembles deliveries into flat engine-owned buffers, which is what scales
-// to million-node networks. Tests cross-check that both engines produce
-// identical executions.
+// One round loop implements the model. It splits the node range into
+// contiguous shards: a single shard runs on the calling goroutine, more run
+// on a fixed pool of worker goroutines, one per shard. Node state lives in
+// flat engine-owned buffers, which is what scales to million-node networks.
+// RunSequential runs one shard; RunSharded runs Config.Shards of them.
+// Executions are identical for every shard count.
 //
 // Anonymity is enforced structurally: a process is given only the multiset
-// of messages it received, never the identity of a sender. The engines
-// deliver each inbox in one canonical order, ascending by a content key of
-// each message (Config.CanonKey, ties broken by sender id), which makes
-// runs deterministic; a protocol's receivers must not depend on that order.
+// of messages it received, never the identity of a sender. Each inbox is
+// delivered in one canonical order, ascending by a content key of each
+// message (Config.CanonKey, ties broken by sender id), which makes runs
+// deterministic; a protocol's receivers must not depend on that order.
 //
-// Both engines are cancellation-aware: RunSequentialCtx and RunShardedCtx
-// honor a context.Context at round granularity (checked at the top of each
-// round and between the send and receive phases), honor an optional
-// per-round wall-clock budget (Config.RoundDeadline), and convert process
-// panics into a typed *ProcessPanicError instead of crashing the caller.
-// RunSequential and RunSharded are thin wrappers over context.Background().
-// For the same schedule the two engines return identical round counts and
-// identical errors on every exit path.
+// Runs are cancellation-aware: RunSequentialCtx and RunShardedCtx honor a
+// context.Context at round granularity (checked at the top of each round
+// and between the send and receive phases), honor an optional per-round
+// wall-clock budget (Config.RoundDeadline), and convert process panics into
+// a typed *ProcessPanicError instead of crashing the caller. RunSequential
+// and RunSharded are thin wrappers over context.Background().
 package runtime
 
 import (
-	"cmp"
 	"context"
 	"errors"
 	"fmt"
-	"runtime/debug"
-	"slices"
 	"time"
 
 	"anondyn/internal/dynet"
@@ -141,9 +135,9 @@ type Config struct {
 	// Canon is the text form of a message, which trace recorders write.
 	// Nil means DefaultCanon.
 	Canon Canonicalizer
-	// CanonKey is the engines' delivery order: each inbox lists its
-	// messages by ascending key, ties broken by sender id, in both engines.
-	// Nil means StringKey of the Canon text. Protocol packages set it to a
+	// CanonKey is the delivery order: each inbox lists its messages by
+	// ascending key, ties broken by sender id. Nil means StringKey of the
+	// Canon text. Protocol packages set it to a
 	// content hash of their own message types, which formats no string.
 	CanonKey KeyCanonicalizer
 	// MaxRounds bounds the execution length.
@@ -161,11 +155,11 @@ type Config struct {
 	// that cannot complete is an execution fault, not a slow message.
 	// Zero means no per-round deadline.
 	RoundDeadline time.Duration
-	// Shards is the worker count of the sharded engine (RunSharded): the
-	// node range is split into Shards contiguous partitions, each iterated
-	// by one persistent worker goroutine. Zero means GOMAXPROCS. The
-	// sequential engine ignores it. Executions are identical for every
-	// shard count.
+	// Shards is the shard count of RunSharded: the node range is split
+	// into Shards contiguous partitions. One shard runs on the calling
+	// goroutine; more run on one persistent worker goroutine each. Zero
+	// means GOMAXPROCS. RunSequential always runs one shard. Executions are
+	// identical for every shard count.
 	Shards int
 	// Stop, if non-nil, is evaluated after each round's receive phase;
 	// returning true ends the run after that round.
@@ -197,26 +191,6 @@ func (c *Config) topology(r int, outbox []Message) (*graph.Graph, error) {
 			g.N(), r, c.Net.N())
 	}
 	return g, nil
-}
-
-// connChecker enforces Config.IntervalConnected on map-graph snapshots. It
-// remembers the last graph it found connected, so a network that serves
-// one *graph.Graph for many rounds (a static network, a schedule past its
-// horizon) is searched once.
-type connChecker struct {
-	on      bool
-	checked *graph.Graph
-}
-
-func (cc *connChecker) check(r int, g *graph.Graph) error {
-	if !cc.on || g == cc.checked {
-		return nil
-	}
-	if !g.Connected() {
-		return &dynet.ConnectivityError{Round: r}
-	}
-	cc.checked = g
-	return nil
 }
 
 func (c *Config) validate() error {
@@ -258,112 +232,16 @@ func (c *Config) key() KeyCanonicalizer {
 	return func(m Message) uint64 { return StringKey(canon(m)) }
 }
 
-// Engine is the signature shared by RunSequential and RunSharded, used by
-// protocol helpers that are parameterized over the execution engine.
+// Engine runs a Config and returns the completed-round count: RunSequential,
+// RunSharded, or either one bound to a context by SequentialEngine or
+// ShardedEngine. Protocol helpers take one, so the caller picks the shard
+// count and the context.
 type Engine = func(*Config) (int, error)
 
-// SequentialEngine binds ctx to the sequential engine, producing the
-// Engine shape expected by the protocol helpers. It lets engine-agnostic
-// code (counting, dissemination, chainnet) run under a cancellable context
-// without changing its own signatures.
+// SequentialEngine binds ctx to RunSequentialCtx, the one-shard run on the
+// calling goroutine. It lets engine-agnostic code (counting, dissemination,
+// chainnet) run under a cancellable context without changing its own
+// signatures.
 func SequentialEngine(ctx context.Context) Engine {
 	return func(cfg *Config) (int, error) { return RunSequentialCtx(ctx, cfg) }
-}
-
-// The per-phase guards convert a protocol panic into a *ProcessPanicError
-// attributed to node v at round r. The sequential engine wraps each
-// protocol call with one; the sharded engine installs the equivalent
-// recover in each worker goroutine. One dedicated function per phase keeps
-// the hot loop free of closure allocations.
-
-func guardSend(p Process, v, r int, outbox []Message) (err error) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			err = &ProcessPanicError{Node: v, Round: r, Value: rec, Stack: debug.Stack()}
-		}
-	}()
-	outbox[v] = p.Send(r)
-	return nil
-}
-
-func guardReceive(p Process, v, r int, msgs []Message) (err error) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			err = &ProcessPanicError{Node: v, Round: r, Value: rec, Stack: debug.Stack()}
-		}
-	}()
-	p.Receive(r, msgs)
-	return nil
-}
-
-func guardSetDegree(da DegreeAware, v, r, degree int) (err error) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			err = &ProcessPanicError{Node: v, Round: r, Value: rec, Stack: debug.Stack()}
-		}
-	}()
-	da.SetDegree(r, degree)
-	return nil
-}
-
-// inboxEntry pairs a broadcast with its ordering key for sorting.
-type inboxEntry struct {
-	key uint64
-	msg Message
-}
-
-// roundScratch holds the sequential engine's buffers reused across rounds
-// when assembling inboxes: the per-receiver inbox slices, the per-sender
-// ordering keys (computed once per sender per round instead of once per
-// comparison), and the neighbor/sort scratch. Reuse is what makes the
-// round loop allocation-free in steady state — and is why inbox slices
-// handed to Process.Receive are valid only during the call (see the
-// Receive ownership rule).
-type roundScratch struct {
-	key     KeyCanonicalizer
-	inboxes [][]Message
-	keys    []uint64
-	nb      []graph.NodeID
-	entries []inboxEntry
-}
-
-func newRoundScratch(cfg *Config, n int) *roundScratch {
-	return &roundScratch{key: cfg.key(), inboxes: make([][]Message, n), keys: make([]uint64, n)}
-}
-
-// assemble groups the round's broadcasts by receiver and sorts each inbox
-// canonically. outbox[i] is the message node i broadcast on graph g. The
-// returned slices are owned by the scratch and overwritten by the next
-// assemble call.
-func (sc *roundScratch) assemble(g *graph.Graph, outbox []Message) [][]Message {
-	n := g.N()
-	for u := 0; u < n; u++ {
-		sc.keys[u] = sc.key(outbox[u])
-	}
-	for v := 0; v < n; v++ {
-		sc.nb = g.NeighborsAppend(graph.NodeID(v), sc.nb[:0])
-		sc.entries = sc.entries[:0]
-		for _, u := range sc.nb {
-			sc.entries = append(sc.entries, inboxEntry{key: sc.keys[u], msg: outbox[u]})
-		}
-		// Stable by key with senders pre-sorted by NodeID, so ties go by
-		// sender id. Inboxes of at most two messages — every node of a
-		// cycle or path, the protocol families' common case — order with
-		// one comparison instead of a generic sort call.
-		if len(sc.entries) == 2 {
-			if sc.entries[1].key < sc.entries[0].key {
-				sc.entries[0], sc.entries[1] = sc.entries[1], sc.entries[0]
-			}
-		} else if len(sc.entries) > 2 {
-			slices.SortStableFunc(sc.entries, func(a, b inboxEntry) int {
-				return cmp.Compare(a.key, b.key)
-			})
-		}
-		in := sc.inboxes[v][:0]
-		for i := range sc.entries {
-			in = append(in, sc.entries[i].msg)
-		}
-		sc.inboxes[v] = in
-	}
-	return sc.inboxes
 }

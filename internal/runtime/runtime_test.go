@@ -276,20 +276,23 @@ func (e *echoProc) Receive(_ int, msgs []Message) {
 func digitKey(m Message) uint64 { return uint64('9' - m.(string)[0]) }
 
 func TestCanonicalDeliveryOrder(t *testing.T) {
-	// Node 0 is adjacent to 3, 1, 2 (inserted in scrambled order); its
+	// Node 0 is adjacent to 3, 1, 2 (inserted in scrambled order) and node
+	// 1 to 0 and 2, so node 0 hears three messages and node 1 two; each
 	// inbox must arrive in ascending key order, independent of adjacency
 	// iteration order. Without a CanonKey the key is StringKey of the
 	// Canon text.
-	g := graph.MustFromEdges(4, []graph.Edge{{U: 0, V: 3}, {U: 0, V: 1}, {U: 0, V: 2}})
-	byText := []string{"1", "2", "3"}
-	slices.SortFunc(byText, func(a, b string) int { return cmp.Compare(StringKey(a), StringKey(b)) })
+	g := graph.MustFromEdges(4, []graph.Edge{{U: 0, V: 3}, {U: 0, V: 1}, {U: 0, V: 2}, {U: 1, V: 2}})
+	byText := func(msgs ...string) []string {
+		slices.SortFunc(msgs, func(a, b string) int { return cmp.Compare(StringKey(a), StringKey(b)) })
+		return msgs
+	}
 	for _, tc := range []struct {
 		name string
 		key  KeyCanonicalizer
-		want []string
+		want [][]string // inboxes of nodes 0 and 1
 	}{
-		{"CanonKey", digitKey, []string{"3", "2", "1"}},
-		{"StringKey(Canon)", nil, byText},
+		{"CanonKey", digitKey, [][]string{{"3", "2", "1"}, {"2", "0"}}},
+		{"StringKey(Canon)", nil, [][]string{byText("1", "2", "3"), byText("0", "2")}},
 	} {
 		procs := []Process{
 			&echoProc{id: 0}, &echoProc{id: 1}, &echoProc{id: 2}, &echoProc{id: 3},
@@ -304,8 +307,10 @@ func TestCanonicalDeliveryOrder(t *testing.T) {
 		if _, err := RunSequential(cfg); err != nil {
 			t.Fatal(err)
 		}
-		if got := procs[0].(*echoProc).heard; !slices.Equal(got, tc.want) {
-			t.Fatalf("%s: heard = %v, want %v", tc.name, got, tc.want)
+		for v, want := range tc.want {
+			if got := procs[v].(*echoProc).heard; !slices.Equal(got, want) {
+				t.Fatalf("%s: node %d heard %v, want %v", tc.name, v, got, want)
+			}
 		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"context"
 	"fmt"
-	"math"
 	goruntime "runtime"
 	"runtime/debug"
 	"slices"
@@ -15,20 +14,18 @@ import (
 	"anondyn/internal/graph"
 )
 
-// RunSharded executes the configured computation on a fixed pool of
-// Config.Shards worker goroutines (GOMAXPROCS when zero), each iterating a
-// contiguous partition of the node range. It implements the same semantics
-// as RunSequential — same round counts, same delivery order, same errors —
-// but with per-node state in flat struct-of-arrays buffers and message
-// delivery assembled by index ranges into one engine-owned arena instead of
-// per-node slices, which is what keeps a 10⁶-node round loop allocation-free
-// in steady state.
+// RunSharded executes the configured computation on Config.Shards shards
+// (GOMAXPROCS when zero), each a contiguous partition of the node range.
+// One shard runs on the calling goroutine; more run on a fixed pool of
+// worker goroutines, one per shard. It implements the same semantics as
+// RunSequential — same round counts, same delivery order, same errors.
+// Per-node state lives in flat struct-of-arrays buffers and each round's
+// inboxes are assembled into one engine-owned arena, which is what keeps a
+// 10⁶-node round loop allocation-free in steady state.
 //
-// Delivery order is the sequential engine's exactly: each inbox lists
-// senders sorted by (ordering key, node id). The engine computes one global
-// canonical order of the round's senders and has each shard replay it
-// against its own receivers, so no per-inbox sort happens at all: the only
-// sort is the per-round sort of the distinct keys.
+// Each shard builds its own receivers' inboxes from the round's CSR rows,
+// which list senders in ascending id order, and sorts each inbox stably by
+// ordering key: every inbox lists its senders by (key, id).
 //
 // Topology is consumed in CSR form. Networks implementing dynet.CSRDynamic
 // are queried natively (no map-based graphs are ever materialized — the
@@ -40,15 +37,23 @@ func RunSharded(cfg *Config) (int, error) {
 	return RunShardedCtx(context.Background(), cfg)
 }
 
-// ShardedEngine binds ctx to the sharded worker-pool engine.
+// ShardedEngine binds ctx to RunShardedCtx.
 func ShardedEngine(ctx context.Context) Engine {
 	return func(cfg *Config) (int, error) { return RunShardedCtx(ctx, cfg) }
 }
 
-// shardedMaxNodes bounds the node count of the sharded engine: node indices
-// are packed into int32 arrays (order, per-shard key indices), which halves
-// the struct-of-arrays footprint at the scales the engine exists for.
-const shardedMaxNodes = math.MaxInt32
+// RunShardedCtx is RunSharded under a context, with the cancellation,
+// deadline and panic semantics of RunSequentialCtx.
+func RunShardedCtx(ctx context.Context, cfg *Config) (int, error) {
+	if err := cfg.validate(); err != nil {
+		return 0, err
+	}
+	nw := cfg.Shards
+	if nw == 0 {
+		nw = goruntime.GOMAXPROCS(0)
+	}
+	return runShards(ctx, cfg, nw)
+}
 
 // shardBounds returns the node range [lo, hi) owned by shard s of nw over n
 // nodes: sizes differ by at most one, earlier shards take the remainder.
@@ -64,80 +69,48 @@ func shardBounds(n, nw, s int) (lo, hi int) {
 	return lo, hi
 }
 
-// shardState is one worker's partition plus its send-phase key census: the
-// distinct ordering keys seen among its own senders, in first-seen order
-// (deterministic: nodes are iterated ascending), with per-key counts. The
-// coordinator merges the censuses into the global canonical ranking and
-// hands back, per local key, the placement cursor into the global order
-// array.
+// shardState is one shard's partition and its inbox scratch.
 type shardState struct {
-	lo, hi int
-	node   int // node currently executing protocol code, for panic attribution
-
-	localMap  map[uint64]int32 // ordering key -> local census index
-	localKeys []uint64         // census index -> key, first-seen order
-	localCnt  []int32          // census index -> own senders with that key
-	toGlobal  []int32          // census index -> coordinator's distinct-key index
-	placePos  []int32          // census index -> next free slot in the order array
+	lo, hi  int
+	node    int          // node currently executing protocol code, for panic attribution
+	entries []inboxEntry // the inbox being sorted, reused for every receiver
 }
 
-// distinctKey is one distinct ordering key of a round with its
-// coordinator index, which stays valid when the keys are sorted.
-type distinctKey struct {
+// inboxEntry pairs a broadcast with its ordering key for sorting.
+type inboxEntry struct {
 	key uint64
-	gi  int32
+	msg Message
 }
 
-// phase identifiers sent over the start channels.
+func byKey(a, b inboxEntry) int { return cmp.Compare(a.key, b.key) }
+
+// The two phases of a round, sent to the workers over their start channels.
 const (
-	phaseSend    = 1 // degree oracle, Send, ordering keys, key census
-	phasePlace   = 2 // scatter own senders into the global canonical order
-	phaseDeliver = 3 // fill own receivers' arena ranges, run Receive
+	phaseSend    = 1 // degree oracle, Send, ordering keys
+	phaseDeliver = 2 // build and sort own receivers' inboxes, run Receive
 )
 
-// RunShardedCtx is RunSharded under a context, with the cancellation,
-// deadline and panic semantics of RunSequentialCtx.
-func RunShardedCtx(ctx context.Context, cfg *Config) (int, error) {
-	if err := cfg.validate(); err != nil {
-		return 0, err
-	}
+// runShards runs a validated cfg on nw shards.
+func runShards(ctx context.Context, cfg *Config, nw int) (int, error) {
 	key := cfg.key()
 	m := cfg.metrics()
 	n := cfg.Net.N()
 	if n == 0 || cfg.MaxRounds == 0 {
 		return 0, nil
 	}
-	if n > shardedMaxNodes {
-		return 0, fmt.Errorf("runtime: sharded engine supports at most %d nodes, got %d", shardedMaxNodes, n)
-	}
-	nw := cfg.Shards
-	if nw == 0 {
-		nw = goruntime.GOMAXPROCS(0)
-	}
-	if nw > n {
-		nw = n
-	}
+	nw = min(nw, n)
 	m.shards.Set(int64(nw))
 
 	var (
 		// Struct-of-arrays node state, reused every round.
 		outbox = make([]Message, n)
 		keys   = make([]uint64, n)
-		kidx   = make([]int32, n) // per node: census index within its shard
-		order  = make([]int32, n) // senders in canonical (key, id) order
-		cur    = make([]int, n)   // per node: next write offset into flat
-		flat   []Message          // delivery arena, one range per receiver
+		flat   []Message // delivery arena, one range per receiver
 
 		da    = make([]DegreeAware, n)
 		anyDA bool
 
 		shards = make([]shardState, nw)
-
-		// Coordinator distinct-key scratch, reused every round.
-		gIdx   = make(map[uint64]int32)
-		dKeys  []distinctKey
-		dTotal []int32 // per coordinator index: senders with that key
-		acc    []int32
 
 		// Topology state. csr is the round's snapshot; the conversion
 		// cache holds while the map-graph pointer is unchanged. bfs is the
@@ -146,7 +119,11 @@ func RunShardedCtx(ctx context.Context, cfg *Config) (int, error) {
 		csrBuf *graph.CSR
 		lastG  *graph.Graph
 		bfs    graph.BFSScratch
-		round  int
+
+		// The round in progress and its deadline timer's channel (nil
+		// without Config.RoundDeadline).
+		round     int
+		deadlineC <-chan time.Time
 	)
 	for v := 0; v < n; v++ {
 		if d, ok := cfg.Procs[v].(DegreeAware); ok {
@@ -155,8 +132,7 @@ func RunShardedCtx(ctx context.Context, cfg *Config) (int, error) {
 		}
 	}
 	for s := range shards {
-		lo, hi := shardBounds(n, nw, s)
-		shards[s] = shardState{lo: lo, hi: hi, localMap: make(map[uint64]int32)}
+		shards[s].lo, shards[s].hi = shardBounds(n, nw, s)
 	}
 	csrDyn, _ := cfg.Net.(dynet.CSRDynamic)
 	if cfg.Adaptive != nil {
@@ -201,23 +177,20 @@ func RunShardedCtx(ctx context.Context, cfg *Config) (int, error) {
 		return nil
 	}
 
-	var (
-		start     = make([]chan int, nw)
-		phaseDone = make(chan struct{}, nw)
-		panics    = make(chan *ProcessPanicError, nw)
-		workerWG  sync.WaitGroup
-	)
-	for s := range start {
-		start[s] = make(chan int, 1)
-	}
-
-	runPhase := func(sh *shardState, ph int) {
+	// runPhase runs phase ph of the current round over shard sh. A process
+	// panic ends the phase and comes back attributed to its node.
+	runPhase := func(sh *shardState, ph int) (pe *ProcessPanicError) {
+		defer func() {
+			if rec := recover(); rec != nil {
+				pe = &ProcessPanicError{Node: sh.node, Round: round, Value: rec, Stack: debug.Stack()}
+			}
+		}()
 		r := round
 		switch ph {
 		case phaseSend:
 			if anyDA && cfg.Adaptive == nil {
-				// Degree oracle (Discussion model), a separate pass before
-				// any Send, as in the sequential engine.
+				// Degree oracle (Discussion model): every degree is known
+				// before any Send.
 				for v := sh.lo; v < sh.hi; v++ {
 					if d := da[v]; d != nil {
 						sh.node = v
@@ -225,120 +198,92 @@ func RunShardedCtx(ctx context.Context, cfg *Config) (int, error) {
 					}
 				}
 			}
-			clear(sh.localMap)
-			sh.localKeys = sh.localKeys[:0]
-			sh.localCnt = sh.localCnt[:0]
 			for v := sh.lo; v < sh.hi; v++ {
 				sh.node = v
 				outbox[v] = cfg.Procs[v].Send(r)
-				k := key(outbox[v])
-				keys[v] = k
-				li, ok := sh.localMap[k]
-				if !ok {
-					li = int32(len(sh.localKeys))
-					sh.localMap[k] = li
-					sh.localKeys = append(sh.localKeys, k)
-					sh.localCnt = append(sh.localCnt, 0)
-				}
-				sh.localCnt[li]++
-				kidx[v] = li
-			}
-		case phasePlace:
-			for v := sh.lo; v < sh.hi; v++ {
-				li := kidx[v]
-				order[sh.placePos[li]] = int32(v)
-				sh.placePos[li]++
+				keys[v] = key(outbox[v])
 			}
 		case phaseDeliver:
 			off := csr.Offsets
 			for v := sh.lo; v < sh.hi; v++ {
-				cur[v] = off[v]
-			}
-			// Replay the global canonical sender order against this
-			// shard's receivers: each owned inbox range fills in exactly
-			// the (key, id)-sorted order, with no per-inbox sort.
-			for _, u := range order {
-				row := csr.Nbrs[off[u]:off[u+1]]
-				a := lowerBound(row, sh.lo)
-				b := lowerBound(row, sh.hi)
-				if a == b {
-					continue
+				row := csr.Nbrs[off[v]:off[v+1]]
+				es := slices.Grow(sh.entries[:0], len(row))
+				for _, u := range row {
+					es = append(es, inboxEntry{key: keys[u], msg: outbox[u]})
 				}
-				msg := outbox[u]
-				for _, w := range row[a:b] {
-					flat[cur[w]] = msg
-					cur[w]++
+				// Senders arrive in ascending id order, so a stable sort
+				// breaks key ties by sender id. An inbox of two — every
+				// node of a cycle or path — orders with one comparison.
+				if len(es) == 2 {
+					if es[1].key < es[0].key {
+						es[0], es[1] = es[1], es[0]
+					}
+				} else if len(es) > 2 {
+					slices.SortStableFunc(es, byKey)
 				}
-			}
-			for v := sh.lo; v < sh.hi; v++ {
+				in := flat[off[v]:off[v+1]:off[v+1]]
+				for i := range es {
+					in[i] = es[i].msg
+				}
+				sh.entries = es
 				sh.node = v
-				cfg.Procs[v].Receive(r, flat[off[v]:off[v+1]:off[v+1]])
+				cfg.Procs[v].Receive(r, in)
 			}
 		}
+		return nil
 	}
 
-	worker := func(s int) {
-		defer workerWG.Done()
-		sh := &shards[s]
-		defer func() {
-			if rec := recover(); rec != nil {
-				// A panicking worker reports instead of its phase token; the
-				// coordinator's barrier collects one signal per worker and
-				// aborts the round.
-				panics <- &ProcessPanicError{Node: sh.node, Round: round, Value: rec, Stack: debug.Stack()}
-			}
-		}()
-		for ph := range start[s] {
-			runPhase(sh, ph)
-			phaseDone <- struct{}{}
+	// phase runs ph on every shard and returns once all are done. A single
+	// shard runs on the calling goroutine; more shards replace phase with a
+	// hand-off to their workers below.
+	phase := func(ph int) error {
+		if pe := runPhase(&shards[0], ph); pe != nil {
+			return pe
 		}
+		return nil
 	}
-	workerWG.Add(nw)
-	for s := 0; s < nw; s++ {
-		go worker(s)
-	}
-	stopWorkers := func() {
-		for s := range start {
-			close(start[s])
-		}
-		workerWG.Wait()
-	}
-
-	for r := 0; r < cfg.MaxRounds; r++ {
-		if err := ctx.Err(); err != nil {
-			m.cancels.Inc()
-			stopWorkers()
-			return r, canceled(r, err)
-		}
-		obsStart := m.roundNS.Start()
+	if nw > 1 {
 		var (
-			roundTimer *time.Timer
-			deadlineC  <-chan time.Time
+			start = make([]chan int, nw)
+			done  = make(chan *ProcessPanicError, nw)
+			wg    sync.WaitGroup
 		)
-		if cfg.RoundDeadline > 0 {
-			roundTimer = time.NewTimer(cfg.RoundDeadline)
-			deadlineC = roundTimer.C
+		wg.Add(nw)
+		for s := range start {
+			start[s] = make(chan int, 1)
+			go func(sh *shardState, phases <-chan int) {
+				defer wg.Done()
+				for ph := range phases {
+					done <- runPhase(sh, ph)
+				}
+			}(&shards[s], start[s])
 		}
-		// barrier collects exactly one signal — a phase token or a panic
-		// report — per worker, so phases never bleed into each other. A
-		// panicking worker is dead, so after any panic the run must abort;
-		// waiting for all signals first makes the choice deterministic: the
-		// lowest panicking node wins, as in the sequential engine. Context
-		// and deadline aborts stop waiting early; the in-flight workers
-		// park on the buffered token channel and are joined by fail.
-		barrier := func() error {
+		defer func() {
+			for s := range start {
+				close(start[s])
+			}
+			wg.Wait()
+		}()
+		// The coordinator collects exactly one result per worker, so
+		// phases never bleed into each other; of several panics it reports
+		// the lowest node's, as the one-shard run would. A context or
+		// deadline abort stops waiting early; the deferred join waits for
+		// the workers still in the phase.
+		phase = func(ph int) error {
+			for s := range start {
+				start[s] <- ph
+			}
 			var first *ProcessPanicError
-			for i := 0; i < nw; i++ {
+			for range nw {
 				select {
-				case <-phaseDone:
-				case p := <-panics:
-					if first == nil || p.Node < first.Node {
-						first = p
+				case pe := <-done:
+					if pe != nil && (first == nil || pe.Node < first.Node) {
+						first = pe
 					}
 				case <-ctx.Done():
-					return canceled(r, ctx.Err())
+					return canceled(round, ctx.Err())
 				case <-deadlineC:
-					return &RoundDeadlineError{Round: r, Limit: cfg.RoundDeadline}
+					return &RoundDeadlineError{Round: round, Limit: cfg.RoundDeadline}
 				}
 			}
 			if first != nil {
@@ -346,121 +291,70 @@ func RunShardedCtx(ctx context.Context, cfg *Config) (int, error) {
 			}
 			return nil
 		}
-		fail := func(err error) (int, error) {
-			if roundTimer != nil {
-				roundTimer.Stop()
-			}
-			m.recordFailure(err)
-			stopWorkers()
-			return r, err
-		}
-		release := func(ph int) {
-			for s := range start {
-				start[s] <- ph
-			}
-		}
+	}
 
+	// step runs round r.
+	step := func(r int) error {
+		if err := ctx.Err(); err != nil {
+			return canceled(r, err)
+		}
 		round = r
+		deadlineC = nil
+		if cfg.RoundDeadline > 0 {
+			t := time.NewTimer(cfg.RoundDeadline)
+			defer t.Stop()
+			deadlineC = t.C
+		}
 		if cfg.Adaptive == nil {
 			if err := snapshotCSR(r, nil); err != nil {
-				if roundTimer != nil {
-					roundTimer.Stop()
-				}
-				stopWorkers()
-				return r, err
+				return err
 			}
 		}
-		release(phaseSend)
-		if err := barrier(); err != nil {
-			return fail(err)
+		if err := phase(phaseSend); err != nil {
+			return err
 		}
 		if err := ctx.Err(); err != nil {
-			return fail(canceled(r, err))
+			return canceled(r, err)
 		}
 		if cfg.Adaptive != nil {
 			// The omniscient adversary fixes the topology knowing the
 			// round's broadcasts.
 			g, err := cfg.topology(r, outbox)
 			if err != nil {
-				return fail(err)
+				return err
 			}
 			if err := snapshotCSR(r, g); err != nil {
-				return fail(err)
+				return err
 			}
 		}
-
-		// Merge the shard key censuses into the global canonical ranking
-		// and reserve, for every (distinct key, shard) pair, its slot range
-		// in the order array. All cross-shard coordination happens here, on
-		// integer indices.
-		clear(gIdx)
-		dKeys = dKeys[:0]
-		dTotal = dTotal[:0]
-		for s := range shards {
-			sh := &shards[s]
-			sh.toGlobal = sh.toGlobal[:0]
-			for li, k := range sh.localKeys {
-				gi, ok := gIdx[k]
-				if !ok {
-					gi = int32(len(dKeys))
-					gIdx[k] = gi
-					dKeys = append(dKeys, distinctKey{k, gi})
-					dTotal = append(dTotal, 0)
-				}
-				dTotal[gi] += sh.localCnt[li]
-				sh.toGlobal = append(sh.toGlobal, gi)
-			}
-		}
-		// gIdx dedups the keys, so no two compare equal and an unstable
-		// sort yields the one ascending order.
-		slices.SortFunc(dKeys, func(a, b distinctKey) int { return cmp.Compare(a.key, b.key) })
-		if cap(acc) < len(dKeys) {
-			acc = make([]int32, len(dKeys))
-		} else {
-			acc = acc[:len(dKeys)]
-		}
-		// No zeroing: every distinct key appears in dKeys, so every entry
-		// is assigned below before it is read.
-		running := int32(0)
-		for _, d := range dKeys {
-			acc[d.gi] = running
-			running += dTotal[d.gi]
-		}
-		for s := range shards {
-			sh := &shards[s]
-			sh.placePos = sh.placePos[:0]
-			for li, gi := range sh.toGlobal {
-				sh.placePos = append(sh.placePos, acc[gi])
-				acc[gi] += sh.localCnt[li]
-			}
-		}
-		release(phasePlace)
-		if err := barrier(); err != nil {
-			return fail(err)
-		}
-
 		total := csr.Total()
 		if cap(flat) < total {
 			flat = make([]Message, total)
 		} else {
 			flat = flat[:total]
 		}
-		if m.messages != nil {
-			m.messages.Add(int64(total))
-		}
-		release(phaseDeliver)
-		if err := barrier(); err != nil {
-			return fail(err)
+		m.messages.Add(int64(total))
+		if err := phase(phaseDeliver); err != nil {
+			return err
 		}
 		if err := ctx.Err(); err != nil {
-			return fail(canceled(r, err))
+			return canceled(r, err)
 		}
-		if roundTimer != nil {
-			if !roundTimer.Stop() {
-				// The deadline elapsed while the barriers were already
-				// satisfied: the round still overran its budget.
-				return fail(&RoundDeadlineError{Round: r, Limit: cfg.RoundDeadline})
-			}
+		select {
+		case <-deadlineC:
+			// The deadline elapsed while the phases still completed: the
+			// round overran its budget all the same.
+			return &RoundDeadlineError{Round: r, Limit: cfg.RoundDeadline}
+		default:
+			return nil
+		}
+	}
+
+	for r := 0; r < cfg.MaxRounds; r++ {
+		obsStart := m.roundNS.Start()
+		if err := step(r); err != nil {
+			m.recordFailure(err)
+			return r, err
 		}
 		m.rounds.Inc()
 		m.roundNS.Stop(obsStart)
@@ -468,26 +362,8 @@ func RunShardedCtx(ctx context.Context, cfg *Config) (int, error) {
 			cfg.OnRound(r)
 		}
 		if cfg.Stop != nil && cfg.Stop(r) {
-			stopWorkers()
 			return r + 1, nil
 		}
 	}
-	stopWorkers()
 	return cfg.MaxRounds, nil
-}
-
-// lowerBound returns the first index in the ascending row whose node id is
-// >= x. Hand-rolled instead of sort.Search so the delivery loop stays free
-// of closure allocations.
-func lowerBound(row []graph.NodeID, x int) int {
-	lo, hi := 0, len(row)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if int(row[mid]) < x {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
 }

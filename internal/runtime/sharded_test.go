@@ -513,20 +513,6 @@ func TestShardBounds(t *testing.T) {
 	}
 }
 
-func TestLowerBound(t *testing.T) {
-	row := []graph.NodeID{2, 4, 4, 7, 9}
-	for _, tc := range []struct{ x, want int }{
-		{0, 0}, {2, 0}, {3, 1}, {4, 1}, {5, 3}, {7, 3}, {8, 4}, {9, 4}, {10, 5},
-	} {
-		if got := lowerBound(row, tc.x); got != tc.want {
-			t.Errorf("lowerBound(%v, %d) = %d, want %d", row, tc.x, got, tc.want)
-		}
-	}
-	if got := lowerBound(nil, 3); got != 0 {
-		t.Errorf("lowerBound(nil, 3) = %d, want 0", got)
-	}
-}
-
 // retainingProc deliberately keeps every inbox slice it is handed, without
 // copying, breaking the Process.Receive ownership rule.
 type retainingProc struct {

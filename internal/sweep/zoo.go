@@ -109,7 +109,7 @@ func zooRun(ctx context.Context, job Job, zp zooProto) (Result, error) {
 		return Result{}, err
 	}
 	res := Result{Key: job.Key, Proto: job.Proto, N: job.N, Trial: job.Trial}
-	out, err := counting.RunAlgorithm(zp.algo, inst, counting.Runner(runtime.SequentialEngine(ctx)))
+	out, err := counting.RunAlgorithm(zp.algo, inst, runtime.SequentialEngine(ctx))
 	if err != nil {
 		if ctxErr := ctx.Err(); ctxErr != nil && errors.Is(err, ctxErr) {
 			// Stopped, not measured: the job fails with its context.
