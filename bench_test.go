@@ -218,10 +218,13 @@ func BenchmarkDiscussionOracle(b *testing.B) {
 	for _, outer := range []int{9, 81, 729} {
 		outer := outer
 		b.Run(fmt.Sprintf("outer=%d", outer), func(b *testing.B) {
-			net, v1, v2 := oracleNet(outer)
+			inst, err := counting.RestrictedPD2Instance(outer)
+			if err != nil {
+				b.Fatal(err)
+			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				count, rounds, err := counting.OracleCount(net, 0, v1, v2, runtime.RunSequential)
+				count, rounds, err := counting.OracleCount(inst.Net, inst.Leader, inst.V1, inst.V2, runtime.RunSequential)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -231,30 +234,6 @@ func BenchmarkDiscussionOracle(b *testing.B) {
 			}
 		})
 	}
-}
-
-func oracleNet(outer int) (dynet.Dynamic, []graph.NodeID, []graph.NodeID) {
-	const k = 2
-	n := 1 + k + outer
-	v1 := []graph.NodeID{1, 2}
-	v2 := make([]graph.NodeID, outer)
-	for i := range v2 {
-		v2[i] = graph.NodeID(1 + k + i)
-	}
-	net := dynet.NewFunc(n, func(r int) *graph.Graph {
-		g := graph.New(n)
-		for _, rel := range v1 {
-			_ = g.AddEdge(0, rel)
-		}
-		for i, w := range v2 {
-			_ = g.AddEdge(v1[(i+r)%k], w)
-			if i%2 == 1 {
-				_ = g.AddEdge(v1[(i+r+1)%k], w)
-			}
-		}
-		return g
-	})
-	return net, v1, v2
 }
 
 // BenchmarkGapFloodVsCount runs flooding and counting on the same
@@ -335,10 +314,13 @@ func BenchmarkEngines(b *testing.B) {
 	} {
 		run := run
 		b.Run(name, func(b *testing.B) {
-			net, v1, v2 := oracleNet(81)
+			inst, err := counting.RestrictedPD2Instance(81)
+			if err != nil {
+				b.Fatal(err)
+			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := counting.OracleCount(net, 0, v1, v2, run); err != nil {
+				if _, _, err := counting.OracleCount(inst.Net, inst.Leader, inst.V1, inst.V2, run); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -2,14 +2,11 @@ package check
 
 import (
 	"fmt"
-	"math"
-	"math/big"
 	"math/rand"
 	"strings"
 
 	"anondyn/internal/core"
 	"anondyn/internal/dynet"
-	"anondyn/internal/linalg"
 	"anondyn/internal/multigraph"
 )
 
@@ -29,9 +26,6 @@ type Instance struct {
 	// of Corollary 1 has Delay intermediate nodes, so observations reach
 	// the leader Delay+1 rounds late).
 	Delay int
-	// Mat is the integer matrix for the linalg-fastpath oracle. Only set
-	// for matrix instances (M then holds a trivial placeholder schedule).
-	Mat *linalg.Matrix
 	// Fam is the adversary-family parameter block for the dynet oracles.
 	// Only set for family instances (M then holds a trivial placeholder
 	// schedule).
@@ -66,13 +60,6 @@ func (inst *Instance) String() string {
 		inst.M.W(), inst.M.K(), inst.M.Horizon(), inst.Delay)
 	if inst.Twin != nil {
 		fmt.Fprintf(&sb, " twin(w=%d eq=%d)", inst.Twin.W(), inst.EqRounds)
-	}
-	if inst.Mat != nil {
-		fmt.Fprintf(&sb, " mat=%dx%d", inst.Mat.Rows(), inst.Mat.Cols())
-		if inst.Mat.Rows()*inst.Mat.Cols() <= 36 {
-			fmt.Fprintf(&sb, " %s", inst.Mat)
-		}
-		return sb.String()
 	}
 	if inst.Fam != nil {
 		f := inst.Fam
@@ -198,68 +185,6 @@ func genScheduleK(rng *rand.Rand, maxK, maxW, maxH int) (*Instance, error) {
 	return &Instance{M: m, Delay: rng.Intn(3)}, nil
 }
 
-// genMatrix draws a random integer matrix for the linalg-fastpath oracle.
-// Entry regimes are biased toward the int64 overflow boundary: small entries
-// (the pure fast path), medium entries whose Bareiss pivot products overflow
-// after a step or two (mid-elimination fallback), entries within a few units
-// of ±MaxInt64 (immediate fallback), and entries beyond int64 entirely
-// (big-from-the-start). Zero entries and duplicated rows force pivot
-// searches, row swaps, and rank deficiency.
-func genMatrix(rng *rand.Rand) (*Instance, error) {
-	rows := rng.Intn(7) + 1
-	cols := rng.Intn(8) + 1
-	m, err := linalg.NewMatrix(rows, cols)
-	if err != nil {
-		return nil, err
-	}
-	regime := rng.Intn(4)
-	entry := func() *big.Int {
-		if rng.Intn(4) == 0 {
-			return new(big.Int) // zero: pivot search + rank deficiency
-		}
-		sign := int64(1 - 2*rng.Intn(2))
-		switch regime {
-		case 0: // small: stays on the int64 path throughout
-			return big.NewInt(sign * int64(rng.Intn(10)))
-		case 1: // medium: pivot products overflow mid-elimination
-			return big.NewInt(sign * (int64(rng.Intn(1<<31)) + 1<<31))
-		case 2: // boundary: within a few units of ±MaxInt64 (and MinInt64)
-			v := big.NewInt(math.MaxInt64 - int64(rng.Intn(3)))
-			if sign < 0 {
-				v.Neg(v)
-				if rng.Intn(4) == 0 {
-					v.SetInt64(math.MinInt64)
-				}
-			}
-			return v
-		default: // beyond int64: forces the big.Int path from the start
-			v := new(big.Int).Lsh(big.NewInt(int64(rng.Intn(1<<20)+1)), uint(50+rng.Intn(30)))
-			if sign < 0 {
-				v.Neg(v)
-			}
-			return v
-		}
-	}
-	for i := 0; i < rows; i++ {
-		for j := 0; j < cols; j++ {
-			m.Set(i, j, entry())
-		}
-	}
-	// Duplicate a row half the time: guaranteed elimination work.
-	if rows > 1 && rng.Intn(2) == 0 {
-		src, dst := rng.Intn(rows), rng.Intn(rows)
-		for j := 0; j < cols; j++ {
-			m.Set(dst, j, m.At(src, j))
-		}
-	}
-	// The schedule slot is a placeholder; matrix oracles only read Mat.
-	placeholder, err := multigraph.New(2, [][]multigraph.LabelSet{{multigraph.SetOf(1)}})
-	if err != nil {
-		return nil, err
-	}
-	return &Instance{M: placeholder, Mat: m}, nil
-}
-
 // genPair draws a Lemma-5 adversarial pair: a size biased toward the 3-power
 // boundaries, a sustained-rounds count up to the Lemma 5 maximum (capped so
 // the 3^rounds count vectors stay small), extended past the divergence point
@@ -309,8 +234,8 @@ func buildPair(n, rounds, delay int) (*Instance, error) {
 	return buildPairK(n, rounds, 2, delay)
 }
 
-// placeholderSchedule is the trivial one-node schedule carried by instances
-// whose payload lives outside M (matrices, family cases).
+// placeholderSchedule is the trivial one-node schedule carried by family
+// instances, whose payload lives outside M.
 func placeholderSchedule() (*multigraph.Multigraph, error) {
 	return multigraph.New(2, [][]multigraph.LabelSet{{multigraph.SetOf(1)}})
 }

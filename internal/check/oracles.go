@@ -55,7 +55,6 @@ func Oracles() []*Oracle {
 		messageOracle(),
 		monotoneOracle(),
 		enumKOracle(),
-		linalgFastpathOracle(),
 		shardedEngineOracle(),
 		histTreeCountOracle(),
 		tIntervalWindowOracle(),
@@ -850,83 +849,6 @@ func enumKOracle() *Oracle {
 						sizes = sizes[:len(sizes)-1]
 					}
 					return sizes, err
-				}
-			}},
-		},
-	}
-}
-
-// linalgFastpathOracle is the differential check behind the PR 5 arithmetic
-// fast path: the fraction-free int64 Bareiss elimination (with transparent
-// big.Int fallback on pivot-product overflow) must reproduce the retained
-// classical big.Rat RREF bit for bit — same pivot columns, same rational
-// entries — on randomized matrices whose entry regimes deliberately straddle
-// the overflow boundary near ±MaxInt64.
-func linalgFastpathOracle() *Oracle {
-	return &Oracle{
-		Name: "linalg-fastpath",
-		Doc:  "fraction-free int64 RREF (big.Int fallback) ≡ classical big.Rat elimination on overflow-boundary matrices",
-		Gen: func(rng *rand.Rand) (*Instance, error) {
-			return genMatrix(rng)
-		},
-		Check: func(inst *Instance, sys *System) error {
-			if inst.Mat == nil {
-				return fmt.Errorf("matrix oracle on instance without matrix")
-			}
-			fastE, fastP := sys.RREFFast(inst.Mat)
-			refE, refP := sys.RREFRef(inst.Mat)
-			if len(fastP) != len(refP) {
-				return fmt.Errorf("fast path found pivots %v, reference %v", fastP, refP)
-			}
-			for i := range fastP {
-				if fastP[i] != refP[i] {
-					return fmt.Errorf("pivot %d: fast column %d, reference column %d", i, fastP[i], refP[i])
-				}
-			}
-			for i := range fastE {
-				for j := range fastE[i] {
-					if fastE[i][j].Cmp(refE[i][j]) != 0 {
-						return fmt.Errorf("entry (%d,%d): fast %s, reference %s", i, j, fastE[i][j], refE[i][j])
-					}
-				}
-			}
-			return nil
-		},
-		Mutants: []Mutant{
-			// The signature overflow bug: the fast path misses a wrap on
-			// large inputs and returns a silently wrong entry. Small-entry
-			// matrices are untouched, so only the boundary regimes (which
-			// the generator draws half the time) expose it.
-			{Name: "fast-overflow-blind", Sys: func(sys *System) {
-				inner := sys.RREFFast
-				sys.RREFFast = func(m *linalg.Matrix) ([][]*big.Rat, []int) {
-					entries, pivots := inner(m)
-					big32 := false
-					for i := 0; i < m.Rows() && !big32; i++ {
-						for j := 0; j < m.Cols(); j++ {
-							if m.At(i, j).BitLen() >= 32 {
-								big32 = true
-								break
-							}
-						}
-					}
-					if big32 && len(entries) > 0 {
-						row := entries[len(entries)-1]
-						last := row[len(row)-1]
-						last.Add(last, new(big.Rat).SetInt64(1))
-					}
-					return entries, pivots
-				}
-			}},
-			// A rank bug: the elimination loses its final pivot.
-			{Name: "fast-pivot-drop", Sys: func(sys *System) {
-				inner := sys.RREFFast
-				sys.RREFFast = func(m *linalg.Matrix) ([][]*big.Rat, []int) {
-					entries, pivots := inner(m)
-					if len(pivots) > 0 {
-						pivots = pivots[:len(pivots)-1]
-					}
-					return entries, pivots
 				}
 			}},
 		},

@@ -1,10 +1,7 @@
 package check
 
 import (
-	"math/big"
-
 	"anondyn/internal/core"
-	"anondyn/internal/linalg"
 	"anondyn/internal/multigraph"
 )
 
@@ -56,9 +53,6 @@ func shrinkCandidates(inst *Instance) []*Instance {
 		if err == nil && cand != nil {
 			out = append(out, cand)
 		}
-	}
-	if inst.Mat != nil {
-		return shrinkMatrixCandidates(inst)
 	}
 	if inst.Fam != nil {
 		return shrinkFamilyCandidates(inst)
@@ -154,63 +148,6 @@ func shrinkFamilyCandidates(inst *Instance) []*Instance {
 	}
 	if f.P > 0 {
 		propose(func(c *FamilyCase) { c.P = 0 })
-	}
-	return out
-}
-
-// shrinkMatrixCandidates proposes smaller matrices for a failing matrix
-// instance: fewer rows, fewer columns, then simpler entries (each entry of
-// magnitude > 1 reduced to its sign). The placeholder schedule is carried
-// through unchanged.
-func shrinkMatrixCandidates(inst *Instance) []*Instance {
-	m := inst.Mat
-	rows, cols := m.Rows(), m.Cols()
-	var out []*Instance
-	build := func(nr, nc int, at func(i, j int) *big.Int) {
-		nm, err := linalg.NewMatrix(nr, nc)
-		if err != nil {
-			return
-		}
-		for i := 0; i < nr; i++ {
-			for j := 0; j < nc; j++ {
-				nm.Set(i, j, at(i, j))
-			}
-		}
-		out = append(out, &Instance{M: inst.M, Mat: nm})
-	}
-	if rows > 1 {
-		for drop := 0; drop < rows; drop++ {
-			build(rows-1, cols, func(i, j int) *big.Int {
-				if i >= drop {
-					i++
-				}
-				return m.At(i, j)
-			})
-		}
-	}
-	if cols > 1 {
-		for drop := 0; drop < cols; drop++ {
-			build(rows, cols-1, func(i, j int) *big.Int {
-				if j >= drop {
-					j++
-				}
-				return m.At(i, j)
-			})
-		}
-	}
-	one := big.NewInt(1)
-	for si := 0; si < rows; si++ {
-		for sj := 0; sj < cols; sj++ {
-			if m.At(si, sj).CmpAbs(one) <= 0 {
-				continue
-			}
-			build(rows, cols, func(i, j int) *big.Int {
-				if i == si && j == sj {
-					return big.NewInt(int64(m.At(i, j).Sign()))
-				}
-				return m.At(i, j)
-			})
-		}
 	}
 	return out
 }

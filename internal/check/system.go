@@ -63,12 +63,6 @@ type System struct {
 	// EngineSharded is runtime's round loop at any shard count
 	// (runtime.RunSharded).
 	EngineSharded runtime.Engine
-	// RREFFast is the fraction-free int64 Bareiss RREF with big.Int
-	// fallback (the production path, linalg.(*Matrix).RREF).
-	RREFFast func(m *linalg.Matrix) ([][]*big.Rat, []int)
-	// RREFRef is the retained classical big.Rat elimination
-	// (linalg.(*Matrix).RREFReference) the fast path is checked against.
-	RREFRef func(m *linalg.Matrix) ([][]*big.Rat, []int)
 	// Limits budgets the general-k enumerator.
 	Limits kernel.EnumLimits
 	// PairK is the general-k Lemma-5 pair construction
@@ -123,8 +117,6 @@ func Healthy() *System {
 		},
 		EngineSeq:     referenceRun,
 		EngineSharded: runtime.RunSharded,
-		RREFFast:      (*linalg.Matrix).RREF,
-		RREFRef:       (*linalg.Matrix).RREFReference,
 		PairK:         core.IndistinguishablePairK,
 		KernelK:       kernel.ClosedFormKernelK,
 		KernelSumNegK: kernel.KernelSumNegativeK,

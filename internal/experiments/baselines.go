@@ -129,22 +129,16 @@ func BaselineUpperBound(ctx context.Context) ([]Row, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		net, _, v2 := restrictedPD2(2, outer)
-		truth := 1 + 2 + len(v2)
-		maxDeg := 0
-		for r := 0; r < 8; r++ {
-			g := net.Snapshot(r)
-			for v := 0; v < net.N(); v++ {
-				if d := g.Degree(graph.NodeID(v)); d > maxDeg {
-					maxDeg = d
-				}
-			}
-		}
-		res, err := counting.UpperBoundCount(net, 0, maxDeg, 8, runtime.SequentialEngine(ctx))
+		inst, err := counting.RestrictedPD2Instance(outer)
 		if err != nil {
 			return nil, err
 		}
-		series = append(series, fmt.Sprintf("|V|=%d: bound %d (depth %d, d=%d)", truth, res.Bound, res.Depth, maxDeg))
+		truth := inst.TrueN
+		res, err := counting.UpperBoundCount(inst.Net, inst.Leader, inst.MaxDegree, 8, runtime.SequentialEngine(ctx))
+		if err != nil {
+			return nil, err
+		}
+		series = append(series, fmt.Sprintf("|V|=%d: bound %d (depth %d, d=%d)", truth, res.Bound, res.Depth, inst.MaxDegree))
 		if res.Bound < truth {
 			bad = append(bad, fmt.Sprintf("unsound at |V|=%d: bound %d", truth, res.Bound))
 		}

@@ -15,34 +15,6 @@ import (
 	"anondyn/internal/runtime"
 )
 
-// restrictedPD2 builds a restricted 𝒢(PD)₂ network (no intra-layer edges)
-// with k relays and `outer` V₂ nodes whose attachments rotate every round.
-func restrictedPD2(k, outer int) (dynet.Dynamic, []graph.NodeID, []graph.NodeID) {
-	n := 1 + k + outer
-	v1 := make([]graph.NodeID, k)
-	for i := range v1 {
-		v1[i] = graph.NodeID(1 + i)
-	}
-	v2 := make([]graph.NodeID, outer)
-	for i := range v2 {
-		v2[i] = graph.NodeID(1 + k + i)
-	}
-	net := dynet.NewFunc(n, func(r int) *graph.Graph {
-		g := graph.New(n)
-		for _, rel := range v1 {
-			_ = g.AddEdge(0, rel)
-		}
-		for i, w := range v2 {
-			_ = g.AddEdge(v1[(i+r)%k], w)
-			if i%2 == 1 {
-				_ = g.AddEdge(v1[(i+r+1)%k], w)
-			}
-		}
-		return g
-	})
-	return net, v1, v2
-}
-
 // Discussion measures the degree-oracle algorithm: constant rounds across
 // sizes, versus the growing anonymous lower bound for the same sizes.
 func Discussion(ctx context.Context) ([]Row, error) {
@@ -52,8 +24,11 @@ func Discussion(ctx context.Context) ([]Row, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		net, v1, v2 := restrictedPD2(2, outer)
-		count, rounds, err := counting.OracleCount(net, 0, v1, v2, runtime.SequentialEngine(ctx))
+		inst, err := counting.RestrictedPD2Instance(outer)
+		if err != nil {
+			return nil, err
+		}
+		count, rounds, err := counting.OracleCount(inst.Net, inst.Leader, inst.V1, inst.V2, runtime.SequentialEngine(ctx))
 		if err != nil {
 			return nil, err
 		}

@@ -12,9 +12,9 @@ import (
 // determines every cardinality. The fast path propagates exact rationals
 // in int64 numerator/denominator pairs (kept reduced, so equality is
 // struct equality); any multiplication that would overflow spills the
-// whole solve to the retained big.Rat reference implementation, mirroring
-// linalg's Bareiss elimination. Cardinalities are positive throughout, so
-// the fast path never needs sign handling.
+// whole solve to the retained big.Rat reference implementation.
+// Cardinalities are positive throughout, so the fast path never needs sign
+// handling.
 
 // frac is a positive rational in lowest terms (num, den > 0, gcd 1).
 type frac struct{ num, den int64 }

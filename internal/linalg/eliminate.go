@@ -3,43 +3,27 @@ package linalg
 import (
 	"fmt"
 	"math/big"
+
+	"anondyn/internal/obs"
 )
 
-// rref computes the reduced row echelon form of m over the rationals.
-// It returns the RREF entries and the list of pivot columns.
+// rref computes the reduced row echelon form of m over the rationals by
+// Gauss–Jordan elimination on big.Rat entries. It returns the RREF entries
+// and the list of pivot columns.
 //
-// Since PR 5 this dispatches to the fraction-free int64 fast path in
-// bareiss.go, which falls back to big.Int arithmetic only when a pivot
-// product would overflow. The classical big.Rat elimination below is
-// retained as rrefReference: the two are bit-for-bit equivalent, which the
-// linalg-fastpath check oracle verifies on randomized matrices.
-//
-// When a process-wide obs collector is installed, rref reports the number
-// of elimination pivots it consumes and the peak integer bit-length it
-// encounters in pivot rows (the quantity that governs exact-arithmetic
-// cost). Unobserved processes pay one nil check per rref call.
+// When a process-wide obs collector is installed, rref counts the pivots it
+// consumes and records the widest numerator or denominator left in a pivot
+// row (the coefficient growth exact elimination pays for). Unobserved
+// processes pay one nil check per rref call.
 func rref(m *Matrix) ([][]*big.Rat, []int) {
-	return rrefFast(m)
-}
-
-// RREF returns the reduced row echelon form of m over the rationals and the
-// list of pivot columns, computed by the fraction-free fast path. Exported
-// for differential testing (internal/check's linalg-fastpath oracle).
-func (m *Matrix) RREF() ([][]*big.Rat, []int) {
-	return rrefFast(m)
-}
-
-// RREFReference returns the same result as RREF, computed by the retained
-// classical big.Rat elimination. It is the slow, obviously-correct reference
-// the fast path is checked against; production callers use RREF.
-func (m *Matrix) RREFReference() ([][]*big.Rat, []int) {
-	return rrefReference(m)
-}
-
-// rrefReference is the pre-PR-5 big.Rat Gauss-Jordan elimination, kept as
-// the reference implementation for differential checks. Uninstrumented: obs
-// pivot/peak-bits metrics are reported by the production path only.
-func rrefReference(m *Matrix) ([][]*big.Rat, []int) {
+	var (
+		pivotCtr *obs.Counter
+		peakBits *obs.Gauge
+	)
+	if col := obs.Global(); col != nil {
+		pivotCtr = col.Counter(obs.LinalgPivots)
+		peakBits = col.Gauge(obs.LinalgPeakBits)
+	}
 	rows, cols := m.rows, m.cols
 	a := make([][]*big.Rat, rows)
 	for i := 0; i < rows; i++ {
@@ -49,6 +33,7 @@ func rrefReference(m *Matrix) ([][]*big.Rat, []int) {
 		}
 	}
 	pivots := make([]int, 0, min(rows, cols))
+	f, t := new(big.Rat), new(big.Rat)
 	r := 0
 	for c := 0; c < cols && r < rows; c++ {
 		// Find a pivot in column c at or below row r.
@@ -63,21 +48,32 @@ func rrefReference(m *Matrix) ([][]*big.Rat, []int) {
 			continue
 		}
 		a[r], a[p] = a[p], a[r]
-		// Normalize pivot row.
+		// Normalize the pivot row.
 		inv := new(big.Rat).Inv(a[r][c])
 		for j := c; j < cols; j++ {
 			a[r][j].Mul(a[r][j], inv)
 		}
-		// Eliminate the column everywhere else.
+		// Eliminate the column everywhere else. The node-count systems are
+		// mostly zeros, and a zero in the pivot row changes nothing, so the
+		// loop skips those entries.
 		for i := 0; i < rows; i++ {
 			if i == r || a[i][c].Sign() == 0 {
 				continue
 			}
-			f := new(big.Rat).Set(a[i][c])
+			f.Set(a[i][c])
 			for j := c; j < cols; j++ {
-				t := new(big.Rat).Mul(f, a[r][j])
-				a[i][j].Sub(a[i][j], t)
+				if a[r][j].Sign() != 0 {
+					a[i][j].Sub(a[i][j], t.Mul(f, a[r][j]))
+				}
 			}
+		}
+		pivotCtr.Inc()
+		if peakBits != nil {
+			w := 0
+			for j := c; j < cols; j++ {
+				w = max(w, a[r][j].Num().BitLen(), a[r][j].Denom().BitLen())
+			}
+			peakBits.SetMax(int64(w))
 		}
 		pivots = append(pivots, c)
 		r++
@@ -191,11 +187,4 @@ func (m *Matrix) SolveParticular(b Vector) (Vector, bool, error) {
 		out[i].Set(q.Num())
 	}
 	return out, true, nil
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -1,10 +1,13 @@
 package linalg
 
 import (
+	"math"
 	"math/big"
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"anondyn/internal/obs"
 )
 
 func TestNewMatrix(t *testing.T) {
@@ -163,6 +166,31 @@ func TestKernelBasisFractionalPivots(t *testing.T) {
 	}
 }
 
+// TestEliminationMetrics pins what the elimination reports to an installed
+// collector: one pivot per unit of rank, and the widest numerator or
+// denominator left in a normalized pivot row.
+func TestEliminationMetrics(t *testing.T) {
+	prev := obs.Global()
+	defer obs.Set(prev)
+	col := obs.New()
+	obs.Set(col)
+
+	// The third row is the sum of the first two, and the RREF is
+	// [1 0 0; 0 1 1/2; 0 0 0]. The widest entry left in a pivot row is the
+	// denominator 2, two bits; before it was normalized, the second pivot
+	// row read [0 4 2], three bits.
+	m := MustFromInts([][]int{{1, 0, 0}, {0, 4, 2}, {1, 4, 2}})
+	if got := m.Rank(); got != 2 {
+		t.Fatalf("Rank = %d, want 2", got)
+	}
+	if got := col.Counter(obs.LinalgPivots).Value(); got != 2 {
+		t.Errorf("%s = %d, want 2", obs.LinalgPivots, got)
+	}
+	if got := col.Gauge(obs.LinalgPeakBits).Value(); got != 2 {
+		t.Errorf("%s = %d, want 2", obs.LinalgPeakBits, got)
+	}
+}
+
 func TestSolveParticularConsistent(t *testing.T) {
 	m0 := MustFromInts([][]int{{1, 0, 1}, {0, 1, 1}})
 	b := VecFromInts(2, 2)
@@ -280,7 +308,51 @@ func TestVectorAddPanicsOnMismatch(t *testing.T) {
 	VecFromInts(1).Add(VecFromInts(1, 2))
 }
 
-// Property: every kernel basis vector of a random small integer matrix
+// randMatrix draws a rows x cols integer matrix for the property tests. Half
+// the matrices have entries in [-mag, mag], a quarter have entries within a
+// few units of ±MaxInt64 (MinInt64 among them), and a quarter have entries
+// beyond int64. Any row may come out zero-heavy or as a copy of an earlier
+// row, which forces pivot searches, row swaps and rank deficiency.
+func randMatrix(rng *rand.Rand, rows, cols int, mag int64) *Matrix {
+	m, err := NewMatrix(rows, cols)
+	if err != nil {
+		panic(err)
+	}
+	regime := rng.Intn(4)
+	entry := func() *big.Int {
+		sign := int64(1 - 2*rng.Intn(2))
+		switch regime {
+		case 2: // near ±MaxInt64, and MinInt64
+			if sign < 0 && rng.Intn(4) == 0 {
+				return big.NewInt(math.MinInt64)
+			}
+			return big.NewInt(sign * (math.MaxInt64 - rng.Int63n(3)))
+		case 3: // beyond int64: up to about 2^100
+			v := new(big.Int).Lsh(big.NewInt(rng.Int63n(1<<20)+1), uint(50+rng.Intn(30)))
+			return v.Mul(v, big.NewInt(sign))
+		default:
+			return big.NewInt(rng.Int63n(2*mag+1) - mag)
+		}
+	}
+	for i := 0; i < rows; i++ {
+		if i > 0 && rng.Intn(4) == 0 {
+			src := rng.Intn(i)
+			for j := 0; j < cols; j++ {
+				m.Set(i, j, m.At(src, j))
+			}
+			continue
+		}
+		zeroHeavy := rng.Intn(4) == 0
+		for j := 0; j < cols; j++ {
+			if !zeroHeavy || rng.Intn(4) == 0 {
+				m.Set(i, j, entry())
+			}
+		}
+	}
+	return m
+}
+
+// Property: every kernel basis vector of a random integer matrix
 // multiplies to zero, and rank + kernel dim = cols (rank-nullity, the fact
 // Lemma 2's proof closes with).
 func TestRankNullityProperty(t *testing.T) {
@@ -288,15 +360,7 @@ func TestRankNullityProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		rows := rng.Intn(5) + 1
 		cols := rng.Intn(5) + 1
-		m, err := NewMatrix(rows, cols)
-		if err != nil {
-			return false
-		}
-		for i := 0; i < rows; i++ {
-			for j := 0; j < cols; j++ {
-				m.SetInt64(i, j, int64(rng.Intn(7)-3))
-			}
-		}
+		m := randMatrix(rng, rows, cols, 3)
 		basis := m.KernelBasis()
 		if m.Rank()+len(basis) != cols {
 			return false
@@ -316,21 +380,14 @@ func TestRankNullityProperty(t *testing.T) {
 }
 
 // Property: SolveParticular returns a genuine solution whenever b is in the
-// column space (constructed as b = m*x for random integer x).
+// column space (constructed as b = m*x for random integer x and a matrix
+// from randMatrix).
 func TestSolveParticularProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		rows := rng.Intn(4) + 1
 		cols := rng.Intn(4) + 1
-		m, err := NewMatrix(rows, cols)
-		if err != nil {
-			return false
-		}
-		for i := 0; i < rows; i++ {
-			for j := 0; j < cols; j++ {
-				m.SetInt64(i, j, int64(rng.Intn(5)-2))
-			}
-		}
+		m := randMatrix(rng, rows, cols, 2)
 		x := NewVector(cols)
 		for j := 0; j < cols; j++ {
 			x[j].SetInt64(int64(rng.Intn(9) - 4))

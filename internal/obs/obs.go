@@ -68,7 +68,7 @@ const (
 
 	// Exact linear algebra (internal/linalg): rational elimination.
 	LinalgPivots   = "linalg.elimination_pivots" // counter: pivots consumed by rref
-	LinalgPeakBits = "linalg.peak_bits"          // gauge: peak big.Int bit-length seen in a pivot row
+	LinalgPeakBits = "linalg.peak_bits"          // gauge: widest numerator or denominator, in bits, left in a pivot row
 
 	// Kernel solvers (internal/kernel): the leader's counting rule.
 	KernelSolverCalls = "kernel.solver_calls" // counter: full view solves (SolveCountInterval)
