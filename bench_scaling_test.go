@@ -7,6 +7,7 @@ import (
 	"context"
 	"fmt"
 	goruntime "runtime"
+	"slices"
 	"testing"
 
 	"anondyn/internal/chainnet"
@@ -160,6 +161,18 @@ func BenchmarkIncrementalVsBatch(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	stream, err := pair.M.NewObservationStream()
+	if err != nil {
+		b.Fatal(err)
+	}
+	indexed := make([][]multigraph.IndexedObsEntry, 6)
+	for r := range indexed {
+		entries, err := stream.Next()
+		if err != nil {
+			b.Fatal(err)
+		}
+		indexed[r] = slices.Clone(entries)
+	}
 	b.Run("batch-per-round", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for rounds := 1; rounds <= 6; rounds++ {
@@ -172,8 +185,8 @@ func BenchmarkIncrementalVsBatch(b *testing.B) {
 	b.Run("incremental", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			solver := kernel.NewIncrementalSolver()
-			for rounds := 0; rounds < 6; rounds++ {
-				if _, err := solver.AddRound(view[rounds]); err != nil {
+			for _, entries := range indexed {
+				if _, err := solver.AddRoundIndexed(entries); err != nil {
 					b.Fatal(err)
 				}
 			}

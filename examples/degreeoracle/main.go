@@ -20,8 +20,6 @@ import (
 
 	"anondyn/internal/core"
 	"anondyn/internal/counting"
-	"anondyn/internal/dynet"
-	"anondyn/internal/graph"
 	"anondyn/internal/runtime"
 )
 
@@ -31,32 +29,6 @@ func main() {
 	}
 }
 
-// restrictedPD2 builds a restricted G(PD)_2 network: leader 0, two relays,
-// outer nodes attached to rotating relay subsets and never to each other.
-func restrictedPD2(outer int) (dynet.Dynamic, []graph.NodeID, []graph.NodeID) {
-	const k = 2
-	n := 1 + k + outer
-	v1 := []graph.NodeID{1, 2}
-	v2 := make([]graph.NodeID, outer)
-	for i := range v2 {
-		v2[i] = graph.NodeID(1 + k + i)
-	}
-	net := dynet.NewFunc(n, func(r int) *graph.Graph {
-		g := graph.New(n)
-		for _, rel := range v1 {
-			_ = g.AddEdge(0, rel)
-		}
-		for i, w := range v2 {
-			_ = g.AddEdge(v1[(i+r)%k], w)
-			if i%2 == 1 {
-				_ = g.AddEdge(v1[(i+r+1)%k], w)
-			}
-		}
-		return g
-	})
-	return net, v1, v2
-}
-
 func run() error {
 	fmt.Printf("%8s  %28s  %24s\n", "|W|", "anonymous (worst case) rounds", "with degree oracle")
 	for _, n := range []int{3, 9, 27, 81, 243, 729} {
@@ -64,8 +36,11 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		net, v1, v2 := restrictedPD2(n)
-		count, rounds, err := counting.OracleCount(net, 0, v1, v2, runtime.RunSequential)
+		inst, err := counting.RestrictedPD2Instance(n)
+		if err != nil {
+			return err
+		}
+		count, rounds, err := counting.OracleCount(inst.Net, inst.Leader, inst.V1, inst.V2, runtime.RunSequential)
 		if err != nil {
 			return err
 		}

@@ -19,9 +19,11 @@
 // node extends its index in O(1) a round, a relay counts the indices it
 // hears into (index, count) pairs sorted by index, and the leader merges
 // the two relays' lists into one sorted indexed observation
-// (kernel.IncrementalSolver.AddRoundIndexed). Past that length the three
-// switch to History.Key strings and the solver's string path. Either way a
-// trace records each state as its History.Key.
+// (kernel.IncrementalSolver.AddRoundIndexed). Past that length W nodes and
+// relays switch to History.Key strings, and the leader, whose solver takes
+// indexed rounds only, stops consuming facts; it would need them only while
+// its interval is still ambiguous. Either way a trace records each state as
+// its History.Key.
 //
 // Every relay beacon crosses m+1 hops to reach the leader, so the count
 // lands exactly delay = m+1 rounds after the ℳ(DBL)₂ bound: measured

@@ -13,7 +13,6 @@ import (
 	"anondyn/internal/core"
 	"anondyn/internal/dynet"
 	"anondyn/internal/graph"
-	"anondyn/internal/kernel"
 	"anondyn/internal/multigraph"
 	"anondyn/internal/runtime"
 )
@@ -545,52 +544,36 @@ func withIndexLimit(t *testing.T, limit int) {
 }
 
 // TestEarlyKeyCrossover moves the index→key crossover to round 2: from
-// there on, W nodes send keys, relays make key facts and the leader solves
-// through AddRound. On both engines the leader's interval after every round
-// equals that of the indexed run, and so does the recorded transcript.
+// there on, W nodes send keys and relays make key facts, which the leader
+// never feeds to its solver. The recorded transcript equals that of the
+// indexed run. On both engines RunCount, whose leader needs the facts of
+// round 2 to settle Build(13, 2), returns an error and no count, never a
+// wrong count, and the leader's solver takes the two indexed rounds only.
 func TestEarlyKeyCrossover(t *testing.T) {
-	indexedIntervals := leaderIntervals(t, runtime.RunSequential)
-	if last := indexedIntervals[len(indexedIntervals)-1]; !last.Unique() || last.MinSize != 13 {
-		t.Fatalf("indexed run ends at %v, want [13,13]", last)
-	}
 	indexedTrace := recordJSON(t)
 
 	withIndexLimit(t, 1)
 	for _, run := range []runtime.Engine{runtime.RunSequential, runtime.RunSharded} {
-		if got := leaderIntervals(t, run); !slices.Equal(got, indexedIntervals) {
-			t.Fatalf("leader intervals %v with keys from round 2, %v indexed", got, indexedIntervals)
+		nw, err := Build(13, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		maxRounds := core.LowerBoundRounds(13) + nw.Delay() + 5
+		res, err := RunCount(nw, maxRounds, run)
+		if err == nil || res != (CountResult{}) {
+			t.Fatalf("keys from round 2: RunCount = %+v, %v; want an error and no count", res, err)
+		}
+		procs := newProcs(nw)
+		if _, err := run(&runtime.Config{Net: nw.Net, Procs: procs, CanonKey: canonKey, MaxRounds: maxRounds}); err != nil {
+			t.Fatal(err)
+		}
+		if got := procs[nw.Leader].(*leaderProc).solver.Rounds(); got != 2 {
+			t.Fatalf("keys from round 2: the leader's solver took %d rounds, want the 2 indexed ones", got)
 		}
 	}
 	if !bytes.Equal(recordJSON(t), indexedTrace) {
 		t.Fatal("the transcript changed when states switched to keys at round 2")
 	}
-}
-
-// leaderIntervals runs the protocol on Build(13, 2) through the round the
-// leader terminates in and returns its interval after every round.
-func leaderIntervals(t *testing.T, run runtime.Engine) []kernel.Interval {
-	nw, err := Build(13, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	procs := newProcs(nw)
-	leader := procs[nw.Leader].(*leaderProc)
-	var ivs []kernel.Interval
-	cfg := &runtime.Config{
-		Net: nw.Net, Procs: procs, CanonKey: canonKey,
-		MaxRounds: core.LowerBoundRounds(13) + nw.Delay(),
-		OnRound: func(int) {
-			iv, err := leader.solver.Interval()
-			if err != nil {
-				t.Fatal(err)
-			}
-			ivs = append(ivs, iv)
-		},
-	}
-	if _, err := run(cfg); err != nil {
-		t.Fatal(err)
-	}
-	return ivs
 }
 
 // recordJSON records the protocol on Build(13, 2) through the round the

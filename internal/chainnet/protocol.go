@@ -12,11 +12,12 @@ import (
 )
 
 // indexLimit is the longest node state the protocol carries as its
-// History.Index(2), the capacity of an exact int64 index; past it, states
-// travel as History.Key strings. The W nodes, the relays and the leader all
-// switch by this one rule, the leader's solver switches at the same length,
-// and a state's length is the round it is sent in. A variable so tests can
-// move the crossover.
+// History.Index(2), the capacity of an exact int64 index; a state's length
+// is the round it is sent in. Past it, W nodes and relays carry states as
+// History.Key strings, so runs and their transcripts go on. The leader's
+// solver takes indexed rounds only, so the leader consumes no fact past it:
+// it would need one only while its interval is still ambiguous, which takes
+// about 2·10^18 nodes. A variable so tests can move the crossover.
 var indexLimit = multigraph.MaxIndexedRounds
 
 // indexed reports whether a state of the given length travels as its index.
@@ -382,33 +383,22 @@ func (p *leaderProc) Receive(_ int, msgs []runtime.Message) {
 		return
 	}
 	// Feed newly completed rounds (facts from both labels present) to the
-	// incremental solver in order.
+	// incremental solver in order. The solver takes indexed facts only: a
+	// key fact, past indexLimit, is never passed on as an empty
+	// observation, and the leader stops consuming facts there.
 	for {
 		r := p.solver.Rounds()
 		f1, ok1 := p.facts[[2]int{r, 1}]
 		f2, ok2 := p.facts[[2]int{r, 2}]
-		if !ok1 || !ok2 {
+		if !ok1 || !ok2 || !indexed(r) {
 			return
 		}
-		var (
-			iv  kernel.Interval
-			err error
-		)
-		if indexed(r) {
-			p.entries = mergeStates(p.entries[:0], f1.States, f2.States)
-			iv, err = p.solver.AddRoundIndexed(p.entries)
-		} else {
-			obs := make(multigraph.Observation, len(f1.Keys)+len(f2.Keys))
-			for state, c := range f1.Keys {
-				obs[multigraph.ObsKey{Label: 1, StateKey: state}] = c
-			}
-			for state, c := range f2.Keys {
-				obs[multigraph.ObsKey{Label: 2, StateKey: state}] = c
-			}
-			iv, err = p.solver.AddRound(obs)
-		}
+		p.entries = mergeStates(p.entries[:0], f1.States, f2.States)
+		iv, err := p.solver.AddRoundIndexed(p.entries)
 		if err != nil {
-			return // malformed observations; wait (cannot happen with honest relays)
+			// Malformed observations (not from honest relays), or a round
+			// past the solver's index capacity: wait.
+			return
 		}
 		if iv.Unique() {
 			p.count = iv.MinSize

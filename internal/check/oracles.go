@@ -2,6 +2,7 @@ package check
 
 import (
 	"fmt"
+	"maps"
 	"math/big"
 	"math/rand"
 
@@ -74,9 +75,11 @@ func OracleByName(name string) (*Oracle, error) {
 	return nil, fmt.Errorf("check: unknown oracle %q", name)
 }
 
-// intervalOracle cross-checks the incremental solver against the batch
-// solver on every prefix of a random schedule, and verifies the structural
-// facts the leader's termination rule rests on: intervals nest as rounds
+// intervalOracle cross-checks the incremental solver, fed by the
+// multigraph's ObservationStream, against the batch solver on every prefix
+// of a random schedule, after checking each streamed round against the
+// LeaderView the batch solver reads. It also verifies the structural facts
+// the leader's termination rule rests on: intervals nest as rounds
 // accumulate, always contain the true size, and both endpoints are
 // realizable as concrete multigraphs reproducing the observed view (the
 // constructive content of Lemma 5).
@@ -89,21 +92,28 @@ func intervalOracle() *Oracle {
 		},
 		Check: func(inst *Instance, sys *System) error {
 			m := inst.M
+			stream, err := m.NewObservationStream()
+			if err != nil {
+				return err
+			}
 			inc := sys.NewIncremental()
 			prev := kernel.Interval{Unbounded: true}
 			var last kernel.Interval
 			for r := 1; r <= m.Horizon(); r++ {
-				obs, err := m.LeaderObservation(r - 1)
+				entries, err := stream.Next()
 				if err != nil {
 					return err
-				}
-				got, err := inc.AddRound(obs)
-				if err != nil {
-					return fmt.Errorf("incremental round %d: %w", r, err)
 				}
 				view, err := m.LeaderView(r)
 				if err != nil {
 					return err
+				}
+				if obs := keyedObservation(entries, r-1); !maps.Equal(obs, view[r-1]) {
+					return fmt.Errorf("round %d: stream observes %v, LeaderView %v", r, obs, view[r-1])
+				}
+				got, err := inc.AddRoundIndexed(entries)
+				if err != nil {
+					return fmt.Errorf("incremental round %d: %w", r, err)
 				}
 				want, err := sys.Solve(view)
 				if err != nil {
@@ -165,8 +175,8 @@ type staleAdder struct {
 	has   bool
 }
 
-func (s *staleAdder) AddRound(obs multigraph.Observation) (kernel.Interval, error) {
-	iv, err := s.inner.AddRound(obs)
+func (s *staleAdder) AddRoundIndexed(entries []multigraph.IndexedObsEntry) (kernel.Interval, error) {
+	iv, err := s.inner.AddRoundIndexed(entries)
 	if err != nil {
 		return iv, err
 	}
@@ -178,7 +188,20 @@ func (s *staleAdder) AddRound(obs multigraph.Observation) (kernel.Interval, erro
 	return out, nil
 }
 
-func (s *staleAdder) Rounds() int { return s.inner.Rounds() }
+// keyedObservation is a streamed round's observation, whose states have
+// the given length, in the string-keyed form of a LeaderView.
+func keyedObservation(entries []multigraph.IndexedObsEntry, length int) multigraph.Observation {
+	obs := make(multigraph.Observation)
+	for _, e := range entries {
+		key := multigraph.HistoryFromIndex(int(e.State), length, 2).Key()
+		for label, n := range [...]int{1: e.Count1, 2: e.Count2} {
+			if n != 0 {
+				obs[multigraph.ObsKey{Label: label, StateKey: key}] += n
+			}
+		}
+	}
+	return obs
+}
 
 // realizeSize checks that size n is genuinely consistent with the view:
 // ForcedConfiguration yields non-negative counts whose multigraph reproduces

@@ -19,8 +19,7 @@ import (
 // IncrementalAdder is the slice of kernel.IncrementalSolver the oracles
 // depend on, as an interface so a mutation can interpose on it.
 type IncrementalAdder interface {
-	AddRound(multigraph.Observation) (kernel.Interval, error)
-	Rounds() int
+	AddRoundIndexed([]multigraph.IndexedObsEntry) (kernel.Interval, error)
 }
 
 // System bundles the implementations under test. Every oracle routes its

@@ -1,38 +1,11 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 
 	"anondyn/internal/kernel"
 	"anondyn/internal/multigraph"
 )
-
-// solveNextRound folds round `r` of m into the solver, preferring the
-// indexed observation stream (no per-round maps or string keys) and falling
-// back to the string-keyed LeaderObservation path when the stream is
-// unavailable or has exhausted its int64 index capacity. It returns the
-// possibly-nil stream so callers thread the fallback state through their
-// loop.
-func solveNextRound(m *multigraph.Multigraph, solver *kernel.IncrementalSolver, stream *multigraph.ObservationStream, r int) (kernel.Interval, *multigraph.ObservationStream, error) {
-	if stream != nil {
-		entries, err := stream.Next()
-		if err == nil {
-			iv, err := solver.AddRoundIndexed(entries)
-			return iv, stream, err
-		}
-		if !errors.Is(err, multigraph.ErrIndexCapacity) {
-			return kernel.Interval{}, nil, err
-		}
-		stream = nil // string path from this round on
-	}
-	obs, err := m.LeaderObservation(r)
-	if err != nil {
-		return kernel.Interval{}, nil, err
-	}
-	iv, err := solver.AddRound(obs)
-	return iv, nil, err
-}
 
 // CountResult reports a terminating run of the leader-state counter.
 type CountResult struct {
@@ -45,10 +18,10 @@ type CountResult struct {
 
 // CountOnMultigraph runs the optimal leader-state counting algorithm on a
 // ℳ(DBL)₂ multigraph: after each round the leader solves its linear system
-// (kernel.SolveCountInterval) and terminates as soon as exactly one network
-// size is consistent with its view. maxRounds bounds the attempt; the
-// multigraph's schedule is consulted for at most min(maxRounds, horizon)
-// rounds.
+// (kernel.IncrementalSolver, fed by the multigraph's ObservationStream) and
+// terminates as soon as exactly one network size is consistent with its
+// view. maxRounds bounds the attempt; the multigraph's schedule is
+// consulted for at most min(maxRounds, horizon) rounds.
 //
 // On worst-case (Lemma 5) schedules termination happens exactly at round
 // MaxIndistinguishableRounds(n)+1 once the schedule diverges; on benign
@@ -68,8 +41,11 @@ func CountOnMultigraph(m *multigraph.Multigraph, maxRounds int) (CountResult, er
 		return CountResult{}, err
 	}
 	for rounds := 1; rounds <= limit; rounds++ {
-		var iv kernel.Interval
-		iv, stream, err = solveNextRound(m, solver, stream, rounds-1)
+		entries, err := stream.Next()
+		if err != nil {
+			return CountResult{}, err
+		}
+		iv, err := solver.AddRoundIndexed(entries)
 		if err != nil {
 			return CountResult{}, err
 		}
@@ -101,19 +77,31 @@ func countIntervalOfView(view multigraph.LeaderView) (kernel.Interval, error) {
 
 // UncertaintyTrajectory returns the leader's interval of consistent sizes
 // after each of the first `rounds` rounds on m — the raw series behind the
-// "watch the interval collapse" narrative, plot-ready.
+// "watch the interval collapse" narrative, plot-ready. Once the interval is
+// unique it is repeated for the remaining rounds without solving them: each
+// round only adds constraints, and the true size always satisfies them. So
+// the trajectory may run past multigraph.MaxIndexedRounds, the last round
+// the solver takes, whenever the count is settled by then.
 func UncertaintyTrajectory(m *multigraph.Multigraph, rounds int) ([]kernel.Interval, error) {
 	if rounds < 1 || rounds > m.Horizon() {
 		return nil, fmt.Errorf("core: rounds %d out of range [1,%d]", rounds, m.Horizon())
 	}
+	stream, err := m.NewObservationStream()
+	if err != nil {
+		return nil, err
+	}
 	solver := kernel.NewIncrementalSolver()
-	// The stream requires k=2; on other alphabets stay on the string path.
-	stream, _ := m.NewObservationStream()
 	out := make([]kernel.Interval, 0, rounds)
-	for r := 0; r < rounds; r++ {
-		var iv kernel.Interval
-		var err error
-		iv, stream, err = solveNextRound(m, solver, stream, r)
+	for len(out) < rounds {
+		if n := len(out); n > 0 && out[n-1].Unique() {
+			out = append(out, out[n-1])
+			continue
+		}
+		entries, err := stream.Next()
+		if err != nil {
+			return nil, err
+		}
+		iv, err := solver.AddRoundIndexed(entries)
 		if err != nil {
 			return nil, err
 		}

@@ -201,9 +201,9 @@ func TestUncertaintyTrajectory(t *testing.T) {
 }
 
 // TestUncertaintyTrajectoryPastIndexCapacity runs the trajectory beyond
-// multigraph.MaxIndexedRounds, where the indexed observation stream runs
-// out and the solver continues on string-keyed observations. The interval
-// must still settle on the true size and stay there.
+// multigraph.MaxIndexedRounds, the last round the indexed observation
+// stream and the solver take. The interval settles on the true size long
+// before that and must stay there to the end.
 func TestUncertaintyTrajectoryPastIndexCapacity(t *testing.T) {
 	p, err := WorstCasePair(4)
 	if err != nil {

@@ -64,18 +64,14 @@ func UnconsciousCount(m *multigraph.Multigraph, policy GuessPolicy, maxRounds in
 	if h := m.Horizon(); h < limit {
 		limit = h
 	}
+	traj, err := UncertaintyTrajectory(m, limit)
+	if err != nil {
+		return UnconsciousResult{}, err
+	}
 	res := UnconsciousResult{CorrectFrom: -1, ConsciousAt: -1}
-	inc := kernel.NewIncrementalSolver()
 	truth := m.W()
-	for rounds := 1; rounds <= limit; rounds++ {
-		view, err := m.LeaderView(rounds)
-		if err != nil {
-			return UnconsciousResult{}, err
-		}
-		iv, err := inc.AddRound(view[rounds-1])
-		if err != nil {
-			return UnconsciousResult{}, err
-		}
+	for i, iv := range traj {
+		rounds := i + 1
 		if iv.Empty {
 			return UnconsciousResult{}, fmt.Errorf("core: inconsistent view at round %d", rounds)
 		}

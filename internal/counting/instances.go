@@ -206,7 +206,10 @@ func RestrictedPD2Instance(outer int) (*Instance, error) {
 	for i := range v2 {
 		v2[i] = graph.NodeID(1 + k + i)
 	}
-	net := dynet.NewFunc(total, func(r int) *graph.Graph {
+	// The relay subsets rotate with period k, so k snapshots serve every
+	// round.
+	snaps := make([]*graph.Graph, k)
+	for r := range snaps {
 		g := graph.New(total)
 		for _, rel := range v1 {
 			_ = g.AddEdge(0, rel)
@@ -217,8 +220,12 @@ func RestrictedPD2Instance(outer int) (*Instance, error) {
 				_ = g.AddEdge(v1[(i+r+1)%k], w)
 			}
 		}
-		return g
-	})
+		snaps[r] = g
+	}
+	net, err := dynet.NewCyclic(snaps)
+	if err != nil {
+		return nil, err
+	}
 	return &Instance{
 		Name:      fmt.Sprintf("restricted-pd2-%d", outer),
 		Net:       net,

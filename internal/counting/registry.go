@@ -48,9 +48,6 @@ type Requirements struct {
 	// RestrictedPD2: the instance must carry a restricted 𝒢(PD)₂ layer
 	// layout (V₁ relays, V₂ outer nodes).
 	RestrictedPD2 bool
-	// DegreeOracle: processes learn their degree before sending (the
-	// model of [13]; incompatible with adaptive adversaries).
-	DegreeOracle bool
 	// DegreeBound: the instance must carry an a-priori bound on node
 	// degrees (MaxDegree).
 	DegreeBound bool
@@ -236,7 +233,7 @@ func Registry() []Algorithm {
 			Name:      "oracle",
 			Doc:       "degree-oracle O(1) exact counter on restricted 𝒢(PD)₂ (the paper's Discussion)",
 			Semantics: SemExact,
-			Requires:  Requirements{RestrictedPD2: true, DegreeOracle: true},
+			Requires:  Requirements{RestrictedPD2: true},
 			Run: func(inst *Instance, run Runner) (Result, error) {
 				c, r, err := OracleCount(inst.Net, inst.Leader, inst.V1, inst.V2, run)
 				return Result{Count: c, Rounds: r}, err
@@ -246,7 +243,7 @@ func Registry() []Algorithm {
 			Name:      "degreeoracle",
 			Doc:       "role-discovering degree-oracle O(1) exact counter, 4 rounds with no layout side-channel",
 			Semantics: SemExact,
-			Requires:  Requirements{RestrictedPD2: true, DegreeOracle: true},
+			Requires:  Requirements{RestrictedPD2: true},
 			Run: func(inst *Instance, run Runner) (Result, error) {
 				c, r, err := DegreeOracleCount(inst.Net, inst.Leader, inst.V1, inst.V2, run)
 				return Result{Count: c, Rounds: r}, err

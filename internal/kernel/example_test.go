@@ -63,14 +63,19 @@ func ExampleIncrementalSolver() {
 		fmt.Println(err)
 		return
 	}
+	stream, err := m.NewObservationStream()
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
 	solver := kernel.NewIncrementalSolver()
 	for r := 0; r < 2; r++ {
-		obs, err := m.LeaderObservation(r)
+		entries, err := stream.Next()
 		if err != nil {
 			fmt.Println(err)
 			return
 		}
-		iv, err := solver.AddRound(obs)
+		iv, err := solver.AddRoundIndexed(entries)
 		if err != nil {
 			fmt.Println(err)
 			return

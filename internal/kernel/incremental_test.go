@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"cmp"
+	"errors"
 	"math/rand"
 	"slices"
 	"testing"
@@ -9,25 +10,43 @@ import (
 	"anondyn/internal/multigraph"
 )
 
+// indexedRounds returns copies of the first `rounds` observations of mg's
+// ObservationStream.
+func indexedRounds(tb testing.TB, mg *multigraph.Multigraph, rounds int) [][]multigraph.IndexedObsEntry {
+	tb.Helper()
+	stream, err := mg.NewObservationStream()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	out := make([][]multigraph.IndexedObsEntry, rounds)
+	for r := range out {
+		entries, err := stream.Next()
+		if err != nil {
+			tb.Fatal(err)
+		}
+		out[r] = slices.Clone(entries)
+	}
+	return out
+}
+
 func TestIncrementalMatchesBatch(t *testing.T) {
 	for seed := int64(0); seed < 25; seed++ {
-		mg, err := multigraph.Random(2, int(2+seed%8), 5, seed)
+		mg, err := multigraph.Random(2, int(2+seed%8), 6, seed)
 		if err != nil {
 			t.Fatal(err)
 		}
 		inc := NewIncrementalSolver()
-		for rounds := 1; rounds <= 5; rounds++ {
-			view := mustView(t, mg, rounds)
-			got, err := inc.AddRound(view[rounds-1])
+		for r, entries := range indexedRounds(t, mg, 6) {
+			got, err := inc.AddRoundIndexed(entries)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := SolveCountInterval(view)
+			want, err := SolveCountInterval(mustView(t, mg, r+1))
 			if err != nil {
 				t.Fatal(err)
 			}
 			if got != want {
-				t.Fatalf("seed=%d rounds=%d: incremental %v != batch %v", seed, rounds, got, want)
+				t.Fatalf("seed=%d rounds=%d: incremental %v != batch %v", seed, r+1, got, want)
 			}
 		}
 	}
@@ -49,59 +68,17 @@ func TestIncrementalEmptyUnbounded(t *testing.T) {
 
 func TestIncrementalDetectsInconsistency(t *testing.T) {
 	inc := NewIncrementalSolver()
-	if _, err := inc.AddRound(multigraph.Observation{
-		{Label: 1, StateKey: multigraph.History{}.Key()}: 1,
-	}); err != nil {
+	// Round 0: one node on label 1 at the root state.
+	if _, err := inc.AddRoundIndexed([]multigraph.IndexedObsEntry{{State: 0, Count1: 1}}); err != nil {
 		t.Fatal(err)
 	}
-	iv, err := inc.AddRound(multigraph.Observation{
-		{Label: 1, StateKey: multigraph.History{multigraph.SetOf(2)}.Key()}: 1,
-	})
+	// Round 1: a node in state {2} (index 1), which round 0 proves empty.
+	iv, err := inc.AddRoundIndexed([]multigraph.IndexedObsEntry{{State: 1, Count1: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !iv.Empty {
 		t.Fatalf("inconsistent observations gave %v", iv)
-	}
-}
-
-// TestIncrementalIndexedMatchesString drives one solver through
-// AddRoundIndexed (fed by an ObservationStream) and a twin through the
-// string-keyed AddRound on the same multigraphs: the intervals must be
-// identical at every round.
-func TestIncrementalIndexedMatchesString(t *testing.T) {
-	for seed := int64(0); seed < 25; seed++ {
-		mg, err := multigraph.Random(2, int(2+seed%8), 6, seed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		stream, err := mg.NewObservationStream()
-		if err != nil {
-			t.Fatal(err)
-		}
-		fast := NewIncrementalSolver()
-		slow := NewIncrementalSolver()
-		for r := 0; r < 6; r++ {
-			entries, err := stream.Next()
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := fast.AddRoundIndexed(entries)
-			if err != nil {
-				t.Fatal(err)
-			}
-			obs, err := mg.LeaderObservation(r)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := slow.AddRound(obs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got != want {
-				t.Fatalf("seed=%d round=%d: indexed %v != string %v", seed, r, got, want)
-			}
-		}
 	}
 }
 
@@ -164,85 +141,55 @@ func TestAddRoundIndexedIgnoresEntryOrder(t *testing.T) {
 	}
 }
 
-// TestIncrementalSpillMode forces the int64-index capacity limit down to 2
-// so the sparse layer spills to string keys after a few rounds, and checks
-// that the spilled solver still matches the batch solver — and that
-// AddRoundIndexed refuses further indexed input once spilled.
-func TestIncrementalSpillMode(t *testing.T) {
-	prev := solverIndexLimit
-	solverIndexLimit = 2
-	defer func() { solverIndexLimit = prev }()
-
-	for seed := int64(0); seed < 10; seed++ {
-		mg, err := multigraph.Random(2, int(2+seed%6), 6, seed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		inc := NewIncrementalSolver()
-		for rounds := 1; rounds <= 6; rounds++ {
-			view := mustView(t, mg, rounds)
-			got, err := inc.AddRound(view[rounds-1])
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := SolveCountInterval(view)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got != want {
-				t.Fatalf("seed=%d rounds=%d: spilled incremental %v != batch %v", seed, rounds, got, want)
-			}
-		}
-		if !inc.strMode {
-			t.Fatalf("seed=%d: solver did not spill past limit %d (rounds=%d)", seed, solverIndexLimit, inc.Rounds())
-		}
-		if _, err := inc.AddRoundIndexed(nil); err == nil {
-			t.Fatal("AddRoundIndexed succeeded in string mode; want capacity error")
-		}
-	}
-}
-
-// TestIncrementalOrphanObservation checks the loud-failure contract: an
-// observation naming a state the previous rounds prove unpopulated is an
-// error, not a silently folded-in constraint.
-func TestIncrementalOrphanObservation(t *testing.T) {
-	key := func(sets ...multigraph.LabelSet) string {
-		return multigraph.History(sets).Key()
-	}
+// TestIncrementalIndexCapacity checks the solver's one capacity error: it
+// takes 39 rounds, the last whose children have exact int64 indices, and
+// refuses the 40th with multigraph.ErrIndexCapacity, leaving its interval
+// and round count as they were.
+func TestIncrementalIndexCapacity(t *testing.T) {
+	// One node that hears only label 1: its state is always index 0.
+	round := []multigraph.IndexedObsEntry{{State: 0, Count1: 1}}
 	inc := NewIncrementalSolver()
-	// Round 0: two nodes on label 1 at the root state.
-	if _, err := inc.AddRound(multigraph.Observation{
-		{Label: 1, StateKey: key()}: 2,
-	}); err != nil {
-		t.Fatal(err)
+	for r := 0; r < multigraph.MaxIndexedRounds; r++ {
+		if _, err := inc.AddRoundIndexed(round); err != nil {
+			t.Fatalf("round %d: %v", r, err)
+		}
 	}
-	// Round 1: both nodes moved to state {1}; states {2} and {1,2} are now
-	// provably unpopulated, along with their whole subtrees.
-	if _, err := inc.AddRound(multigraph.Observation{
-		{Label: 1, StateKey: key(multigraph.SetOf(1))}: 2,
-	}); err != nil {
-		t.Fatal(err)
+	want, err := inc.Interval()
+	if err != nil || !want.Unique() || want.MinSize != 1 {
+		t.Fatalf("after %d rounds: %v, %v; want [1,1]", multigraph.MaxIndexedRounds, want, err)
 	}
-	// Round 2: an observation from a child of the evicted state {2}.
-	_, err := inc.AddRound(multigraph.Observation{
-		{Label: 1, StateKey: key(multigraph.SetOf(2), multigraph.SetOf(1))}: 1,
-	})
-	if err == nil {
-		t.Fatal("observation of a provably unpopulated state was accepted")
+	for _, entries := range [][]multigraph.IndexedObsEntry{round, nil} {
+		if _, err := inc.AddRoundIndexed(entries); !errors.Is(err, multigraph.ErrIndexCapacity) {
+			t.Fatalf("round %d: err %v, want ErrIndexCapacity", multigraph.MaxIndexedRounds, err)
+		}
+		if got, err := inc.Interval(); err != nil || got != want || inc.Rounds() != multigraph.MaxIndexedRounds {
+			t.Fatalf("after the refused round: %v, %v in %d rounds; want %v in %d", got, err, inc.Rounds(), want, multigraph.MaxIndexedRounds)
+		}
 	}
 }
 
-// TestIndexedOrphanLeavesSolverUnchanged names a provably unpopulated state
-// between the observable states of a round and past the last of them: each
-// round fails, and the solver then takes the round's real observation as a
-// twin that never saw the failures does.
+// TestIndexedOrphanLeavesSolverUnchanged checks the loud-failure contract:
+// a round naming a state the previous rounds prove unpopulated fails, and
+// leaves the solver as it was. Each failed round names such a state, between
+// two observable states or past the last of them, and one also skips a
+// populated state, whose eviction would pin c0 to a wrong value.
+// Right after each failure the interval equals that of a twin that never
+// saw the failures, and the solver then takes the round's real observation
+// as the twin does.
 func TestIndexedOrphanLeavesSolverUnchanged(t *testing.T) {
 	rounds := [][]multigraph.IndexedObsEntry{
 		{{State: 0, Count1: 2, Count2: 1}},
-		// States {1} and {1,2} are observed, so round 2 can name only
-		// their children, indices 0–2 and 6–8.
+		// States {1} and {1,2} are observed and {2} is evicted, so round 2
+		// can name only the children of {1} and {1,2}, indices 0–2 and 6–8.
 		{{State: 0, Count1: 1}, {State: 2, Count1: 1, Count2: 1}},
 		{{State: 0, Count1: 1}, {State: 6, Count2: 1}},
+	}
+	failed := [][]multigraph.IndexedObsEntry{
+		// ({2},{1}) and ({2},{2}), children of the evicted state {2}.
+		{{State: 0, Count1: 1}, {State: 3, Count1: 1}, {State: 6, Count2: 1}},
+		{{State: 0, Count1: 1}, {State: 4, Count1: 1}, {State: 6, Count2: 1}},
+		// Past the last observable state, and without the populated state 0.
+		{{State: 6, Count2: 1}, {State: 9, Count1: 1}},
 	}
 	solver, twin := NewIncrementalSolver(), NewIncrementalSolver()
 	for _, obs := range rounds[:2] {
@@ -252,17 +199,23 @@ func TestIndexedOrphanLeavesSolverUnchanged(t *testing.T) {
 			}
 		}
 	}
-	for _, orphan := range []int64{4, 9} {
-		bad := append(slices.Clone(rounds[2]), multigraph.IndexedObsEntry{State: orphan, Count1: 1})
+	want, err := twin.Interval()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range failed {
 		if _, err := solver.AddRoundIndexed(bad); err == nil {
-			t.Fatalf("round 2 naming state %d was accepted", orphan)
+			t.Fatalf("round 2 %v was accepted", bad)
+		}
+		if got, err := solver.Interval(); err != nil || got != want || solver.Rounds() != 2 {
+			t.Fatalf("after the failed round %v: %v, %v in %d rounds; want %v in 2", bad, got, err, solver.Rounds(), want)
 		}
 	}
 	got, err := solver.AddRoundIndexed(rounds[2])
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := twin.AddRoundIndexed(rounds[2])
+	want, err = twin.AddRoundIndexed(rounds[2])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,10 +224,10 @@ func TestIndexedOrphanLeavesSolverUnchanged(t *testing.T) {
 	}
 }
 
-// TestAddRoundAllocCeiling locks the steady-state allocation budget of the
-// solver's two ingestion paths. The per-round cost is isolated by running a
-// short and a long trajectory over precomputed observations and dividing
-// the difference, so construction and warm-up are excluded.
+// TestAddRoundAllocCeiling locks the steady-state allocation budget of
+// AddRoundIndexed. The per-round cost is isolated by running a short and a
+// long trajectory over precomputed observations and dividing the
+// difference, so construction and warm-up are excluded.
 func TestAddRoundAllocCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are inflated under -race")
@@ -284,56 +237,21 @@ func TestAddRoundAllocCeiling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Snapshot both observation encodings up front.
-	stream, err := mg.NewObservationStream()
-	if err != nil {
-		t.Fatal(err)
-	}
-	indexed := make([][]multigraph.IndexedObsEntry, longR)
-	strObs := make([]multigraph.Observation, longR)
-	for r := 0; r < longR; r++ {
-		entries, err := stream.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		indexed[r] = append([]multigraph.IndexedObsEntry(nil), entries...)
-		if strObs[r], err = mg.LeaderObservation(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	perRound := func(run func(rounds int)) float64 {
-		short := testing.AllocsPerRun(20, func() { run(shortR) })
-		long := testing.AllocsPerRun(20, func() { run(longR) })
-		return (long - short) / float64(longR-shortR)
-	}
-
-	got := perRound(func(rounds int) {
+	indexed := indexedRounds(t, mg, longR)
+	run := func(rounds int) {
 		s := NewIncrementalSolver()
-		for r := 0; r < rounds; r++ {
-			if _, err := s.AddRoundIndexed(indexed[r]); err != nil {
+		for _, entries := range indexed[:rounds] {
+			if _, err := s.AddRoundIndexed(entries); err != nil {
 				t.Fatal(err)
 			}
 		}
-	})
-	// Steady-state AddRoundIndexed allocates only amortized map growth for
-	// the sparse/bulk double buffers; 24/round is ~3x measured headroom.
-	if got > 24 {
+	}
+	short := testing.AllocsPerRun(20, func() { run(shortR) })
+	long := testing.AllocsPerRun(20, func() { run(longR) })
+	// Steady-state rounds allocate only amortized growth of the sparse
+	// double buffer and the sort scratch; 24/round is ~3x measured headroom.
+	if got := (long - short) / float64(longR-shortR); got > 24 {
 		t.Fatalf("AddRoundIndexed allocates %.1f/round, want <= 24", got)
-	}
-
-	got = perRound(func(rounds int) {
-		s := NewIncrementalSolver()
-		for r := 0; r < rounds; r++ {
-			if _, err := s.AddRound(strObs[r]); err != nil {
-				t.Fatal(err)
-			}
-		}
-	})
-	// AddRound additionally parses one History per observation class; the
-	// observation here has <= 3*16 classes per round.
-	if got > 160 {
-		t.Fatalf("AddRound allocates %.1f/round, want <= 160", got)
 	}
 }
 
@@ -345,12 +263,12 @@ func TestIncrementalWorstCaseTrajectory(t *testing.T) {
 		t.Fatal(err)
 	}
 	inc := NewIncrementalSolver()
-	view := mustView(t, mg, 2)
-	iv1, err := inc.AddRound(view[0])
+	obs := indexedRounds(t, mg, 2)
+	iv1, err := inc.AddRoundIndexed(obs[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	iv2, err := inc.AddRound(view[1])
+	iv2, err := inc.AddRoundIndexed(obs[1])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -374,18 +292,7 @@ func BenchmarkStreamFeedMillion(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	stream, err := mg.NewObservationStream()
-	if err != nil {
-		b.Fatal(err)
-	}
-	rounds := make([][]multigraph.IndexedObsEntry, horizon)
-	for r := 0; r < horizon; r++ {
-		entries, err := stream.Next()
-		if err != nil {
-			b.Fatal(err)
-		}
-		rounds[r] = append([]multigraph.IndexedObsEntry(nil), entries...)
-	}
+	rounds := indexedRounds(b, mg, horizon)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

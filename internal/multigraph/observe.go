@@ -8,13 +8,15 @@ import (
 // MaxIndexedRounds bounds the rounds an ObservationStream can serve: sender
 // states are tracked by History.Index over base 3 (k = 2), which is exact in
 // int64 only through length 39 (3^39 < 2^63 <= 3^40), so the stream serves
-// rounds 0..MaxIndexedRounds-1 and then returns ErrIndexCapacity. Callers
-// needing longer horizons fall back to LeaderObservation's string-keyed
-// maps (internal/core does this transparently).
+// rounds 0..MaxIndexedRounds-1 and then returns ErrIndexCapacity.
+// kernel.IncrementalSolver, which keys states the same way, takes as many
+// rounds. A leader needs a later round only while its count is still
+// ambiguous, which takes about 2·10^18 nodes.
 const MaxIndexedRounds = 39
 
-// ErrIndexCapacity is returned by ObservationStream.Next once node-state
-// indices would no longer fit in int64.
+// ErrIndexCapacity is returned by ObservationStream.Next, and by
+// kernel.IncrementalSolver.AddRoundIndexed, once node-state indices would
+// no longer fit in int64.
 var ErrIndexCapacity = errors.New("multigraph: observation stream exhausted int64 state-index capacity")
 
 // IndexedObsEntry is one (sender state, per-label counts) class of a leader

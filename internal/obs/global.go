@@ -2,12 +2,12 @@ package obs
 
 import "sync/atomic"
 
-// global is the process-wide collector, nil unless installed. It exists for
-// instrumentation sites with no plumbing path to a per-run collector — the
-// exact linear algebra inside linalg.rref and the kernel solvers, which are
-// called from deep inside protocol code. Everything that can take a
-// collector explicitly (runtime.Config.Obs, sweep.Options.Obs) should; the
-// global is the fallback they also default to.
+// global is the process-wide collector, nil unless installed. It serves
+// the instrumentation sites with no plumbing path to a per-run collector:
+// the round engines, the exact linear algebra inside linalg.rref and the
+// kernel solvers, which run deep inside protocol code. The sweep engine
+// takes a collector explicitly (sweep.Options.Obs), because the daemon
+// runs one per campaign, and defaults to the global one.
 var global atomic.Pointer[Collector]
 
 // Enable installs a fresh collector as the process-wide default and

@@ -18,9 +18,9 @@
 // path — a property locked by TestDisabledHandlesAllocateNothing and the
 // runtime round-loop benchmark.
 //
-// A Collector is either passed explicitly (runtime.Config.Obs,
-// sweep.Options.Obs) or installed process-wide with Enable/Set for code
-// with no plumbing path (linalg elimination, the kernel solvers). Global()
+// A Collector is either passed explicitly (sweep.Options.Obs) or installed
+// process-wide with Enable/Set for code with no plumbing path (the round
+// engines, linalg elimination, the kernel solvers). Global()
 // returns nil unless a collector was installed, so un-instrumented
 // processes — every binary run without -metrics/-pprof — stay on the nil
 // fast path everywhere.

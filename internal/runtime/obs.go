@@ -22,14 +22,13 @@ type engineMetrics struct {
 	shards    *obs.Gauge     // shard count of the last run
 }
 
-// metrics resolves the run's collector: Config.Obs when set, else the
-// process-wide collector (nil when the process runs unobserved). Handle
-// lookup happens once per run, never per round.
-func (c *Config) metrics() engineMetrics {
-	col := c.Obs
-	if col == nil {
-		col = obs.Global()
-	}
+// newEngineMetrics resolves the run's collector, the process-wide one
+// (obs.Global), which the -metrics and -pprof flags install. It is nil when
+// the process runs unobserved, and then the round loop runs with zero
+// instrumentation overhead: no allocations, no clock reads, one nil-check
+// branch per site. Handle lookup happens once per run, never per round.
+func newEngineMetrics() engineMetrics {
+	col := obs.Global()
 	if col == nil {
 		return engineMetrics{}
 	}

@@ -19,9 +19,8 @@ func TestDisabledObsAddsNoAllocations(t *testing.T) {
 	defer obs.Set(prev)
 	obs.Set(nil)
 
-	cfg := &Config{}
 	if allocs := testing.AllocsPerRun(100, func() {
-		m := cfg.metrics()
+		m := newEngineMetrics()
 		start := m.roundNS.Start()
 		m.rounds.Inc()
 		m.cancels.Inc()
@@ -53,7 +52,8 @@ func TestObservedRunAddsNoAllocations(t *testing.T) {
 
 	net := dynet.NewStatic(graph.Path(4))
 	runOnce := func(col *obs.Collector) {
-		cfg := &Config{Net: net, Procs: newFloodProcs(4, 0), MaxRounds: 5, Obs: col}
+		obs.Set(col)
+		cfg := &Config{Net: net, Procs: newFloodProcs(4, 0), MaxRounds: 5}
 		if _, err := RunSequential(cfg); err != nil {
 			t.Fatal(err)
 		}
@@ -68,13 +68,22 @@ func TestObservedRunAddsNoAllocations(t *testing.T) {
 	}
 }
 
-func TestObsCountsSequentialRun(t *testing.T) {
+// installCollector installs a fresh collector as the process-wide one for
+// the rest of the test and returns it; cleanup restores the previous one.
+func installCollector(t *testing.T) *obs.Collector {
+	prev := obs.Global()
+	t.Cleanup(func() { obs.Set(prev) })
 	col := obs.New()
+	obs.Set(col)
+	return col
+}
+
+func TestObsCountsSequentialRun(t *testing.T) {
+	col := installCollector(t)
 	cfg := &Config{
 		Net:       dynet.NewStatic(graph.Path(5)),
 		Procs:     newFloodProcs(5, 0),
 		MaxRounds: 10,
-		Obs:       col,
 	}
 	if _, err := RunSequential(cfg); err != nil {
 		t.Fatal(err)
@@ -97,12 +106,11 @@ func TestObsCountsSequentialRun(t *testing.T) {
 }
 
 func TestObsCountsConcurrentRun(t *testing.T) {
-	col := obs.New()
+	col := installCollector(t)
 	cfg := &Config{
 		Net:       dynet.NewStatic(graph.Path(5)),
 		Procs:     newFloodProcs(5, 0),
 		MaxRounds: 10,
-		Obs:       col,
 	}
 	if _, err := RunSharded(cfg); err != nil {
 		t.Fatal(err)
@@ -122,7 +130,7 @@ func TestObsCountsConcurrentRun(t *testing.T) {
 func TestObsCountsPanicAndCancel(t *testing.T) {
 	for _, engine := range engines {
 		t.Run(engine.name, func(t *testing.T) {
-			col := obs.New()
+			col := installCollector(t)
 			procs := newFloodProcs(3, 0)
 			procs[0] = &hookProc{
 				inner: procs[0],
@@ -136,7 +144,6 @@ func TestObsCountsPanicAndCancel(t *testing.T) {
 				Net:       dynet.NewStatic(graph.Path(3)),
 				Procs:     procs,
 				MaxRounds: 5,
-				Obs:       col,
 			}
 			var pe *ProcessPanicError
 			if _, err := engine.run(context.Background(), cfg); !errors.As(err, &pe) {
@@ -146,14 +153,13 @@ func TestObsCountsPanicAndCancel(t *testing.T) {
 				t.Errorf("%s = %d, want 1", obs.RuntimePanics, got)
 			}
 
-			col2 := obs.New()
+			col2 := installCollector(t)
 			ctx, cancel := context.WithCancel(context.Background())
 			cancel()
 			cfg2 := &Config{
 				Net:       dynet.NewStatic(graph.Path(3)),
 				Procs:     newFloodProcs(3, 0),
 				MaxRounds: 5,
-				Obs:       col2,
 			}
 			if _, err := engine.run(ctx, cfg2); !errors.Is(err, context.Canceled) {
 				t.Fatalf("want context.Canceled, got %v", err)
@@ -165,13 +171,10 @@ func TestObsCountsPanicAndCancel(t *testing.T) {
 	}
 }
 
-// The global collector is the fallback when Config.Obs is nil — the path
-// the -metrics flag uses.
+// The engine records into the process-wide collector, the one the -metrics
+// flag installs.
 func TestObsGlobalFallback(t *testing.T) {
-	prev := obs.Global()
-	defer obs.Set(prev)
-	col := obs.New()
-	obs.Set(col)
+	col := installCollector(t)
 
 	cfg := &Config{
 		Net:       dynet.NewStatic(graph.Path(3)),
@@ -206,12 +209,11 @@ func BenchmarkRoundLoopObsDisabled(b *testing.B) {
 func BenchmarkRoundLoopObsEnabled(b *testing.B) {
 	prev := obs.Global()
 	defer obs.Set(prev)
-	obs.Set(nil)
-	col := obs.New()
+	obs.Set(obs.New())
 	net := dynet.NewStatic(graph.Path(8))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		cfg := &Config{Net: net, Procs: newFloodProcs(8, 0), MaxRounds: 16, Obs: col}
+		cfg := &Config{Net: net, Procs: newFloodProcs(8, 0), MaxRounds: 16}
 		if _, err := RunSequential(cfg); err != nil {
 			b.Fatal(err)
 		}

@@ -34,7 +34,6 @@ import (
 
 	"anondyn/internal/dynet"
 	"anondyn/internal/graph"
-	"anondyn/internal/obs"
 )
 
 // Message is an opaque broadcast payload. The model's bandwidth is
@@ -167,13 +166,6 @@ type Config struct {
 	// OnRound, if non-nil, is invoked after each round completes, for
 	// tracing.
 	OnRound func(completedRound int)
-	// Obs, if non-nil, receives execution metrics (rounds, delivered
-	// messages, per-round wall time, panic/cancel/deadline counts). Nil
-	// falls back to the process-wide collector (obs.Global), which is
-	// itself nil unless the process opted in — in that case the round
-	// loop runs with zero instrumentation overhead: no allocations, no
-	// clock reads, one nil-check branch per site.
-	Obs *obs.Collector
 }
 
 // topology returns the round's graph, honoring the adaptive adversary.

@@ -93,7 +93,7 @@ const (
 // runShards runs a validated cfg on nw shards.
 func runShards(ctx context.Context, cfg *Config, nw int) (int, error) {
 	key := cfg.key()
-	m := cfg.metrics()
+	m := newEngineMetrics()
 	n := cfg.Net.N()
 	if n == 0 || cfg.MaxRounds == 0 {
 		return 0, nil
