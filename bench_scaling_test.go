@@ -6,6 +6,7 @@ package anondyn_test
 import (
 	"context"
 	"fmt"
+	"path/filepath"
 	goruntime "runtime"
 	"slices"
 	"testing"
@@ -197,7 +198,8 @@ func BenchmarkIncrementalVsBatch(b *testing.B) {
 // BenchmarkSweepEngine measures campaign throughput (jobs/sec) on the
 // work-stealing pool at 1, 4, and NumCPU workers — the baseline every
 // future scaling PR (distributed backends, caching, larger grids) must
-// beat. The workload is the Monte-Carlo counting trial behind the figures.
+// beat — and at 2 workers with an fsynced journal, as `sweep -out` runs.
+// The workload is the Monte-Carlo counting trial behind the figures.
 func BenchmarkSweepEngine(b *testing.B) {
 	var workerCounts []int
 	for _, w := range []int{1, 4, goruntime.NumCPU()} {
@@ -232,6 +234,26 @@ func BenchmarkSweepEngine(b *testing.B) {
 			b.ReportMetric(float64(len(jobs)*b.N)/b.Elapsed().Seconds(), "jobs/s")
 		})
 	}
+	b.Run("workers=2,journal", func(b *testing.B) {
+		path := filepath.Join(b.TempDir(), "journal.jsonl")
+		for i := 0; i < b.N; i++ {
+			j, err := sweep.OpenJournal(path, false)
+			if err != nil {
+				b.Fatal(err)
+			}
+			rep, err := sweep.Run(context.Background(), jobs, sweep.MDBLCount, sweep.Options{Workers: 2, Journal: j})
+			if cerr := j.Close(); err == nil {
+				err = cerr
+			}
+			if err != nil {
+				b.Fatal(err)
+			}
+			if rep.Executed != len(jobs) {
+				b.Fatalf("executed %d/%d", rep.Executed, len(jobs))
+			}
+		}
+		b.ReportMetric(float64(len(jobs)*b.N)/b.Elapsed().Seconds(), "jobs/s")
+	})
 }
 
 // BenchmarkStructuredMatVec measures the matrix-free M_r product at depths

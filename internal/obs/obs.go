@@ -52,7 +52,7 @@ const (
 	SweepRetries         = "sweep.job_retries"       // counter: re-attempts after an execution fault
 	SweepQueueDepth      = "sweep.queue_depth"       // gauge: pending jobs not yet completed
 	SweepJobNS           = "sweep.job_ns"            // histogram: per-job wall time
-	SweepJournalAppendNS = "sweep.journal_append_ns" // histogram: journal append+fsync latency
+	SweepJournalAppendNS = "sweep.journal_append_ns" // histogram: journal write+fsync latency, one observation per batch of rows
 
 	// Sweep daemon (internal/sweep/daemon): the campaign service. The
 	// engine-level metrics above are additionally recorded per campaign in

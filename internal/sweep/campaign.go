@@ -11,7 +11,8 @@ import (
 // CampaignOptions tunes RunCampaign.
 type CampaignOptions struct {
 	// Workers, MaxRetries, MaxJobs, OnResult, and Obs are passed to Run.
-	// Obs additionally observes the journal's append+fsync latency.
+	// Obs additionally observes the journal's write+fsync latency, one
+	// observation per batch of rows the committer syncs.
 	Workers    int
 	MaxRetries int
 	MaxJobs    int

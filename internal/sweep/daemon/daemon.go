@@ -6,16 +6,18 @@
 // <datadir>/campaigns/<id>/journal.jsonl, and serves list/inspect, live
 // JSONL result streams, aggregates, cancellation, and per-campaign metrics.
 //
-// Durability is the journal's: every completed job is fsynced before it is
-// reported, the trailing newline is the commit marker, and a resume
-// truncates any torn tail before appending (see sweep.OpenJournal). The
-// campaign queue layers on top — a campaign's meta.json is fsynced before
-// the submission is acknowledged and on every state transition — so a
-// daemon killed at any instant restarts with every acknowledged campaign
-// intact and every non-terminal one re-queued, recomputing only the jobs
-// whose rows never committed. Results are pure functions of (spec, job), so
-// the resumed campaign's journal is byte-identical to an uninterrupted
-// one's up to append order, and exactly identical when Workers is 1.
+// Durability is the journal's: completed jobs are synced per batch, and
+// each is reported (and counted in live progress) only after the fsync of
+// the batch that holds its row; the trailing newline is the commit marker,
+// and a resume truncates any torn tail before appending (see
+// sweep.OpenJournal). The campaign queue layers on top — a campaign's
+// meta.json is fsynced before the submission is acknowledged and on every
+// state transition — so a daemon killed at any instant restarts with every
+// acknowledged campaign intact and every non-terminal one re-queued,
+// recomputing only the jobs whose rows never committed. Results are pure
+// functions of (spec, job), so the resumed campaign's journal is
+// byte-identical to an uninterrupted one's up to append order, and exactly
+// identical when Workers is 1.
 package daemon
 
 import (

@@ -23,8 +23,10 @@ type Options struct {
 	// before the fault aborts the campaign. 0 means fail on the first
 	// fault. Context cancellation is never retried.
 	MaxRetries int
-	// Journal, if non-nil, receives every job completed by this run,
-	// streamed as the job finishes. Jobs satisfied from Done are not
+	// Journal, if non-nil, receives every job completed by this run. The
+	// run's committer appends the rows that finished since its last write
+	// as one batch, synced per batch, and reports each job only after the
+	// fsync that covers its row. Jobs satisfied from Done are not
 	// re-appended — the journal is append-only and idempotent by job key.
 	Journal *Journal
 	// Done holds results of jobs completed by a previous run (normally
@@ -35,8 +37,10 @@ type Options struct {
 	// fails with ErrJobLimit; the journal keeps what completed. It exists
 	// to drill the kill/resume path deterministically.
 	MaxJobs int
-	// OnResult, if non-nil, observes each executed result. Calls are
-	// serialized but arrive in completion order, not job order.
+	// OnResult, if non-nil, observes each executed result, reported after
+	// the fsync that covers its journal row. Calls come from the run's one
+	// committer goroutine, so they are serialized, and arrive in commit
+	// order (the order jobs finished), not job order.
 	OnResult func(Result)
 	// Obs, if non-nil, receives engine metrics (queue depth, executed
 	// jobs, retries, per-job wall time). Nil falls back to the
@@ -71,7 +75,8 @@ type Report struct {
 	// Run returned nil; on error it is partial and positions of
 	// unfinished jobs hold zero Results.
 	Results []Result
-	// Executed counts jobs run by this process.
+	// Executed counts jobs run by this process and committed: with a
+	// journal, those whose rows were synced.
 	Executed int
 	// Resumed counts jobs satisfied from Options.Done.
 	Resumed int
@@ -88,9 +93,15 @@ type Report struct {
 // cancellation, and the fault is returned after all workers have joined.
 // A context canceled while the workers run is reported even when every
 // job had already finished: the error then counts all jobs as done, and
-// Report.Results is complete. Jobs completed before the fault are already
+// Report.Results is complete. Jobs reported before the fault are already
 // in the journal, which is what makes -resume safe after SIGKILL, not just
 // after clean shutdown.
+//
+// Workers hand each finished job to one committer goroutine and start
+// their next jobs. The committer journals every queued row as one batch
+// (see Options.Journal), and only then records, counts and reports those
+// jobs. After a journal failure it keeps draining its queue without
+// writing or reporting.
 func Run(ctx context.Context, jobs []Job, fn ProtoFunc, opts Options) (*Report, error) {
 	rep := &Report{Results: make([]Result, len(jobs))}
 	keys := make(map[string]int, len(jobs))
@@ -137,6 +148,16 @@ func Run(ctx context.Context, jobs []Job, fn ProtoFunc, opts Options) (*Report, 
 		s.queue = append(s.queue, idx)
 	}
 
+	// One slot per worker: a worker waits only while a batch as large as
+	// the pool is already queued. A deeper queue lets the workers run ahead
+	// of the fsyncs and grows the live heap. The committer drains the queue
+	// until it is closed, so no send on it blocks forever.
+	e.commits = make(chan finished, workers)
+	committed := make(chan struct{})
+	go func() {
+		defer close(committed)
+		e.commit()
+	}()
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -146,8 +167,10 @@ func Run(ctx context.Context, jobs []Job, fn ProtoFunc, opts Options) (*Report, 
 		}(w)
 	}
 	wg.Wait()
+	close(e.commits)
+	<-committed
 
-	rep.Executed = int(e.completed.Load())
+	rep.Executed = e.completed
 	if err := e.err(); err != nil {
 		return rep, fmt.Errorf("sweep: stopped after %d/%d jobs: %w",
 			rep.Executed+rep.Resumed, len(jobs), err)
@@ -195,12 +218,22 @@ type engine struct {
 
 	ctx    context.Context
 	cancel context.CancelFunc
-	// started gates Options.MaxJobs; completed counts results written.
-	started   atomic.Int64
-	completed atomic.Int64
+	// started gates Options.MaxJobs.
+	started atomic.Int64
+	// commits carries finished jobs from the workers to the committer.
+	commits chan finished
+	// completed counts the results the committer recorded; only the
+	// committer touches it until Run has waited for it.
+	completed int
 
 	mu       sync.Mutex
 	firstErr error
+}
+
+// finished is a job's normalized result on its way to the committer.
+type finished struct {
+	idx int
+	res Result
 }
 
 // fail records the first fault and stops the run.
@@ -271,22 +304,7 @@ func (e *engine) runJob(idx int) bool {
 		res, err := guarded(e.ctx, e.fn, job)
 		e.m.jobNS.Stop(jobStart)
 		if err == nil {
-			res = normalize(res, job)
-			if e.opts.Journal != nil {
-				if jerr := e.opts.Journal.Append(res); jerr != nil {
-					e.fail(jerr)
-					return false
-				}
-			}
-			e.results[idx] = res
-			e.completed.Add(1)
-			e.m.jobs.Inc()
-			e.m.queueDepth.Add(-1)
-			if e.opts.OnResult != nil {
-				e.mu.Lock()
-				e.opts.OnResult(res)
-				e.mu.Unlock()
-			}
+			e.commits <- finished{idx, normalize(res, job)}
 			return true
 		}
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
@@ -298,6 +316,39 @@ func (e *engine) runJob(idx int) bool {
 	e.fail(fmt.Errorf("sweep: job %s failed after %d attempts: %w",
 		job.Key, e.opts.MaxRetries+1, lastErr))
 	return false
+}
+
+// commit is the run's committer (see Run). After a failed append it keeps
+// receiving, and the journal refuses every later append, so nothing more
+// is written, recorded or reported.
+func (e *engine) commit() {
+	var idxs []int
+	var rows []Result
+	for f := range e.commits {
+		idxs, rows = append(idxs[:0], f.idx), append(rows[:0], f.res)
+		// Take the rows queued now, so a batch holds at most workers+1
+		// rows. The committer is the only receiver, so none of these
+		// receives blocks.
+		for n := len(e.commits); n > 0; n-- {
+			f := <-e.commits
+			idxs, rows = append(idxs, f.idx), append(rows, f.res)
+		}
+		if e.opts.Journal != nil {
+			if err := e.opts.Journal.Append(rows...); err != nil {
+				e.fail(err)
+				continue
+			}
+		}
+		for i, res := range rows {
+			e.results[idxs[i]] = res
+			e.completed++
+			e.m.jobs.Inc()
+			e.m.queueDepth.Add(-1)
+			if e.opts.OnResult != nil {
+				e.opts.OnResult(res)
+			}
+		}
+	}
 }
 
 // guarded invokes fn, converting a panic into a *JobPanicError so one bad

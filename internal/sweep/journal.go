@@ -14,11 +14,14 @@ import (
 )
 
 // Journal is the campaign's durable result stream: one JSON-encoded Result
-// per line, appended (and fsynced) as each job completes. The file is the
-// unit of resume — a killed campaign restarts with ReadJournal's keys as
-// Options.Done and recomputes only what is missing. The journal is
-// append-only and idempotent by job key: a key is written at most once per
-// campaign, and re-running a finished campaign with resume writes nothing.
+// per line. Run's committer appends the rows that finished since its last
+// write as one batch, synced per batch: each Append is one write and one
+// fsync, and a job is reported done only after the fsync that covers its
+// row. The file is the unit of resume — a killed campaign restarts with
+// ReadJournal's keys as Options.Done and recomputes only what is missing.
+// The journal is append-only and idempotent by job key: a key is written
+// at most once per campaign, and re-running a finished campaign with
+// resume writes nothing.
 //
 // Durability convention: a row's trailing newline is its commit marker. A
 // kill can land mid-write, leaving a torn tail — any final bytes not ending
@@ -28,17 +31,34 @@ import (
 // re-appends. Without the truncation a fresh append would concatenate onto
 // the torn fragment and manufacture a mid-file unparseable line that no
 // later resume could ever forgive.
+//
+// The first failed write or fsync ends writing: every later Append returns
+// that error and touches the file no more. Bytes after a failed write would
+// follow a torn fragment, and an fsync after a failed one can succeed
+// although the pages of the failed one never reached the disk.
 type Journal struct {
 	mu sync.Mutex
-	f  *os.File
+	f  journalFile
+	// err is the first write or fsync failure; once set, Append writes
+	// nothing more.
+	err error
 	// appendNS, when non-nil, records the wall time of each Append —
 	// write plus fsync, the campaign's durability tax. Set via Observe.
 	appendNS *obs.Histogram
 }
 
+// journalFile is the part of *os.File a Journal writes through; tests
+// substitute a file that fails on a chosen call.
+type journalFile interface {
+	Write(p []byte) (int, error)
+	Sync() error
+	Close() error
+}
+
 // Observe routes append+fsync latency into col's obs.SweepJournalAppendNS
-// histogram. A nil collector detaches the journal from observation again;
-// either way the append path itself is unchanged.
+// histogram, one observation per Append (per batch). A nil collector
+// detaches the journal from observation again; either way the append path
+// itself is unchanged.
 func (j *Journal) Observe(col *obs.Collector) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -124,23 +144,33 @@ func parseRow(line []byte) error {
 	return nil
 }
 
-// Append writes one completed result and syncs it to stable storage, so a
-// result the engine reported done survives any subsequent kill.
-func (j *Journal) Append(r Result) error {
-	data, err := json.Marshal(r)
-	if err != nil {
-		return fmt.Errorf("sweep: encode journal row %s: %w", r.Key, err)
+// Append writes the completed results as one batch of rows, with one write
+// and one fsync, so a result the engine reported done survives any
+// subsequent kill. After a failed write or fsync it returns that failure
+// and writes nothing.
+func (j *Journal) Append(rs ...Result) error {
+	var data []byte
+	for _, r := range rs {
+		row, err := json.Marshal(r)
+		if err != nil {
+			return fmt.Errorf("sweep: encode journal row %s: %w", r.Key, err)
+		}
+		data = append(append(data, row...), '\n')
 	}
-	data = append(data, '\n')
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	if j.err != nil {
+		return j.err
+	}
 	start := j.appendNS.Start()
 	defer j.appendNS.Stop(start)
 	if _, err := j.f.Write(data); err != nil {
-		return fmt.Errorf("sweep: append journal row %s: %w", r.Key, err)
+		j.err = fmt.Errorf("sweep: append %d journal rows: %w", len(rs), err)
+		return j.err
 	}
 	if err := j.f.Sync(); err != nil {
-		return fmt.Errorf("sweep: sync journal: %w", err)
+		j.err = fmt.Errorf("sweep: sync journal: %w", err)
+		return j.err
 	}
 	return nil
 }
