@@ -256,6 +256,36 @@ func BenchmarkSweepEngine(b *testing.B) {
 	})
 }
 
+// BenchmarkMDBLCountJob measures one Monte-Carlo job: sweep.MDBLCount over
+// the 6,000 jobs of the bench's mc-campaign spec (bench/workload.go) at
+// seed 1, on the calling goroutine, with no pool and no journal. One op is
+// the whole campaign; µs/job is its time per job.
+func BenchmarkMDBLCountJob(b *testing.B) {
+	spec := sweep.Spec{
+		Name: "mc-campaign", Proto: sweep.ProtoMDBLCount,
+		Sizes: []int{13, 40, 121, 364, 1093, 3280}, Trials: 1000, Horizon: 14, Seed: 1,
+	}
+	jobs, err := spec.Jobs()
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, job := range jobs {
+			res, err := sweep.MDBLCount(ctx, job)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if res.Failed {
+				b.Fatalf("%s: %s", job.Key, res.Err)
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*len(jobs)), "µs/job")
+}
+
 // BenchmarkStructuredMatVec measures the matrix-free M_r product at depths
 // the dense matrix cannot reach.
 func BenchmarkStructuredMatVec(b *testing.B) {

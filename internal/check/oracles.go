@@ -77,8 +77,8 @@ func OracleByName(name string) (*Oracle, error) {
 
 // intervalOracle cross-checks the incremental solver, fed by the
 // multigraph's ObservationStream, against the batch solver on every prefix
-// of a random schedule, after checking each streamed round against the
-// LeaderView the batch solver reads. It also verifies the structural facts
+// of a random schedule, after checking that each streamed round strictly
+// ascends by state and matches the LeaderView the batch solver reads. It also verifies the structural facts
 // the leader's termination rule rests on: intervals nest as rounds
 // accumulate, always contain the true size, and both endpoints are
 // realizable as concrete multigraphs reproducing the observed view (the
@@ -103,6 +103,11 @@ func intervalOracle() *Oracle {
 				entries, err := stream.Next()
 				if err != nil {
 					return err
+				}
+				for i := 1; i < len(entries); i++ {
+					if entries[i].State <= entries[i-1].State {
+						return fmt.Errorf("round %d: stream emits state %d after %d, want strictly ascending states", r, entries[i].State, entries[i-1].State)
+					}
 				}
 				view, err := m.LeaderView(r)
 				if err != nil {

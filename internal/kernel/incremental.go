@@ -1,7 +1,6 @@
 package kernel
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -52,8 +51,8 @@ type stateForm struct {
 // loudly.
 //
 // Protocol leaders (core.CountOnMultigraph, chainnet) use it to re-evaluate
-// their uncertainty every round, fed by multigraph.ObservationStream or,
-// already sorted, by chainnet's relay facts.
+// their uncertainty every round, fed by multigraph.ObservationStream or by
+// chainnet's merged relay facts, both in strictly ascending state order.
 //
 // The zero value is not usable; construct with NewIncrementalSolver.
 type IncrementalSolver struct {
@@ -69,10 +68,6 @@ type IncrementalSolver struct {
 	// pinLo and pinHi are the tightest bounds on c0 that evicted states
 	// impose: the largest and the smallest −a·b over their forms.
 	pinLo, pinHi int
-
-	// agg is the round's observation sorted by state with duplicates
-	// summed, for input that arrives unsorted (reused).
-	agg []multigraph.IndexedObsEntry
 
 	// obsRounds/obsRoundNS report per-round solve work through the
 	// process-wide collector; both nil (free) when the process is
@@ -96,14 +91,13 @@ func (s *IncrementalSolver) Rounds() int { return s.rounds }
 
 // AddRoundIndexed incorporates the indexed observation of the next round
 // (round index s.Rounds()) and returns the updated interval of consistent
-// sizes. It is allocation-free in steady state. Entries may come in any
-// order, and duplicate entries for a state are summed. Entries already in
-// strictly ascending state order (chainnet's merged relay facts) are read
-// in place; any other order (multigraph.ObservationStream's first-seen
-// order) is sorted in a reused copy first. An error — an observed state
-// that no consistent execution populates, or a round past
-// multigraph.MaxIndexedRounds (multigraph.ErrIndexCapacity) — leaves the
-// solver as it was.
+// sizes. It is allocation-free in steady state. Entries must strictly
+// ascend by State, one entry per state, as both producers emit them
+// (multigraph.ObservationStream and chainnet's merged relay facts); they
+// are read in place and never modified. An error — entries out of that
+// order, an observed state that no consistent execution populates, or a
+// round past multigraph.MaxIndexedRounds (multigraph.ErrIndexCapacity) —
+// leaves the solver as it was.
 func (s *IncrementalSolver) AddRoundIndexed(entries []multigraph.IndexedObsEntry) (Interval, error) {
 	start := s.obsRoundNS.Start()
 	defer func() {
@@ -115,9 +109,8 @@ func (s *IncrementalSolver) AddRoundIndexed(entries []multigraph.IndexedObsEntry
 	}
 	for i := 1; i < len(entries); i++ {
 		if entries[i].State <= entries[i-1].State {
-			s.agg = append(s.agg[:0], entries...)
-			entries = s.sortAgg()
-			break
+			return Interval{}, fmt.Errorf("kernel: round-%d observation: state %d follows state %d, want strictly ascending states",
+				s.rounds, entries[i].State, entries[i-1].State)
 		}
 	}
 
@@ -139,32 +132,15 @@ func (s *IncrementalSolver) AddRoundIndexed(entries []multigraph.IndexedObsEntry
 	return s.Interval()
 }
 
-// sortAgg sorts s.agg by state and sums the entries of each state into one,
-// in place, and returns the result.
-func (s *IncrementalSolver) sortAgg() []multigraph.IndexedObsEntry {
-	slices.SortFunc(s.agg, func(a, b multigraph.IndexedObsEntry) int {
-		return cmp.Compare(a.State, b.State)
-	})
-	out := s.agg[:0]
-	for _, e := range s.agg {
-		if n := len(out); n > 0 && out[n-1].State == e.State {
-			out[n-1].Count1 += e.Count1
-			out[n-1].Count2 += e.Count2
-			continue
-		}
-		out = append(out, e)
-	}
-	s.agg = out
-	return out
-}
-
 // expand walks the sparse layer and the observation together, both in
 // ascending state order. An observed state branches into its three children
 // in sparseNext; a state the observation skips is evicted, pinning c0; an
 // observed state outside the sparse layer is an orphan. The pins change only
 // when the whole round succeeds.
 func (s *IncrementalSolver) expand(obs []multigraph.IndexedObsEntry) error {
-	next := s.sparseNext[:0]
+	// Each observed state has three children, so the layer grows at most
+	// once a round.
+	next := slices.Grow(s.sparseNext[:0], 3*len(obs))
 	lo, hi := s.pinLo, s.pinHi
 	j := 0
 	for _, sf := range s.sparse {

@@ -1,7 +1,6 @@
 package kernel
 
 import (
-	"cmp"
 	"errors"
 	"math/rand"
 	"slices"
@@ -82,62 +81,67 @@ func TestIncrementalDetectsInconsistency(t *testing.T) {
 	}
 }
 
-// TestAddRoundIndexedIgnoresEntryOrder feeds one observation sequence to
-// five solvers: in the stream's first-seen order, in ascending state order,
-// reversed, shuffled, and sorted with every entry split into one row per
-// label. The intervals agree at every round, and no input is reordered.
-func TestAddRoundIndexedIgnoresEntryOrder(t *testing.T) {
+// TestAddRoundIndexedRejectsUnsortedInput feeds each stream round with two
+// or more entries to a solver three ways out of order: reversed, shuffled,
+// and split into one row per label, which repeats each state. Each is
+// refused without touching the input or the solver, whose rounds and
+// interval stay a twin's; the round in the stream's ascending order is
+// then accepted as the twin accepts it.
+func TestAddRoundIndexedRejectsUnsortedInput(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
+	tried := 0
 	for seed := int64(0); seed < 20; seed++ {
 		mg, err := multigraph.Random(2, int(3+seed%9), 6, seed)
 		if err != nil {
 			t.Fatal(err)
 		}
-		stream, err := mg.NewObservationStream()
-		if err != nil {
-			t.Fatal(err)
-		}
-		var solvers [5]*IncrementalSolver
-		for i := range solvers {
-			solvers[i] = NewIncrementalSolver()
-		}
-		for r := 0; r < 6; r++ {
-			entries, err := stream.Next()
-			if err != nil {
-				t.Fatal(err)
-			}
-			sorted := slices.Clone(entries)
-			slices.SortFunc(sorted, func(a, b multigraph.IndexedObsEntry) int {
-				return cmp.Compare(a.State, b.State)
-			})
-			reversed := slices.Clone(sorted)
-			slices.Reverse(reversed)
-			shuffled := slices.Clone(sorted)
-			rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
-			var split []multigraph.IndexedObsEntry
-			for _, e := range sorted {
-				split = append(split,
-					multigraph.IndexedObsEntry{State: e.State, Count1: e.Count1},
-					multigraph.IndexedObsEntry{State: e.State, Count2: e.Count2})
-			}
-			inputs := [5][]multigraph.IndexedObsEntry{slices.Clone(entries), sorted, reversed, shuffled, split}
-			var want Interval
-			for i, in := range inputs {
-				before := slices.Clone(in)
-				got, err := solvers[i].AddRoundIndexed(in)
+		solver, twin := NewIncrementalSolver(), NewIncrementalSolver()
+		for r, entries := range indexedRounds(t, mg, 6) {
+			if len(entries) >= 2 {
+				reversed := slices.Clone(entries)
+				slices.Reverse(reversed)
+				shuffled := slices.Clone(entries)
+				rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+				if slices.Equal(shuffled, entries) {
+					shuffled[0], shuffled[1] = shuffled[1], shuffled[0]
+				}
+				var split []multigraph.IndexedObsEntry
+				for _, e := range entries {
+					split = append(split,
+						multigraph.IndexedObsEntry{State: e.State, Count1: e.Count1},
+						multigraph.IndexedObsEntry{State: e.State, Count2: e.Count2})
+				}
+				want, err := twin.Interval()
 				if err != nil {
-					t.Fatalf("seed=%d round=%d input %d: %v", seed, r, i, err)
+					t.Fatal(err)
 				}
-				if i == 0 {
-					want = got
-				} else if got != want {
-					t.Fatalf("seed=%d round=%d input %d: interval %v, first-seen order gives %v", seed, r, i, got, want)
+				for i, in := range [][]multigraph.IndexedObsEntry{reversed, shuffled, split} {
+					before := slices.Clone(in)
+					if _, err := solver.AddRoundIndexed(in); err == nil {
+						t.Fatalf("seed=%d round=%d input %d: unsorted %v accepted", seed, r, i, in)
+					}
+					if !slices.Equal(in, before) {
+						t.Fatalf("seed=%d round=%d input %d: AddRoundIndexed modified its input", seed, r, i)
+					}
+					if got, _ := solver.Interval(); got != want || solver.Rounds() != twin.Rounds() {
+						t.Fatalf("seed=%d round=%d input %d: %v in %d rounds after the refusal, twin %v in %d",
+							seed, r, i, got, solver.Rounds(), want, twin.Rounds())
+					}
 				}
-				if !slices.Equal(in, before) {
-					t.Fatalf("seed=%d round=%d input %d: AddRoundIndexed reordered its input", seed, r, i)
-				}
+				tried++
+			}
+			got, err := solver.AddRoundIndexed(entries)
+			if err != nil {
+				t.Fatalf("seed=%d round=%d: %v", seed, r, err)
+			}
+			want, err := twin.AddRoundIndexed(entries)
+			if err != nil || got != want {
+				t.Fatalf("seed=%d round=%d: %v, twin %v (%v)", seed, r, got, want, err)
 			}
 		}
+	}
+	if tried == 0 {
+		t.Fatal("no stream round had two entries")
 	}
 }
 
@@ -249,7 +253,7 @@ func TestAddRoundAllocCeiling(t *testing.T) {
 	short := testing.AllocsPerRun(20, func() { run(shortR) })
 	long := testing.AllocsPerRun(20, func() { run(longR) })
 	// Steady-state rounds allocate only amortized growth of the sparse
-	// double buffer and the sort scratch; 24/round is ~3x measured headroom.
+	// double buffer; 24/round is ~3x measured headroom.
 	if got := (long - short) / float64(longR-shortR); got > 24 {
 		t.Fatalf("AddRoundIndexed allocates %.1f/round, want <= 24", got)
 	}

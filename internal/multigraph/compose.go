@@ -14,12 +14,12 @@ func Union(a, b *Multigraph) (*Multigraph, error) {
 	if a.horizon != b.horizon {
 		return nil, fmt.Errorf("multigraph: union of horizons %d and %d", a.horizon, b.horizon)
 	}
-	labels := make([][]LabelSet, 0, len(a.labels)+len(b.labels))
-	for _, row := range a.labels {
-		labels = append(labels, append([]LabelSet(nil), row...))
+	labels := make([][]LabelSet, 0, a.w+b.w)
+	for v := 0; v < a.w; v++ {
+		labels = append(labels, a.row(v))
 	}
-	for _, row := range b.labels {
-		labels = append(labels, append([]LabelSet(nil), row...))
+	for v := 0; v < b.w; v++ {
+		labels = append(labels, b.row(v))
 	}
 	m, err := New(a.k, labels)
 	if err != nil {
@@ -39,14 +39,14 @@ func Concat(a, b *Multigraph) (*Multigraph, error) {
 	if a.k != b.k {
 		return nil, fmt.Errorf("multigraph: concat of k=%d and k=%d", a.k, b.k)
 	}
-	if len(a.labels) != len(b.labels) {
-		return nil, fmt.Errorf("multigraph: concat of %d and %d nodes", len(a.labels), len(b.labels))
+	if a.w != b.w {
+		return nil, fmt.Errorf("multigraph: concat of %d and %d nodes", a.w, b.w)
 	}
-	labels := make([][]LabelSet, len(a.labels))
-	for v := range a.labels {
+	labels := make([][]LabelSet, a.w)
+	for v := range labels {
 		row := make([]LabelSet, 0, a.horizon+b.horizon)
-		row = append(row, a.labels[v]...)
-		row = append(row, b.labels[v]...)
+		row = append(row, a.row(v)...)
+		row = append(row, b.row(v)...)
 		labels[v] = row
 	}
 	m, err := New(a.k, labels)
@@ -65,9 +65,9 @@ func (m *Multigraph) Truncate(rounds int) (*Multigraph, error) {
 	if rounds < 0 || rounds > m.horizon {
 		return nil, fmt.Errorf("multigraph: truncate to %d rounds, horizon %d", rounds, m.horizon)
 	}
-	labels := make([][]LabelSet, len(m.labels))
-	for v, row := range m.labels {
-		labels[v] = append([]LabelSet(nil), row[:rounds]...)
+	labels := make([][]LabelSet, m.w)
+	for v := range labels {
+		labels[v] = m.row(v)[:rounds]
 	}
 	out, err := New(m.k, labels)
 	if err != nil {

@@ -201,13 +201,19 @@ func (h History) Index(k int) int {
 // HistoryFromIndex is the inverse of Index for histories of the given
 // length.
 func HistoryFromIndex(idx, length, k int) History {
-	base := SymbolCount(k)
 	h := make(History, length)
-	for i := length - 1; i >= 0; i-- {
+	decodeHistory(h, idx, k)
+	return h
+}
+
+// decodeHistory writes into h the history of length len(h) whose index is
+// idx.
+func decodeHistory(h History, idx, k int) {
+	base := SymbolCount(k)
+	for i := len(h) - 1; i >= 0; i-- {
 		h[i] = SymbolFromIndex(idx % base)
 		idx /= base
 	}
-	return h
 }
 
 // HistoryCount returns the number of possible node states after `length`

@@ -10,18 +10,39 @@ import (
 
 // Multigraph is a finite-horizon dynamic bipartite labeled k-multigraph
 // M ∈ ℳ(DBL)ₖ: node v ∈ W is connected to the leader at round r by one
-// parallel edge per label in labels[v][r]. The horizon is the number of
+// parallel edge per label in L(v, r). The horizon is the number of
 // scheduled rounds; the lower-bound constructions only ever need a finite
 // prefix.
+//
+// The schedule is one flat array of w·horizon cells, node-major: row v,
+// node v's label sets, is cells[v·horizon : (v+1)·horizon]. It keeps w
+// itself, because a zero horizon leaves no cells to count nodes by.
 type Multigraph struct {
 	k       int
+	w       int
 	horizon int
-	labels  [][]LabelSet // labels[v][r]
+	cells   []LabelSet // L(v, r) at cells[v·horizon + r]
 }
 
-// New validates and wraps a label schedule. Every node must have the same
-// number of scheduled rounds and a valid (non-empty, within-alphabet) label
-// set at each of them.
+// row returns node v's label sets, capped so that an append cannot reach
+// the next node's row.
+func (m *Multigraph) row(v int) []LabelSet {
+	lo, hi := v*m.horizon, (v+1)*m.horizon
+	return m.cells[lo:hi:hi]
+}
+
+// cellCount returns w·horizon, the length of a flat schedule, or an error
+// when the product overflows int.
+func cellCount(w, horizon int) (int, error) {
+	if horizon > 0 && w > math.MaxInt/horizon {
+		return 0, fmt.Errorf("multigraph: schedule of %d nodes × %d rounds overflows int", w, horizon)
+	}
+	return w * horizon, nil
+}
+
+// New validates a label schedule and copies it into one flat array. Every
+// node must have the same number of scheduled rounds and a valid
+// (non-empty, within-alphabet) label set at each of them.
 func New(k int, labels [][]LabelSet) (*Multigraph, error) {
 	if k < 1 || k > MaxK {
 		return nil, fmt.Errorf("multigraph: alphabet size k=%d out of range [1,%d]", k, MaxK)
@@ -30,7 +51,6 @@ func New(k int, labels [][]LabelSet) (*Multigraph, error) {
 	if len(labels) > 0 {
 		horizon = len(labels[0])
 	}
-	cp := make([][]LabelSet, len(labels))
 	for v, row := range labels {
 		if len(row) != horizon {
 			return nil, fmt.Errorf("multigraph: node %d has %d rounds, want %d", v, len(row), horizon)
@@ -40,25 +60,31 @@ func New(k int, labels [][]LabelSet) (*Multigraph, error) {
 				return nil, fmt.Errorf("multigraph: node %d round %d has invalid label set %v for k=%d", v, r, uint32(s), k)
 			}
 		}
-		cp[v] = append([]LabelSet(nil), row...)
 	}
-	return &Multigraph{k: k, horizon: horizon, labels: cp}, nil
+	n, err := cellCount(len(labels), horizon)
+	if err != nil {
+		return nil, err
+	}
+	cells := make([]LabelSet, 0, n)
+	for _, row := range labels {
+		cells = append(cells, row...)
+	}
+	return newOwned(k, len(labels), horizon, cells), nil
 }
 
-// newOwned wraps a label schedule without validating or copying it. Internal
-// constructors that build rows themselves (FromHistoryCounts, Extended) use
-// it to skip New's defensive copy; the caller guarantees every row has
-// length `horizon` with label sets valid for k, and cedes ownership (rows
-// may be shared between nodes — a Multigraph never mutates or exposes its
-// backing arrays).
-func newOwned(k, horizon int, labels [][]LabelSet) *Multigraph {
-	return &Multigraph{k: k, horizon: horizon, labels: labels}
+// newOwned wraps a flat schedule without validating or copying it. The
+// constructors that fill the cells themselves (Random, Extended,
+// FromHistoryCounts) use it to skip New's defensive copy: the caller
+// guarantees len(cells) = w·horizon with label sets valid for k, and cedes
+// the array.
+func newOwned(k, w, horizon int, cells []LabelSet) *Multigraph {
+	return &Multigraph{k: k, w: w, horizon: horizon, cells: cells}
 }
 
 // Extended returns a copy of m running `extra` additional rounds in which
 // every node carries the label set fill. It is the allocation-light
-// primitive behind core.Pair.Extend: one row allocation per node, no
-// intermediate schedule.
+// primitive behind core.Pair.Extend: one flat array, no intermediate
+// schedule.
 func (m *Multigraph) Extended(extra int, fill LabelSet) (*Multigraph, error) {
 	if extra < 0 {
 		return nil, fmt.Errorf("multigraph: negative extension %d", extra)
@@ -67,23 +93,28 @@ func (m *Multigraph) Extended(extra int, fill LabelSet) (*Multigraph, error) {
 		return nil, fmt.Errorf("multigraph: invalid fill label set %v for k=%d", uint32(fill), m.k)
 	}
 	horizon := m.horizon + extra
-	labels := make([][]LabelSet, len(m.labels))
-	for v, row := range m.labels {
-		nr := make([]LabelSet, horizon)
-		copy(nr, row)
+	n, err := cellCount(m.w, horizon)
+	if err != nil {
+		return nil, err
+	}
+	cells := make([]LabelSet, n)
+	for v := 0; v < m.w; v++ {
+		nr := cells[v*horizon : (v+1)*horizon]
+		copy(nr, m.row(v))
 		for r := m.horizon; r < horizon; r++ {
 			nr[r] = fill
 		}
-		labels[v] = nr
 	}
-	return newOwned(m.k, horizon, labels), nil
+	return newOwned(m.k, m.w, horizon, cells), nil
 }
 
 // FromHistoryCounts builds a multigraph from a count-per-history vector:
-// counts[i] nodes follow the history HistoryFromIndex(i, length, k).
-// This is how the kernel package's solution vectors s_r become concrete
-// multigraphs (each count vector with non-negative entries is realizable,
-// as used in Lemma 5's proof).
+// counts[i] nodes follow the history HistoryFromIndex(i, length, k), each
+// in a row of its own, in ascending i. This is how the kernel package's
+// solution vectors s_r become concrete multigraphs (each count vector with
+// non-negative entries is realizable, as used in Lemma 5's proof). The
+// horizon is `length` even with no nodes (a lone leader), which New could
+// not infer from an empty schedule.
 func FromHistoryCounts(k, length int, counts []int) (*Multigraph, error) {
 	if k < 1 || k > MaxK {
 		return nil, fmt.Errorf("multigraph: alphabet size k=%d out of range [1,%d]", k, MaxK)
@@ -96,32 +127,39 @@ func FromHistoryCounts(k, length int, counts []int) (*Multigraph, error) {
 		if c < 0 {
 			return nil, fmt.Errorf("multigraph: negative count %d for history %d", c, i)
 		}
+		if c > math.MaxInt-total {
+			return nil, fmt.Errorf("multigraph: node count overflows int at history %d", i)
+		}
 		total += c
 	}
-	labels := make([][]LabelSet, 0, total)
+	n, err := cellCount(total, length)
+	if err != nil {
+		return nil, err
+	}
+	cells := make([]LabelSet, n)
+	off := 0
 	for i, c := range counts {
-		if c == 0 {
-			continue // skip the (typically vast) unpopulated histories
+		if c == 0 || length == 0 {
+			continue // the (typically vast) unpopulated histories, or empty rows
 		}
-		// Nodes on the same history share one row; rows are never mutated
-		// or exposed, so sharing is safe (see newOwned).
-		h := HistoryFromIndex(i, length, k)
-		for j := 0; j < c; j++ {
-			labels = append(labels, []LabelSet(h))
+		// Decode history i into the first row, then copy it into the
+		// other c-1.
+		first := cells[off : off+length]
+		decodeHistory(first, i, k)
+		off += length
+		for j := 1; j < c; j++ {
+			off += copy(cells[off:off+length], first)
 		}
 	}
-	// HistoryFromIndex emits valid label sets by construction and every row
-	// has length `length`, so the owned constructor applies. It also keeps
-	// the requested horizon for W=0 multigraphs (a lone leader), which New
-	// could not infer from an empty schedule.
-	return newOwned(k, length, labels), nil
+	return newOwned(k, total, length, cells), nil
 }
 
 // Random returns a multigraph whose label sets are drawn uniformly from the
-// valid symbols, seeded for reproducibility. Draws are row-major: node 0's
-// rounds first. The schedule is drawn into one w·horizon array, each node's
-// row a capped slice of it, and owned as drawn (see newOwned). With w = 0
-// the horizon is 0, as New infers it from an empty schedule.
+// valid symbols, seeded for reproducibility: L(v, r) is SymbolFromIndex of
+// the (v·horizon + r)-th value of
+// rand.New(rand.NewSource(seed)).Intn(SymbolCount(k)), drawn row-major
+// straight into the flat schedule (see fillSymbols). With w = 0 the
+// horizon is 0, as New infers it from an empty schedule.
 func Random(k, w, horizon int, seed int64) (*Multigraph, error) {
 	if k < 1 || k > MaxK {
 		return nil, fmt.Errorf("multigraph: alphabet size k=%d out of range [1,%d]", k, MaxK)
@@ -129,24 +167,50 @@ func Random(k, w, horizon int, seed int64) (*Multigraph, error) {
 	if w < 0 || horizon < 0 {
 		return nil, fmt.Errorf("multigraph: negative size w=%d horizon=%d", w, horizon)
 	}
-	if horizon > 0 && w > math.MaxInt/horizon {
-		return nil, fmt.Errorf("multigraph: schedule of %d nodes × %d rounds overflows int", w, horizon)
+	n, err := cellCount(w, horizon)
+	if err != nil {
+		return nil, err
 	}
 	if w == 0 {
 		horizon = 0
 	}
-	rng := rand.New(rand.NewSource(seed))
-	symbols := SymbolCount(k)
-	cells := make([]LabelSet, w*horizon)
-	labels := make([][]LabelSet, w)
-	for v := range labels {
-		row := cells[v*horizon : (v+1)*horizon : (v+1)*horizon]
-		for r := range row {
-			row[r] = SymbolFromIndex(rng.Intn(symbols))
+	cells := make([]LabelSet, n)
+	fillSymbols(cells, rand.NewSource(seed), int32(SymbolCount(k)))
+	return newOwned(k, w, horizon, cells), nil
+}
+
+// fillSymbols sets each cell to SymbolFromIndex of the next value of
+// rand.New(src).Intn(n), for 0 < n < 2^31, and calls src.Int63 exactly as
+// often as Intn would. Intn takes Int31n's path there, with the bound
+// computed once instead of per draw (see intn). For k = 2 (n = 3) the
+// modulus is a constant, which the compiler turns into a multiply.
+func fillSymbols(cells []LabelSet, src rand.Source, n int32) {
+	if n == 3 {
+		for i := range cells {
+			cells[i] = SymbolFromIndex(int(intn(src, 3, intnBound(3))))
 		}
-		labels[v] = row
+		return
 	}
-	return newOwned(k, horizon, labels), nil
+	bound := intnBound(n)
+	for i := range cells {
+		cells[i] = SymbolFromIndex(int(intn(src, n, bound)))
+	}
+}
+
+// intnBound is the largest candidate Int31n accepts for n: (2^31−1) − 2^31
+// mod n. For a power of two it is 2^31−1, so no candidate is rejected.
+func intnBound(n int32) int32 { return int32((1<<31 - 1) - (1<<31)%uint32(n)) }
+
+// intn is rand.Rand.Int31n(n) on src, given n's bound: a candidate is the
+// top 31 bits of one Int63, a candidate above the bound is rejected for
+// another, and the value is the candidate mod n. For a power of two n that
+// is Int31n's mask, as candidates are non-negative.
+func intn(src rand.Source, n, bound int32) int32 {
+	for {
+		if v := int32(src.Int63() >> 32); v <= bound {
+			return v % n
+		}
+	}
 }
 
 // K returns the label alphabet size.
@@ -154,32 +218,32 @@ func (m *Multigraph) K() int { return m.k }
 
 // W returns |W|, the number of non-leader nodes. The counting problem asks
 // the leader to output this value.
-func (m *Multigraph) W() int { return len(m.labels) }
+func (m *Multigraph) W() int { return m.w }
 
 // Horizon returns the number of scheduled rounds.
 func (m *Multigraph) Horizon() int { return m.horizon }
 
 // LabelsAt returns L(v, r), the label set of node v at round r.
 func (m *Multigraph) LabelsAt(v, r int) (LabelSet, error) {
-	if v < 0 || v >= len(m.labels) {
-		return 0, fmt.Errorf("multigraph: node %d out of range [0,%d)", v, len(m.labels))
+	if v < 0 || v >= m.w {
+		return 0, fmt.Errorf("multigraph: node %d out of range [0,%d)", v, m.w)
 	}
 	if r < 0 || r >= m.horizon {
 		return 0, fmt.Errorf("multigraph: round %d out of range [0,%d)", r, m.horizon)
 	}
-	return m.labels[v][r], nil
+	return m.cells[v*m.horizon+r], nil
 }
 
 // StateOf returns S(v, r): node v's history of label sets through round
 // r-1. StateOf(v, 0) is the empty (⊥) history.
 func (m *Multigraph) StateOf(v, r int) (History, error) {
-	if v < 0 || v >= len(m.labels) {
-		return nil, fmt.Errorf("multigraph: node %d out of range [0,%d)", v, len(m.labels))
+	if v < 0 || v >= m.w {
+		return nil, fmt.Errorf("multigraph: node %d out of range [0,%d)", v, m.w)
 	}
 	if r < 0 || r > m.horizon {
 		return nil, fmt.Errorf("multigraph: round %d out of range [0,%d]", r, m.horizon)
 	}
-	return History(m.labels[v][:r]).Prefix(r), nil
+	return History(m.row(v)).Prefix(r), nil
 }
 
 // HistoryCounts returns the count-per-history vector for histories through
@@ -191,8 +255,8 @@ func (m *Multigraph) HistoryCounts(length int) ([]int, error) {
 		return nil, fmt.Errorf("multigraph: length %d out of range [0,%d]", length, m.horizon)
 	}
 	counts := make([]int, HistoryCount(length, m.k))
-	for v := range m.labels {
-		counts[History(m.labels[v][:length]).Index(m.k)]++
+	for v := 0; v < m.w; v++ {
+		counts[History(m.row(v)[:length]).Index(m.k)]++
 	}
 	return counts, nil
 }
@@ -220,10 +284,10 @@ func (m *Multigraph) LeaderObservation(r int) (Observation, error) {
 		return nil, fmt.Errorf("multigraph: round %d out of range [0,%d)", r, m.horizon)
 	}
 	obs := make(Observation)
-	for v := range m.labels {
-		state := History(m.labels[v][:r])
-		key := state.Key()
-		for _, j := range m.labels[v][r].Labels() {
+	for v := 0; v < m.w; v++ {
+		row := m.row(v)
+		key := History(row[:r]).Key()
+		for _, j := range row[r].Labels() {
 			obs[ObsKey{Label: j, StateKey: key}]++
 		}
 	}

@@ -1,6 +1,7 @@
 package multigraph
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -159,6 +160,16 @@ func TestFromHistoryCountsErrors(t *testing.T) {
 	if _, err := FromHistoryCounts(2, 1, []int{1, -1, 0}); err == nil {
 		t.Fatal("negative count should error")
 	}
+	// Neither the node count nor the schedule's nodes × rounds may wrap.
+	big := math.MaxInt/2 + 1
+	if _, err := FromHistoryCounts(2, 1, []int{big, big, 0}); err == nil {
+		t.Fatal("node count overflowing int accepted")
+	}
+	counts := make([]int, HistoryCount(2, 2))
+	counts[4] = big
+	if _, err := FromHistoryCounts(2, 2, counts); err == nil {
+		t.Fatal("schedule of nodes × rounds overflowing int accepted")
+	}
 }
 
 func TestFigure3Indistinguishable(t *testing.T) {
@@ -305,15 +316,65 @@ func TestRandomMatchesNewConstruction(t *testing.T) {
 	}
 }
 
-// TestRandomRowsAreCapped checks that the rows sharing Random's one
-// backing array cannot grow into each other.
+// scriptedSource replays a fixed list of Int63 values, cyclically, and
+// counts the calls.
+type scriptedSource struct {
+	vals  []int64
+	calls int
+}
+
+func (s *scriptedSource) Int63() int64 {
+	v := s.vals[s.calls%len(s.vals)]
+	s.calls++
+	return v
+}
+
+func (s *scriptedSource) Seed(int64) { panic("scriptedSource: Seed") }
+
+// TestFillSymbolsMatchesIntn drives fillSymbols with Int63 values whose
+// candidates lie above Int31n's bound, a branch no seeded source reaches
+// in practice (2 in 2^31 per draw for n = 3), mixed with ordinary values.
+// It must give rand.New(src).Intn(n)'s values from as many Int63 calls.
+func TestFillSymbolsMatchesIntn(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, n := range []int32{1, 3, 7, 65535} {
+		bound := int64(intnBound(n))
+		var vals []int64
+		// The top candidates: for n = 1 all accepted, else rejected.
+		for c := bound + 1; c < 1<<31 && c <= bound+4; c++ {
+			vals = append(vals, c<<32, c<<32|0xffffffff)
+		}
+		vals = append(vals, 1<<63-1, bound<<32, bound<<32|0xffffffff, 0, 1<<32, int64(n)<<32)
+		for i := 0; i < 40; i++ {
+			vals = append(vals, rng.Int63())
+			if i%5 == 0 {
+				vals = append(vals, 1<<63-1, 1<<63-1) // a run of rejections
+			}
+		}
+		a, b := &scriptedSource{vals: vals}, &scriptedSource{vals: vals}
+		got := make([]LabelSet, 3*len(vals))
+		fillSymbols(got, a, n)
+		ref := rand.New(b)
+		for i, s := range got {
+			if want := SymbolFromIndex(ref.Intn(int(n))); s != want {
+				t.Fatalf("n=%d draw %d: %v, Intn gives %v", n, i, s, want)
+			}
+		}
+		if a.calls != b.calls {
+			t.Fatalf("n=%d: %d Int63 calls, Intn makes %d", n, a.calls, b.calls)
+		}
+	}
+}
+
+// TestRandomRowsAreCapped checks that the rows the accessor cuts from
+// Random's one backing array cannot grow into each other.
 func TestRandomRowsAreCapped(t *testing.T) {
 	m, err := Random(2, 4, 3, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for v, row := range m.labels {
-		if cap(row) != len(row) {
+	for v := 0; v < m.W(); v++ {
+		if row := m.row(v); len(row) != m.Horizon() || cap(row) != len(row) {
 			t.Fatalf("row %d: cap %d, len %d", v, cap(row), len(row))
 		}
 	}

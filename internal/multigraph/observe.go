@@ -3,6 +3,8 @@ package multigraph
 import (
 	"errors"
 	"fmt"
+	"math"
+	"slices"
 )
 
 // MaxIndexedRounds bounds the rounds an ObservationStream can serve: sender
@@ -33,38 +35,66 @@ type IndexedObsEntry struct {
 // ObservationStream produces the leader's per-round observations in indexed
 // form, reusing its buffers across rounds. It is the allocation-light
 // counterpart of calling LeaderObservation(r) for r = 0, 1, 2, ...: instead
-// of rebuilding every node's history key each round, the stream maintains
-// one running state index per node and extends it in O(1).
+// of building every node's history key each round, it keeps W's node ids
+// grouped by current state, with the groups in ascending state order, and
+// refines each group by the round's label sets, the way history-tree
+// classes refine. No state is hashed and nothing is sorted.
 //
 // Buffer ownership: the slice returned by Next is owned by the stream and
 // is valid only until the next Next call — callers that retain entries
 // across rounds must copy them. A stream is not safe for concurrent use.
 type ObservationStream struct {
-	m       *Multigraph
-	r       int
-	idx     []int64       // per-node History.Index of its current state
-	pos     map[int64]int // state index -> position in entries (this round)
-	entries []IndexedObsEntry
+	m *Multigraph
+	r int
+
+	// nodes holds W's node ids, each state's nodes contiguous. groups
+	// lists the states in ascending order, each with the end of its run
+	// in nodes (a run starts where the previous one ends); groupsNext is
+	// its double buffer, swapped each round.
+	nodes              []int32
+	groups, groupsNext []stateGroup
+	entries            []IndexedObsEntry
+}
+
+// stateGroup is one state's run of nodes in ObservationStream.nodes: the
+// state's History.Index(2) and the end of its run.
+type stateGroup struct {
+	state int64
+	end   int
 }
 
 // NewObservationStream returns a stream positioned before round 0.
 // Indexed observations are defined for the k = 2 instantiation the solver
-// machinery targets; other alphabets get an error.
+// machinery targets; other alphabets get an error, and so does a W of more
+// than 2^31−1 nodes, whose ids the stream keeps as int32.
 func (m *Multigraph) NewObservationStream() (*ObservationStream, error) {
 	if m.k != 2 {
 		return nil, fmt.Errorf("multigraph: observation stream requires k=2, got k=%d", m.k)
 	}
-	return &ObservationStream{
-		m:   m,
-		idx: make([]int64, len(m.labels)),
-		pos: make(map[int64]int),
-	}, nil
+	if m.w > math.MaxInt32 {
+		return nil, fmt.Errorf("multigraph: observation stream takes at most %d nodes, got %d", math.MaxInt32, m.w)
+	}
+	s := &ObservationStream{m: m, nodes: make([]int32, m.w)}
+	for v := range s.nodes {
+		s.nodes[v] = int32(v)
+	}
+	if m.w > 0 {
+		// Round 0: every node is in the empty history, index 0.
+		s.groups = append(s.groups, stateGroup{state: 0, end: m.w})
+	}
+	return s, nil
 }
 
 // Next returns the indexed observation of the next round and advances the
 // stream. The returned slice aliases stream-owned scratch (see the type
-// comment). Entries appear in first-seen node order, so the output is
-// deterministic for a fixed multigraph.
+// comment). Entries strictly ascend by State, so
+// kernel.IncrementalSolver.AddRoundIndexed reads them in place.
+//
+// Each group is partitioned in place three ways by the round's label sets,
+// {1}, {2} and {1,2}; it yields its entry, and its non-empty parts become
+// the groups of children 3s, 3s+1 and 3s+2 (History.Index extended by the
+// symbol index LabelSet-1, labelset.go's canonical order). Children of
+// ascending parents ascend, so the next round's groups need no sort.
 func (s *ObservationStream) Next() ([]IndexedObsEntry, error) {
 	if s.r >= s.m.horizon {
 		return nil, fmt.Errorf("multigraph: round %d out of range [0,%d)", s.r, s.m.horizon)
@@ -72,27 +102,57 @@ func (s *ObservationStream) Next() ([]IndexedObsEntry, error) {
 	if s.r+1 > MaxIndexedRounds {
 		return nil, ErrIndexCapacity
 	}
-	s.entries = s.entries[:0]
-	clear(s.pos)
-	for v, st := range s.idx {
-		ls := s.m.labels[v][s.r]
-		p, ok := s.pos[st]
-		if !ok {
-			p = len(s.entries)
-			s.entries = append(s.entries, IndexedObsEntry{State: st})
-			s.pos[st] = p
+	cells, h, r := s.m.cells, s.m.horizon, s.r
+	// A round has one entry per group, and each group splits into at
+	// most three, so the buffers grow at most once a round.
+	s.entries = slices.Grow(s.entries[:0], len(s.groups))
+	next := slices.Grow(s.groupsNext[:0], min(3*len(s.groups), s.m.w))
+	start := 0
+	for _, g := range s.groups {
+		run := s.nodes[start:g.end]
+		lo, hi := partition3(run, cells[r:], h)
+		both := len(run) - hi
+		s.entries = append(s.entries, IndexedObsEntry{State: g.state, Count1: lo + both, Count2: hi - lo + both})
+		child := 3 * g.state
+		if lo > 0 {
+			next = append(next, stateGroup{child, start + lo})
 		}
-		e := &s.entries[p]
-		if ls&1 != 0 {
-			e.Count1++
+		if hi > lo {
+			next = append(next, stateGroup{child + 1, start + hi})
 		}
-		if ls&2 != 0 {
-			e.Count2++
+		if both > 0 {
+			next = append(next, stateGroup{child + 2, g.end})
 		}
-		// Extend the node's history: index over base 3 with symbol index
-		// LabelSet-1 (labelset.go's canonical order).
-		s.idx[v] = 3*st + int64(ls) - 1
+		start = g.end
 	}
+	s.groups, s.groupsNext = next, s.groups
 	s.r++
 	return s.entries, nil
+}
+
+// partition3 reorders run in place by node v's label set labels[v·h], the
+// schedule from the round's own cells on: the {1} nodes to run[:lo], the
+// {2} nodes to run[lo:hi] and the {1,2} nodes to run[hi:]. It makes two
+// branch-free Lomuto passes, {1} to the front and then {2} before {1,2}:
+// on random schedules a branch per node would often mispredict.
+func partition3(run []int32, labels []LabelSet, h int) (lo, hi int) {
+	for i, v := range run {
+		one := 0
+		if labels[int(v)*h] == 1 {
+			one = 1
+		}
+		run[i], run[lo] = run[lo], v
+		lo += one
+	}
+	hi = lo
+	for i := lo; i < len(run); i++ {
+		v := run[i]
+		two := 0
+		if labels[int(v)*h] == 2 {
+			two = 1
+		}
+		run[i], run[hi] = run[hi], v
+		hi += two
+	}
+	return lo, hi
 }

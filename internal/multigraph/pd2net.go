@@ -74,7 +74,7 @@ func (m *Multigraph) ToPD2Chain(chainLen int) (*PD2Net, *PD2Layout, error) {
 		layout.V1 = append(layout.V1, next)
 		next++
 	}
-	for range m.labels {
+	for v := 0; v < m.w; v++ {
 		layout.V2 = append(layout.V2, next)
 		next++
 	}
@@ -123,8 +123,9 @@ func (p *PD2Net) Snapshot(r int) *graph.Graph {
 			panic(err) // unreachable
 		}
 	}
-	for v, row := range p.m.labels {
-		s := row[r]
+	cells, h := p.m.cells, p.m.horizon // round r of node v is cells[v*h+r]
+	for v, c := 0, r; v < p.m.w; v, c = v+1, c+h {
+		s := cells[c]
 		for j := 1; j <= p.m.k; j++ {
 			if s.Has(j) {
 				if err := g.AddEdge(p.layout.V1[j-1], p.layout.V2[v]); err != nil {
@@ -182,12 +183,12 @@ func (p *PD2Net) SnapshotCSR(r int) *graph.CSR {
 	for j := 1; j <= k; j++ {
 		offsets[1+hub+j] = 1 // each relay sees the hub
 	}
-	for v, row := range p.m.labels {
-		s := uint32(row[r])
-		d := bits.OnesCount32(s)
-		offsets[1+hub+k+v+1] = d
+	cells, h := p.m.cells, p.m.horizon // round r of node v is cells[v*h+r]
+	for v, c := 0, r; v < p.m.w; v, c = v+1, c+h {
+		s := cells[c]
+		offsets[1+hub+k+v+1] = bits.OnesCount32(uint32(s))
 		for j := 1; j <= k; j++ {
-			if row[r].Has(j) {
+			if s.Has(j) {
 				offsets[1+hub+j]++
 			}
 		}
@@ -223,8 +224,8 @@ func (p *PD2Net) SnapshotCSR(r int) *graph.CSR {
 		nbrs[cur[relay]] = graph.NodeID(hub) // relay j -> hub, first entry of the row
 		cur[relay]++
 	}
-	for v, row := range p.m.labels {
-		s := row[r]
+	for v, c := 0, r; v < p.m.w; v, c = v+1, c+h {
+		s := cells[c]
 		w := graph.NodeID(1 + hub + k + v)
 		for j := 1; j <= k; j++ {
 			if s.Has(j) {

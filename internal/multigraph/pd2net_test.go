@@ -155,7 +155,7 @@ func TestPD2ChainErrors(t *testing.T) {
 	if _, _, err := m.ToPD2Chain(-1); err == nil {
 		t.Fatal("negative chain length accepted")
 	}
-	if _, _, err := newOwned(2, 0, nil).ToPD2Chain(2); err == nil {
+	if _, _, err := newOwned(2, 0, 0, nil).ToPD2Chain(2); err == nil {
 		t.Fatal("zero-horizon multigraph transformed")
 	}
 }
@@ -210,7 +210,7 @@ func TestPD2NetSnapshotSharedPastHorizon(t *testing.T) {
 }
 
 func TestPD2NetZeroHorizon(t *testing.T) {
-	m := newOwned(2, 0, nil)
+	m := newOwned(2, 0, 0, nil)
 	if _, _, err := m.ToPD2CSR(); err == nil {
 		t.Fatal("zero-horizon multigraph transformed")
 	}

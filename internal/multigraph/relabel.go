@@ -18,8 +18,9 @@ func (m *Multigraph) Relabel(perm []int) (*Multigraph, error) {
 		}
 		seen[p-1] = true
 	}
-	labels := make([][]LabelSet, len(m.labels))
-	for v, row := range m.labels {
+	labels := make([][]LabelSet, m.w)
+	for v := range labels {
+		row := m.row(v)
 		nr := make([]LabelSet, len(row))
 		for r, s := range row {
 			var ns LabelSet

@@ -9,10 +9,10 @@ import (
 // "v3: {1},{1,2},{2}".
 func (m *Multigraph) String() string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "M(DBL_%d) |W|=%d horizon=%d\n", m.k, len(m.labels), m.horizon)
-	for v, row := range m.labels {
+	fmt.Fprintf(&sb, "M(DBL_%d) |W|=%d horizon=%d\n", m.k, m.w, m.horizon)
+	for v := 0; v < m.w; v++ {
 		fmt.Fprintf(&sb, "  v%d:", v)
-		for r, ls := range row {
+		for r, ls := range m.row(v) {
 			if r > 0 {
 				sb.WriteByte(',')
 			}

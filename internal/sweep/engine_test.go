@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"reflect"
 	"sync"
 	"sync/atomic"
@@ -279,6 +280,30 @@ func TestGoldenSeedRegression(t *testing.T) {
 	want := Dist{Trials: 20, Mean: 2.40, Min: 2, Max: 3, P50: 2, P90: 3, P99: 3}
 	if got != want {
 		t.Fatalf("golden distribution drifted:\n got %+v\nwant %+v", got, want)
+	}
+}
+
+// TestCampaignRoundsPinned pins the rounds of the bench's mc-campaign grid
+// cut to trials 0–49: for each size, the sum and the maximum of the rounds
+// its counts took. The bench checks each job's count but not its rounds,
+// so a change to the schedule's draws would pass it and fail here.
+func TestCampaignRoundsPinned(t *testing.T) {
+	spec := Spec{Name: "mc-campaign", Proto: ProtoMDBLCount, Sizes: []int{13, 40, 121, 364, 1093, 3280}, Trials: 50, Horizon: 14, Seed: 1}
+	rep, _ := mdblDist(t, spec, Options{Workers: 2})
+	type rounds struct{ sum, max int }
+	want := map[int]rounds{13: {123, 3}, 40: {152, 4}, 121: {199, 4}, 364: {247, 5}, 1093: {272, 6}, 3280: {302, 7}}
+	got := make(map[int]rounds)
+	for _, r := range rep.Results {
+		if r.Failed {
+			t.Fatalf("%s: %s", r.Key, r.Err)
+		}
+		g := got[r.N]
+		g.sum += r.Rounds
+		g.max = max(g.max, r.Rounds)
+		got[r.N] = g
+	}
+	if !maps.Equal(got, want) {
+		t.Fatalf("rounds per size (sum, max) = %v, want %v", got, want)
 	}
 }
 
