@@ -21,13 +21,30 @@ type CountResult struct {
 // (kernel.IncrementalSolver, fed by the multigraph's ObservationStream) and
 // terminates as soon as exactly one network size is consistent with its
 // view. maxRounds bounds the attempt; the multigraph's schedule is
-// consulted for at most min(maxRounds, horizon) rounds.
+// consulted for at most min(maxRounds, horizon) rounds. It is Count on a
+// new Counter.
 //
 // On worst-case (Lemma 5) schedules termination happens exactly at round
 // MaxIndistinguishableRounds(n)+1 once the schedule diverges; on benign
 // schedules (e.g. all nodes on a single label) it can be as early as round
 // 1 — the lower bound is about the adversary, not about every network.
 func CountOnMultigraph(m *multigraph.Multigraph, maxRounds int) (CountResult, error) {
+	return new(Counter).Count(m, maxRounds)
+}
+
+// Counter is the leader-state counter with one observation stream and one
+// solver that outlive a count: each Count resets both before its first
+// round, so a caller that counts many multigraphs (the S1 campaign's jobs)
+// allocates only when a multigraph needs more room than any before it.
+// The zero value is ready to use. A Counter is not safe for concurrent
+// use.
+type Counter struct {
+	stream multigraph.ObservationStream
+	solver kernel.IncrementalSolver
+}
+
+// Count runs the counter on m, as CountOnMultigraph does.
+func (c *Counter) Count(m *multigraph.Multigraph, maxRounds int) (CountResult, error) {
 	if m.K() != 2 {
 		return CountResult{}, fmt.Errorf("core: leader-state counter requires k=2, got k=%d", m.K())
 	}
@@ -35,17 +52,16 @@ func CountOnMultigraph(m *multigraph.Multigraph, maxRounds int) (CountResult, er
 	if h := m.Horizon(); h < limit {
 		limit = h
 	}
-	solver := kernel.NewIncrementalSolver()
-	stream, err := m.NewObservationStream()
-	if err != nil {
+	if err := c.stream.Reset(m); err != nil {
 		return CountResult{}, err
 	}
+	c.solver.Reset()
 	for rounds := 1; rounds <= limit; rounds++ {
-		entries, err := stream.Next()
+		entries, err := c.stream.Next()
 		if err != nil {
 			return CountResult{}, err
 		}
-		iv, err := solver.AddRoundIndexed(entries)
+		iv, err := c.solver.AddRoundIndexed(entries)
 		if err != nil {
 			return CountResult{}, err
 		}

@@ -54,7 +54,8 @@ type stateForm struct {
 // their uncertainty every round, fed by multigraph.ObservationStream or by
 // chainnet's merged relay facts, both in strictly ascending state order.
 //
-// The zero value is not usable; construct with NewIncrementalSolver.
+// The zero value is not usable; construct with NewIncrementalSolver, or
+// Reset a zero solver before its first round.
 type IncrementalSolver struct {
 	rounds int
 	total  int // R1(⊥) + R2(⊥); n = total - c0
@@ -71,7 +72,7 @@ type IncrementalSolver struct {
 
 	// obsRounds/obsRoundNS report per-round solve work through the
 	// process-wide collector; both nil (free) when the process is
-	// unobserved. Resolved once at construction, never per round.
+	// unobserved. Resolved once per Reset, never per round.
 	obsRounds  *anonobs.Counter
 	obsRoundNS *anonobs.Histogram
 }
@@ -79,11 +80,24 @@ type IncrementalSolver struct {
 // noPin is pinHi before any eviction: no upper bound on c0.
 const noPin = math.MaxInt
 
-// NewIncrementalSolver returns a solver with no observations yet.
+// NewIncrementalSolver returns a solver with no observations yet: Reset on
+// a new solver.
 func NewIncrementalSolver() *IncrementalSolver {
-	s := &IncrementalSolver{pinHi: noPin}
-	s.obsRounds, s.obsRoundNS = incrementalMetrics()
+	s := new(IncrementalSolver)
+	s.Reset()
 	return s
+}
+
+// Reset returns s to a solver with no observations, keeping its buffers,
+// so a caller that counts many schedules (the S1 campaign's jobs) reuses
+// one solver. It fetches the metric handles again, so a solver kept from
+// before the process opted into observation (obs.Set) reports like a new
+// one.
+func (s *IncrementalSolver) Reset() {
+	// Round 0 sets total and the sparse layer afresh.
+	s.rounds = 0
+	s.pinLo, s.pinHi = 0, noPin
+	s.obsRounds, s.obsRoundNS = incrementalMetrics()
 }
 
 // Rounds returns the number of observations added.

@@ -18,7 +18,7 @@ func solveCalls() *obs.Counter {
 
 // incrementalMetrics returns the per-round counter and wall-time histogram
 // for the incremental solver, nil handles when unobserved. Resolved once
-// per solver (in NewIncrementalSolver), never per round.
+// per IncrementalSolver.Reset, never per round.
 func incrementalMetrics() (*obs.Counter, *obs.Histogram) {
 	col := obs.Global()
 	if col == nil {

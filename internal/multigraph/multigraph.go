@@ -73,7 +73,7 @@ func New(k int, labels [][]LabelSet) (*Multigraph, error) {
 }
 
 // newOwned wraps a flat schedule without validating or copying it. The
-// constructors that fill the cells themselves (Random, Extended,
+// constructors that fill new cells themselves (Extended,
 // FromHistoryCounts) use it to skip New's defensive copy: the caller
 // guarantees len(cells) = w·horizon with label sets valid for k, and cedes
 // the array.
@@ -155,28 +155,45 @@ func FromHistoryCounts(k, length int, counts []int) (*Multigraph, error) {
 }
 
 // Random returns a multigraph whose label sets are drawn uniformly from the
-// valid symbols, seeded for reproducibility: L(v, r) is SymbolFromIndex of
-// the (v·horizon + r)-th value of
-// rand.New(rand.NewSource(seed)).Intn(SymbolCount(k)), drawn row-major
-// straight into the flat schedule (see fillSymbols). With w = 0 the
-// horizon is 0, as New infers it from an empty schedule.
+// valid symbols, seeded for reproducibility: it is Redraw on a new
+// multigraph with rand.NewSource(seed).
 func Random(k, w, horizon int, seed int64) (*Multigraph, error) {
+	m := new(Multigraph)
+	if err := m.Redraw(k, w, horizon, rand.NewSource(seed)); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// Redraw refills m in place with a random schedule of w nodes and horizon
+// rounds over alphabet k: L(v, r) is SymbolFromIndex of the
+// (v·horizon + r)-th value of rand.New(src).Intn(SymbolCount(k)), drawn
+// row-major straight into the flat schedule (see fillSymbols). With w = 0
+// the horizon is 0, as New infers it from an empty schedule. It reuses m's
+// cells and grows them only when they are too small, so a caller that
+// draws many schedules (the S1 campaign's jobs) reseeds one source and
+// redraws one multigraph. Anything that still reads m sees the new
+// schedule; on an error m is left as it was.
+func (m *Multigraph) Redraw(k, w, horizon int, src rand.Source) error {
 	if k < 1 || k > MaxK {
-		return nil, fmt.Errorf("multigraph: alphabet size k=%d out of range [1,%d]", k, MaxK)
+		return fmt.Errorf("multigraph: alphabet size k=%d out of range [1,%d]", k, MaxK)
 	}
 	if w < 0 || horizon < 0 {
-		return nil, fmt.Errorf("multigraph: negative size w=%d horizon=%d", w, horizon)
+		return fmt.Errorf("multigraph: negative size w=%d horizon=%d", w, horizon)
 	}
 	n, err := cellCount(w, horizon)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if w == 0 {
 		horizon = 0
 	}
-	cells := make([]LabelSet, n)
-	fillSymbols(cells, rand.NewSource(seed), int32(SymbolCount(k)))
-	return newOwned(k, w, horizon, cells), nil
+	if cap(m.cells) < n {
+		m.cells = make([]LabelSet, n)
+	}
+	m.k, m.w, m.horizon, m.cells = k, w, horizon, m.cells[:n]
+	fillSymbols(m.cells, src, int32(SymbolCount(k)))
+	return nil
 }
 
 // fillSymbols sets each cell to SymbolFromIndex of the next value of

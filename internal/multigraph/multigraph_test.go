@@ -278,6 +278,9 @@ func randomViaNew(k, w, horizon int, seed int64) (*Multigraph, error) {
 }
 
 func TestRandomMatchesNewConstruction(t *testing.T) {
+	// redrawn is one multigraph redrawn in place for every case in turn,
+	// so its cells grow (to 40×14) and then shrink.
+	redrawn := new(Multigraph)
 	for _, tc := range []struct {
 		k, w, horizon int
 		seed          int64
@@ -289,20 +292,25 @@ func TestRandomMatchesNewConstruction(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%+v: %v", tc, err)
 		}
+		if err := redrawn.Redraw(tc.k, tc.w, tc.horizon, rand.NewSource(tc.seed)); err != nil {
+			t.Fatalf("%+v: Redraw: %v", tc, err)
+		}
 		want, err := randomViaNew(tc.k, tc.w, tc.horizon, tc.seed)
 		if err != nil {
 			t.Fatalf("%+v: reference: %v", tc, err)
 		}
-		if got.K() != want.K() || got.W() != want.W() || got.Horizon() != want.Horizon() {
-			t.Fatalf("%+v: k=%d w=%d horizon=%d, want %d %d %d", tc,
-				got.K(), got.W(), got.Horizon(), want.K(), want.W(), want.Horizon())
-		}
-		for v := 0; v < want.W(); v++ {
-			for r := 0; r < want.Horizon(); r++ {
-				a, _ := got.LabelsAt(v, r)
-				b, _ := want.LabelsAt(v, r)
-				if a != b {
-					t.Fatalf("%+v: L(%d,%d) = %v, want %v", tc, v, r, a, b)
+		for _, got := range []*Multigraph{got, redrawn} {
+			if got.K() != want.K() || got.W() != want.W() || got.Horizon() != want.Horizon() || len(got.cells) != len(want.cells) {
+				t.Fatalf("%+v: k=%d w=%d horizon=%d cells=%d, want %d %d %d %d", tc,
+					got.K(), got.W(), got.Horizon(), len(got.cells), want.K(), want.W(), want.Horizon(), len(want.cells))
+			}
+			for v := 0; v < want.W(); v++ {
+				for r := 0; r < want.Horizon(); r++ {
+					a, _ := got.LabelsAt(v, r)
+					b, _ := want.LabelsAt(v, r)
+					if a != b {
+						t.Fatalf("%+v: L(%d,%d) = %v, want %v", tc, v, r, a, b)
+					}
 				}
 			}
 		}
@@ -312,6 +320,9 @@ func TestRandomMatchesNewConstruction(t *testing.T) {
 	} {
 		if _, err := Random(bad.k, bad.w, bad.horizon, 1); err == nil {
 			t.Fatalf("Random(%d, %d, %d) accepted", bad.k, bad.w, bad.horizon)
+		}
+		if err := redrawn.Redraw(bad.k, bad.w, bad.horizon, rand.NewSource(1)); err == nil {
+			t.Fatalf("Redraw(%d, %d, %d) accepted", bad.k, bad.w, bad.horizon)
 		}
 	}
 }

@@ -41,8 +41,9 @@ type IndexedObsEntry struct {
 // classes refine. No state is hashed and nothing is sorted.
 //
 // Buffer ownership: the slice returned by Next is owned by the stream and
-// is valid only until the next Next call — callers that retain entries
-// across rounds must copy them. A stream is not safe for concurrent use.
+// is valid only until the next Next or Reset call — callers that retain
+// entries across rounds must copy them. A stream is not safe for
+// concurrent use. A zero ObservationStream must be Reset before Next.
 type ObservationStream struct {
 	m *Multigraph
 	r int
@@ -63,26 +64,41 @@ type stateGroup struct {
 	end   int
 }
 
-// NewObservationStream returns a stream positioned before round 0.
-// Indexed observations are defined for the k = 2 instantiation the solver
-// machinery targets; other alphabets get an error, and so does a W of more
-// than 2^31−1 nodes, whose ids the stream keeps as int32.
+// NewObservationStream returns a stream positioned before round 0: Reset
+// on a new stream.
 func (m *Multigraph) NewObservationStream() (*ObservationStream, error) {
+	s := new(ObservationStream)
+	if err := s.Reset(m); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// Reset positions s before round 0 of m, keeping its buffers, so a caller
+// that streams many multigraphs (the S1 campaign's jobs) allocates only
+// when one needs more room than any before it. Nothing of the previous
+// multigraph's stream survives. Indexed observations are defined for the
+// k = 2 instantiation the solver machinery targets; other alphabets get an
+// error, and so does a W of more than 2^31−1 nodes, whose ids the stream
+// keeps as int32; on an error s is left as it was.
+func (s *ObservationStream) Reset(m *Multigraph) error {
 	if m.k != 2 {
-		return nil, fmt.Errorf("multigraph: observation stream requires k=2, got k=%d", m.k)
+		return fmt.Errorf("multigraph: observation stream requires k=2, got k=%d", m.k)
 	}
 	if m.w > math.MaxInt32 {
-		return nil, fmt.Errorf("multigraph: observation stream takes at most %d nodes, got %d", math.MaxInt32, m.w)
+		return fmt.Errorf("multigraph: observation stream takes at most %d nodes, got %d", math.MaxInt32, m.w)
 	}
-	s := &ObservationStream{m: m, nodes: make([]int32, m.w)}
+	s.m, s.r = m, 0
+	s.nodes = slices.Grow(s.nodes[:0], m.w)[:m.w]
 	for v := range s.nodes {
 		s.nodes[v] = int32(v)
 	}
+	s.groups = s.groups[:0]
 	if m.w > 0 {
 		// Round 0: every node is in the empty history, index 0.
 		s.groups = append(s.groups, stateGroup{state: 0, end: m.w})
 	}
-	return s, nil
+	return nil
 }
 
 // Next returns the indexed observation of the next round and advances the

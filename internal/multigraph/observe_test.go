@@ -50,13 +50,19 @@ func foldedObservation(t *testing.T, m *Multigraph, r int) []IndexedObsEntry {
 	return out
 }
 
-// checkStream drains m's stream through its horizon, or through
-// MaxIndexedRounds where that comes first, and checks that every round
-// strictly ascends by State and equals LeaderObservation folded by state.
-// It returns the stream, positioned after the last round it served.
-func checkStream(t *testing.T, name string, m *Multigraph) *ObservationStream {
+// checkStream resets s to m, or starts a new stream of m when s is nil,
+// and drains it through m's horizon, or through MaxIndexedRounds where that
+// comes first. It checks that every round strictly ascends by State and
+// equals LeaderObservation folded by state, and returns the stream,
+// positioned after the last round it served.
+func checkStream(t *testing.T, name string, s *ObservationStream, m *Multigraph) *ObservationStream {
 	t.Helper()
-	s, err := m.NewObservationStream()
+	var err error
+	if s == nil {
+		s, err = m.NewObservationStream()
+	} else {
+		err = s.Reset(m)
+	}
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
@@ -78,6 +84,10 @@ func checkStream(t *testing.T, name string, m *Multigraph) *ObservationStream {
 }
 
 func TestObservationStreamAscendsAndMatchesLeaderObservation(t *testing.T) {
+	// One stream, reset to every multigraph below in turn, must serve each
+	// as a new stream does: through growing and shrinking sizes, and after
+	// rounds left unread.
+	reused := new(ObservationStream)
 	for _, w := range []int{0, 1, 2, 7, 60} {
 		for h := 0; h <= 8; h++ {
 			for seed := int64(0); seed < 4; seed++ {
@@ -85,9 +95,27 @@ func TestObservationStreamAscendsAndMatchesLeaderObservation(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				checkStream(t, "Random", m)
+				checkStream(t, "Random", nil, m)
+				checkStream(t, "Random, reused stream", reused, m)
+				if w > 2 {
+					// Leave the reused stream part-way through a larger
+					// multigraph before the next, smaller one.
+					big, err := Random(2, 3*w, h+2, seed)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := reused.Reset(big); err != nil {
+						t.Fatal(err)
+					}
+					if _, err := reused.Next(); err != nil {
+						t.Fatal(err)
+					}
+				}
 			}
 		}
+	}
+	if err := reused.Reset(newOwned(3, 1, 1, []LabelSet{1})); err == nil {
+		t.Fatal("Reset accepted k=3")
 	}
 
 	// Every node on one history: one group, never split.
@@ -97,7 +125,8 @@ func TestObservationStreamAscendsAndMatchesLeaderObservation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkStream(t, "one history", one)
+	checkStream(t, "one history", nil, one)
+	checkStream(t, "one history, reused stream", reused, one)
 
 	// Past MaxIndexedRounds the stream refuses the round it cannot index,
 	// and keeps refusing it.
@@ -105,10 +134,11 @@ func TestObservationStreamAscendsAndMatchesLeaderObservation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := checkStream(t, "long", long)
-	for i := 0; i < 2; i++ {
-		if _, err := s.Next(); !errors.Is(err, ErrIndexCapacity) {
-			t.Fatalf("round %d: err %v, want ErrIndexCapacity", MaxIndexedRounds, err)
+	for _, s := range []*ObservationStream{checkStream(t, "long", nil, long), checkStream(t, "long, reused stream", reused, long)} {
+		for i := 0; i < 2; i++ {
+			if _, err := s.Next(); !errors.Is(err, ErrIndexCapacity) {
+				t.Fatalf("round %d: err %v, want ErrIndexCapacity", MaxIndexedRounds, err)
+			}
 		}
 	}
 }

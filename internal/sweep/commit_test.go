@@ -25,8 +25,10 @@ import (
 type faultFile struct {
 	file journalFile
 	// failWrite and failSync pick the 1-based Write or Sync call that
-	// fails; 0 fails none. Set them before the journal is used.
+	// fails; 0 fails none. beforeFault, if non-nil, runs just before that
+	// call returns its fault. Set them before the journal is used.
 	failWrite, failSync int
+	beforeFault         func()
 
 	mu            sync.Mutex
 	writes, syncs int
@@ -63,6 +65,7 @@ func (ff *faultFile) Write(p []byte) (int, error) {
 	ff.written = append(ff.written, p[:n]...)
 	if err == nil && short {
 		ff.failedSize = len(ff.written)
+		ff.fault()
 		err = syscall.ENOSPC
 	}
 	return n, err
@@ -77,6 +80,7 @@ func (ff *faultFile) Sync() error {
 	ff.syncs++
 	if ff.syncs == ff.failSync {
 		ff.failedSize = len(ff.written)
+		ff.fault()
 		return syscall.EIO
 	}
 	if err := ff.file.Sync(); err != nil {
@@ -87,6 +91,80 @@ func (ff *faultFile) Sync() error {
 }
 
 func (ff *faultFile) Close() error { return ff.file.Close() }
+
+func (ff *faultFile) fault() {
+	if ff.beforeFault != nil {
+		ff.beforeFault()
+	}
+}
+
+// pacer holds fast test jobs back so that a run commits in many small
+// batches. The engine queues every finished row without waiting, so jobs
+// this fast could otherwise all finish inside the first append and share
+// one batch. The job that starts k-th waits until the committer has
+// reported k−lead rows, or until the run stops; so at most lead rows are
+// queued or in an append at any time, and a job woken by the stop still
+// returns its row, which then reaches the committer after the fault.
+type pacer struct {
+	lead    int64
+	started atomic.Int64
+
+	mu       sync.Mutex
+	reported int64
+	report   chan struct{} // closed and replaced by each report
+	waiting  int           // jobs now waiting for a report
+	waited   *sync.Cond    // signaled when a job starts waiting
+}
+
+func newPacer(lead int) *pacer {
+	p := &pacer{lead: int64(lead), report: make(chan struct{})}
+	p.waited = sync.NewCond(&p.mu)
+	return p
+}
+
+// onResult counts one report and wakes the waiting jobs. Call it from
+// Options.OnResult.
+func (p *pacer) onResult() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.reported++
+	close(p.report)
+	p.report = make(chan struct{})
+}
+
+// wrap returns fn behind the pacer.
+func (p *pacer) wrap(fn ProtoFunc) ProtoFunc {
+	return func(ctx context.Context, job Job) (Result, error) {
+		k := p.started.Add(1)
+		p.mu.Lock()
+		for p.reported < k-p.lead && ctx.Err() == nil {
+			report := p.report
+			p.waiting++
+			p.waited.Broadcast()
+			p.mu.Unlock()
+			select {
+			case <-report:
+			case <-ctx.Done():
+			}
+			p.mu.Lock()
+			p.waiting--
+		}
+		p.mu.Unlock()
+		return fn(ctx, job)
+	}
+}
+
+// awaitWaiting returns once some job waits for a report. As a faultFile's
+// beforeFault it holds the fault until a row is sure to follow it: no
+// report comes while the failing call runs, so the jobs that may still run
+// finish and the next one to start waits, until the stop wakes it.
+func (p *pacer) awaitWaiting() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for p.waiting == 0 {
+		p.waited.Wait()
+	}
+}
 
 // syncedRows returns the journal lines that a successful Sync covered.
 func (ff *faultFile) syncedRows() []string {
@@ -114,17 +192,20 @@ func TestCommitReportsOnlySyncedRows(t *testing.T) {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			j, ff := faultJournal(t, filepath.Join(t.TempDir(), "j.jsonl"))
 			defer j.Close()
-			// A batch holds at most workers+1 rows, so 64 jobs need more
-			// than four fsyncs at every worker count here.
-			ff.failSync = 4
+			// The pacer keeps a batch to at most 2·workers rows, so the 64
+			// jobs need more than four fsyncs at every worker count here,
+			// and three batches succeed before the fourth fsync fails.
+			p := newPacer(2 * workers)
+			ff.failSync, ff.beforeFault = 4, p.awaitWaiting
 			reported := 0
 			onResult := func(r Result) {
 				reported++
+				p.onResult()
 				if !ff.holdsSynced(t, r) {
 					t.Errorf("OnResult(%s) before the fsync that covers its row", r.Key)
 				}
 			}
-			rep, err := Run(context.Background(), testJobs(64), double, Options{Workers: workers, Journal: j, OnResult: onResult})
+			rep, err := Run(context.Background(), testJobs(64), p.wrap(double), Options{Workers: workers, Journal: j, OnResult: onResult})
 			if !errors.Is(err, syscall.EIO) {
 				t.Fatalf("want EIO, got %v", err)
 			}
@@ -154,7 +235,8 @@ func TestCommitBatchesQueuedRows(t *testing.T) {
 	for _, workers := range []int{2, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			// workers+1 rows are committed before the tails return: the
-			// first batch, and the rest, which fits the queue.
+			// first batch, and the rest, queued while the first OnResult
+			// waits.
 			n := 2*workers + 1
 			await := func(ch <-chan struct{}, what string) {
 				select {
@@ -237,12 +319,15 @@ func TestJournalFaultStopsWriting(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "j.jsonl")
 			j, ff := faultJournal(t, path)
-			ff.failWrite, ff.failSync = tc.failWrite, tc.failSync
 			// Three workers, so that rows from two others would follow a
-			// torn fragment if writing went on after the fault.
+			// torn fragment if writing went on after the fault. The pacer
+			// keeps a batch to at most six of the 30 rows, so two appends
+			// succeed before the third call fails, and rows follow it.
+			p := newPacer(6)
+			ff.failWrite, ff.failSync, ff.beforeFault = tc.failWrite, tc.failSync, p.awaitWaiting
 			reported := 0
-			rep, err := Run(context.Background(), jobs, fn, Options{
-				Workers: 3, Journal: j, OnResult: func(Result) { reported++ },
+			rep, err := Run(context.Background(), jobs, p.wrap(fn), Options{
+				Workers: 3, Journal: j, OnResult: func(Result) { reported++; p.onResult() },
 			})
 			if !errors.Is(err, tc.fault) {
 				t.Fatalf("want %v, got %v", tc.fault, err)
@@ -267,6 +352,69 @@ func TestJournalFaultStopsWriting(t *testing.T) {
 			}
 			if got, want := FormatTable(resumed.Stats), FormatTable(ref.Stats); got != want {
 				t.Fatalf("resumed table differs:\n%s\nvs\n%s", got, want)
+			}
+		})
+	}
+}
+
+// blockedSyncFile is a journal file whose first Sync waits until every
+// job's function has returned, for at most 10 s.
+type blockedSyncFile struct {
+	journalFile
+	t        *testing.T
+	returned <-chan struct{}
+	once     sync.Once
+}
+
+func (f *blockedSyncFile) Sync() error {
+	f.once.Do(func() {
+		select {
+		case <-f.returned:
+		case <-time.After(10 * time.Second):
+			f.t.Error("timed out: the workers waited for the committer's first fsync")
+		}
+	})
+	return f.journalFile.Sync()
+}
+
+// No worker waits for the committer: while the run's first fsync hangs,
+// every job still runs to the end, and once it returns every row is
+// journaled and reported.
+func TestCommitNeverBlocksWorkers(t *testing.T) {
+	for _, workers := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			const n = 64
+			var returned atomic.Int64
+			allReturned := make(chan struct{})
+			fn := func(ctx context.Context, job Job) (Result, error) {
+				res, err := double(ctx, job)
+				if returned.Add(1) == n {
+					close(allReturned)
+				}
+				return res, err
+			}
+			path := filepath.Join(t.TempDir(), "j.jsonl")
+			j, err := OpenJournal(path, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			j.f = &blockedSyncFile{journalFile: j.f, t: t, returned: allReturned}
+			reported := 0
+			rep, err := Run(context.Background(), testJobs(n), fn, Options{
+				Workers: workers, Journal: j, OnResult: func(Result) { reported++ },
+			})
+			if cerr := j.Close(); err == nil {
+				err = cerr
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			done, err := ReadJournal(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(done) != n || rep.Executed != n || reported != n {
+				t.Fatalf("journaled %d, executed %d, reported %d; want %d each", len(done), rep.Executed, reported, n)
 			}
 		})
 	}

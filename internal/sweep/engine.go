@@ -26,8 +26,9 @@ type Options struct {
 	// Journal, if non-nil, receives every job completed by this run. The
 	// run's committer appends the rows that finished since its last write
 	// as one batch, synced per batch, and reports each job only after the
-	// fsync that covers its row. Jobs satisfied from Done are not
-	// re-appended — the journal is append-only and idempotent by job key.
+	// fsync that covers its row. Workers never wait for these appends.
+	// Jobs satisfied from Done are not re-appended — the journal is
+	// append-only and idempotent by job key.
 	Journal *Journal
 	// Done holds results of jobs completed by a previous run (normally
 	// ReadJournal's output). Matching jobs are not re-executed.
@@ -98,10 +99,12 @@ type Report struct {
 // after clean shutdown.
 //
 // Workers hand each finished job to one committer goroutine and start
-// their next jobs. The committer journals every queued row as one batch
-// (see Options.Journal), and only then records, counts and reports those
-// jobs. After a journal failure it keeps draining its queue without
-// writing or reporting.
+// their next jobs at once: the queue between them has room for every
+// pending job. The committer journals every queued row as one batch (see
+// Options.Journal), so a batch is whatever finished while its previous
+// append ran, and only then records, counts and reports those jobs. After
+// a journal failure it keeps draining its queue without writing or
+// reporting.
 func Run(ctx context.Context, jobs []Job, fn ProtoFunc, opts Options) (*Report, error) {
 	rep := &Report{Results: make([]Result, len(jobs))}
 	keys := make(map[string]int, len(jobs))
@@ -148,11 +151,11 @@ func Run(ctx context.Context, jobs []Job, fn ProtoFunc, opts Options) (*Report, 
 		s.queue = append(s.queue, idx)
 	}
 
-	// One slot per worker: a worker waits only while a batch as large as
-	// the pool is already queued. A deeper queue lets the workers run ahead
-	// of the fsyncs and grows the live heap. The committer drains the queue
-	// until it is closed, so no send on it blocks forever.
-	e.commits = make(chan finished, workers)
+	// One slot per pending job: each sends at most one row, so no worker
+	// ever waits for the committer, however long an fsync takes. A slot is
+	// one finished row (96 bytes on 64-bit), the same order of memory as
+	// Report.Results.
+	e.commits = make(chan finished, len(pending))
 	committed := make(chan struct{})
 	go func() {
 		defer close(committed)
@@ -326,8 +329,8 @@ func (e *engine) commit() {
 	var rows []Result
 	for f := range e.commits {
 		idxs, rows = append(idxs[:0], f.idx), append(rows[:0], f.res)
-		// Take the rows queued now, so a batch holds at most workers+1
-		// rows. The committer is the only receiver, so none of these
+		// Take the rows queued now: those that finished while the last
+		// append ran. The committer is the only receiver, so none of these
 		// receives blocks.
 		for n := len(e.commits); n > 0; n-- {
 			f := <-e.commits

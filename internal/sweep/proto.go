@@ -3,6 +3,7 @@ package sweep
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"sync"
 
 	"anondyn/internal/core"
@@ -86,17 +87,40 @@ func Proto(name string) (ProtoFunc, bool) {
 // schedule of size job.N drawn from job.Seed — the Monte-Carlo trial behind
 // the S1 study. An unresolved count within the horizon is a Failed result;
 // a wrong count is an execution fault (it would falsify Theorem 2's
-// correctness side).
+// correctness side). The job borrows its source, schedule and counter
+// from a pool (see mdblScratch), so in steady state it allocates nothing.
 func MDBLCount(ctx context.Context, job Job) (Result, error) {
 	if err := ctx.Err(); err != nil {
 		return Result{}, err
 	}
-	m, err := multigraph.Random(2, job.N, job.Horizon, job.Seed)
-	if err != nil {
+	s := mdblScratchPool.Get().(*mdblScratch)
+	defer mdblScratchPool.Put(s)
+	return s.count(job)
+}
+
+// mdblScratch is what one MDBLCount job draws and counts with. Every job
+// starts from a full reset — the source is reseeded, the schedule redrawn,
+// the counter's stream and solver reset — so a job that failed or panicked
+// leaves nothing behind for the next one.
+type mdblScratch struct {
+	src rand.Source
+	m   multigraph.Multigraph
+	c   core.Counter
+}
+
+var mdblScratchPool = sync.Pool{New: func() any { return newMDBLScratch() }}
+
+func newMDBLScratch() *mdblScratch { return &mdblScratch{src: rand.NewSource(0)} }
+
+// count is MDBLCount on s. Seed gives the source the state of
+// rand.NewSource(job.Seed), so the schedule is multigraph.Random's.
+func (s *mdblScratch) count(job Job) (Result, error) {
+	s.src.Seed(job.Seed)
+	if err := s.m.Redraw(2, job.N, job.Horizon, s.src); err != nil {
 		return Result{}, err
 	}
 	res := Result{Key: job.Key, Proto: job.Proto, N: job.N, Trial: job.Trial}
-	cr, err := core.CountOnMultigraph(m, job.Horizon)
+	cr, err := s.c.Count(&s.m, job.Horizon)
 	if err != nil {
 		res.Rounds = -1
 		res.Failed = true
