@@ -13,6 +13,7 @@ import (
 
 	"anondyn/internal/chainnet"
 	"anondyn/internal/core"
+	"anondyn/internal/counting"
 	"anondyn/internal/dynet"
 	"anondyn/internal/kernel"
 	"anondyn/internal/multigraph"
@@ -284,6 +285,41 @@ func BenchmarkMDBLCountJob(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*len(jobs)), "µs/job")
+}
+
+// BenchmarkWorstCaseCount runs the counts of the benchmark's
+// incremental-worstcase and leaderstate-worstcase workloads
+// (bench/workload.go): Incremental Counting on WorstCaseInstance(16) on the
+// sequential engine, and the leader-state counter on
+// WorstCaseInstance(88573) on the sharded engine. The instance is built
+// outside the timer, so allocs/op is what one count allocates.
+func BenchmarkWorstCaseCount(b *testing.B) {
+	for _, tc := range []struct {
+		algo      string
+		w, rounds int
+		run       runtime.Engine
+	}{
+		{"incremental", 16, 41646, runtime.RunSequential},
+		{"leaderstate", 88573, 13, runtime.RunSharded},
+	} {
+		b.Run(fmt.Sprintf("%s/w=%d", tc.algo, tc.w), func(b *testing.B) {
+			inst, err := counting.WorstCaseInstance(tc.w)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				res, err := counting.RunAlgorithm(tc.algo, inst, tc.run)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if res.Count != tc.w+3 || res.Rounds != tc.rounds {
+					b.Fatalf("counted %d in %d rounds, want %d in %d", res.Count, res.Rounds, tc.w+3, tc.rounds)
+				}
+			}
+		})
+	}
 }
 
 // BenchmarkStructuredMatVec measures the matrix-free M_r product at depths

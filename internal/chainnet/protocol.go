@@ -114,7 +114,8 @@ type (
 		Facts []fact
 	}
 	// stateMsg is what a W node broadcasts while its state is indexed:
-	// the state's History.Index(2) and length.
+	// the state's History.Index(2) and length. A W node sends a pointer
+	// to one it owns and rewrites each Send (runtime.Message).
 	stateMsg struct {
 		Index int64
 		Len   int
@@ -127,7 +128,7 @@ type (
 )
 
 // canonKey is the protocol's ordering key (runtime.Config.CanonKey), in
-// RunCount and RecordTrace alike; it never formats a string. A stateMsg
+// RunCount and RecordTrace alike; it never formats a string. A *stateMsg
 // keys by its state's rank in level order (shorter histories first, then
 // by index): distinct states key apart, and, since the states of one round
 // share a length, the engines deliver a relay the states it hears in
@@ -145,7 +146,7 @@ type (
 // exactly one.
 func canonKey(m runtime.Message) uint64 {
 	switch v := m.(type) {
-	case stateMsg:
+	case *stateMsg:
 		return levelStart[v.Len] + uint64(v.Index)
 	case keyMsg:
 		return runtime.MixKey(tagState ^ runtime.StringKey(v.Key))
@@ -192,7 +193,7 @@ func canon(m runtime.Message) string {
 	switch v := m.(type) {
 	case nil:
 		return ""
-	case stateMsg:
+	case *stateMsg:
 		return "w:" + stateKey(v.Index, v.Len)
 	case keyMsg:
 		return "w:" + v.Key
@@ -223,11 +224,13 @@ type wProc struct {
 	n       int
 	index   int64
 	history multigraph.History // nil while indexed(n)
+	out     stateMsg           // the reused broadcast while indexed(n)
 }
 
 func (p *wProc) Send(int) runtime.Message {
 	if indexed(p.n) {
-		return stateMsg{Index: p.index, Len: p.n}
+		p.out = stateMsg{Index: p.index, Len: p.n}
+		return &p.out
 	}
 	return keyMsg{Key: p.history.Key()}
 }
@@ -278,7 +281,7 @@ func (p *relayProc) Receive(r int, msgs []runtime.Message) {
 	}
 	p.heard = p.heard[:0]
 	for _, m := range msgs {
-		if sm, ok := m.(stateMsg); ok {
+		if sm, ok := m.(*stateMsg); ok {
 			p.heard = append(p.heard, sm.Index)
 		}
 	}

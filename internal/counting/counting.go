@@ -47,7 +47,7 @@ func key(m runtime.Message) uint64 {
 		tag, a, b = 2, math.Float64bits(v[0]), math.Float64bits(v[1])
 	case distMsg:
 		tag, a, b = 3, uint64(v.Dist), uint64(v.MaxSeen)
-	case incMsg:
+	case *incMsg:
 		tag, a, b = 4, math.Float64bits(v.Share), uint64(v.AlarmK)
 	case idSetMsg:
 		tag, a = 5, uint64(len(v))

@@ -48,7 +48,8 @@ import (
 // polynomially, vs linear for histtree.Count — the comparison the zoo
 // figure freezes.
 
-// incMsg is the per-round broadcast of the incremental counter.
+// incMsg is the per-round broadcast of the incremental counter. Each
+// process sends a pointer to one it owns and rewrites each Send.
 type incMsg struct {
 	// Share is the potential share offered to each neighbor this round.
 	Share float64
@@ -95,6 +96,7 @@ type incProc struct {
 	alarmK int
 	bad    bool      // degree violation seen in the current guess: freeze sharing
 	shares []float64 // scratch: the shares heard this round
+	out    incMsg    // the reused broadcast, written only in Send (runtime.Message)
 }
 
 func newIncProc() *incProc { return &incProc{clock: newIncClock(), rho: 1, alarmK: -1} }
@@ -105,14 +107,15 @@ func (p *incProc) Send(int) runtime.Message {
 	if drain && !p.bad {
 		p.share = p.rho / float64(k+1)
 	}
-	return incMsg{Share: p.share, AlarmK: p.alarmK}
+	p.out = incMsg{Share: p.share, AlarmK: p.alarmK}
+	return &p.out
 }
 
 func (p *incProc) Receive(_ int, msgs []runtime.Message) {
 	k, drain, _ := p.clock.phase()
 	p.shares = p.shares[:0]
 	for _, m := range msgs {
-		im, ok := m.(incMsg)
+		im, ok := m.(*incMsg)
 		if !ok {
 			continue
 		}
@@ -149,12 +152,14 @@ type incLeader struct {
 	count  int
 	done   bool
 	shares []float64 // scratch: the shares heard this round
+	out    incMsg    // the reused broadcast, written only in Send (runtime.Message)
 }
 
 func newIncLeader() *incLeader { return &incLeader{clock: newIncClock(), alarmK: -1} }
 
 func (l *incLeader) Send(int) runtime.Message {
-	return incMsg{Share: 0, AlarmK: l.alarmK}
+	l.out = incMsg{Share: 0, AlarmK: l.alarmK}
+	return &l.out
 }
 
 func (l *incLeader) Receive(_ int, msgs []runtime.Message) {
@@ -164,7 +169,7 @@ func (l *incLeader) Receive(_ int, msgs []runtime.Message) {
 	k, _, last := l.clock.phase()
 	l.shares = l.shares[:0]
 	for _, m := range msgs {
-		im, ok := m.(incMsg)
+		im, ok := m.(*incMsg)
 		if !ok {
 			continue
 		}

@@ -1,7 +1,6 @@
 package counting
 
 import (
-	"context"
 	"testing"
 
 	"anondyn/internal/dynet"
@@ -102,36 +101,81 @@ func TestIncrementalCountExact(t *testing.T) {
 
 // The incremental counter's decisions depend only on sums of shares and
 // maxima of alarm tags — both commutative — so every engine must produce
-// the identical (count, rounds).
+// the identical (count, rounds). WorstCaseInstance(4) serves CSR
+// snapshots, so on several shards both the reused messages and the
+// snapshot pointers the engine finds repeated cross worker goroutines; CI
+// repeats this test under the race detector.
 func TestIncrementalCountEngineIndependent(t *testing.T) {
-	ctx := context.Background()
-	engines := map[string]Runner{
-		"sequential": runtime.SequentialEngine(ctx),
-		"sharded":    runtime.ShardedEngine(ctx),
-	}
-	g, err := graph.Cycle(7)
+	cycle, err := graph.Cycle(7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	type outcome struct{ count, rounds int }
-	var want outcome
-	first := true
-	for name, run := range engines {
-		count, rounds, err := IncrementalCount(dynet.NewStatic(g), 0, 100000, run)
+	worst, err := WorstCaseInstance(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name   string
+		net    dynet.Dynamic
+		leader graph.NodeID
+		want   int
+	}{
+		{"cycle-7", dynet.NewStatic(cycle), 0, 7},
+		{worst.Name, worst.Net, worst.Leader, worst.TrueN},
+	} {
+		count, rounds, err := IncrementalCount(tc.net, tc.leader, 100000, runtime.RunSequential)
 		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+			t.Fatalf("%s sequential: %v", tc.name, err)
 		}
-		got := outcome{count, rounds}
-		if first {
-			want, first = got, false
-			continue
+		if count != tc.want {
+			t.Fatalf("%s sequential: count = %d, want %d", tc.name, count, tc.want)
 		}
-		if got != want {
-			t.Fatalf("%s: %+v differs from %+v", name, got, want)
+		for _, shards := range []int{1, 2, 5} {
+			sharded := func(cfg *runtime.Config) (int, error) {
+				c := *cfg
+				c.Shards = shards
+				return runtime.RunSharded(&c)
+			}
+			c, r, err := IncrementalCount(tc.net, tc.leader, 100000, sharded)
+			if err != nil {
+				t.Fatalf("%s on %d shards: %v", tc.name, shards, err)
+			}
+			if c != count || r != rounds {
+				t.Fatalf("%s on %d shards: count %d in %d rounds, sequential %d in %d",
+					tc.name, shards, c, r, count, rounds)
+			}
 		}
 	}
-	if want.count != 7 {
-		t.Fatalf("count = %d, want 7", want.count)
+}
+
+// TestIncrementalCountAllocsFlatInRounds requires that a count's
+// allocations do not grow with the rounds it runs: each process reuses
+// its broadcast (runtime.Message) and its scratch, so a steady-state round
+// allocates nothing. Both budgets stop WorstCaseInstance(4) short of its
+// count, so the two runs differ only in their 700 extra rounds. Those may
+// cost an allocation or two that do not depend on rounds (a sync.Pool
+// refilled after a collection), but fewer than one per node; one boxed
+// message per node per round would cost 7 × 700.
+func TestIncrementalCountAllocsFlatInRounds(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are inflated under -race")
+	}
+	inst, err := WorstCaseInstance(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := func(budget int) float64 {
+		return testing.AllocsPerRun(10, func() {
+			_, rounds, err := IncrementalCount(inst.Net, inst.Leader, budget, runtime.RunSequential)
+			if err == nil || rounds != budget {
+				t.Fatalf("budget %d: %d rounds, %v; want the whole budget and no count", budget, rounds, err)
+			}
+		})
+	}
+	short, long := allocs(100), allocs(800)
+	if n := float64(inst.Net.N()); long-short >= n {
+		t.Errorf("%.0f allocations in 100 rounds, %.0f in 800: the extra rounds allocate %.0f times, want fewer than %.0f",
+			short, long, long-short, n)
 	}
 }
 

@@ -14,13 +14,22 @@ import (
 )
 
 // inboxLog forwards to its process and records every inbox it is handed.
+// A message is valid only until its sender's next Send (runtime.Message),
+// so the log keeps a copy of each one a sender reuses.
 type inboxLog struct {
 	runtime.Process
 	inboxes [][]runtime.Message
 }
 
 func (l *inboxLog) Receive(r int, msgs []runtime.Message) {
-	l.inboxes = append(l.inboxes, slices.Clone(msgs))
+	in := slices.Clone(msgs)
+	for i, m := range in {
+		if im, ok := m.(*incMsg); ok {
+			c := *im
+			in[i] = &c
+		}
+	}
+	l.inboxes = append(l.inboxes, in)
 	l.Process.Receive(r, msgs)
 }
 
@@ -177,7 +186,7 @@ func TestKeyDependsOnContentOnly(t *testing.T) {
 		{big.NewRat(2, 6), big.NewRat(1, 3)},
 		{[2]float64{0.5, 1.0 / 3}, [2]float64{1.0 / 2, 1.0 / 3}},
 		{distMsg{Dist: 2, MaxSeen: 3}, distMsg{Dist: 2, MaxSeen: 3}},
-		{incMsg{Share: 1.0 / 3, AlarmK: -1}, incMsg{Share: 1.0 / 3, AlarmK: -1}},
+		{&incMsg{Share: 1.0 / 3, AlarmK: -1}, &incMsg{Share: 1.0 / 3, AlarmK: -1}},
 		{idSetMsg{1, 2, 3}, idSetMsg(append([]int(nil), 1, 2, 3))},
 	}
 	for _, pair := range equal {
@@ -190,7 +199,7 @@ func TestKeyDependsOnContentOnly(t *testing.T) {
 		big.NewRat(1, 3), big.NewRat(2, 3), new(big.Rat),
 		[2]float64{1, 2}, [2]float64{2, 1}, [2]float64{0, 0}, [2]float64{0.5, math.Inf(1)},
 		distMsg{Dist: 1, MaxSeen: 2}, distMsg{Dist: 2, MaxSeen: 1}, distMsg{Dist: -1},
-		incMsg{Share: 0.5, AlarmK: -1}, incMsg{Share: 0.5, AlarmK: 0}, incMsg{Share: 0.25, AlarmK: -1},
+		&incMsg{Share: 0.5, AlarmK: -1}, &incMsg{Share: 0.5, AlarmK: 0}, &incMsg{Share: 0.25, AlarmK: -1},
 		idSetMsg{}, idSetMsg{1}, idSetMsg{1, 2}, idSetMsg{2, 1}, idSetMsg{12},
 	}
 	seen := map[uint64]runtime.Message{}

@@ -36,6 +36,12 @@ type Dynamic interface {
 // (snapshot-view ownership, see graph.CSR), so callers use it before
 // requesting another round and never across calls. Implementations must be
 // deterministic in r.
+//
+// SnapshotCSR returns the pointer its previous call returned only when the
+// topology is unchanged; a rebuild returns another pointer. A caller that
+// makes every call itself, as the round engine does within a run, may
+// therefore skip validating and checking a snapshot whose pointer repeats
+// the one it checked last.
 type CSRDynamic interface {
 	Dynamic
 	SnapshotCSR(r int) *graph.CSR

@@ -20,7 +20,9 @@ import (
 // A CSR is a snapshot view: producers (Graph.CSR, dynet implementations)
 // may reuse the backing arrays for the next snapshot, so a CSR is valid
 // only until its producer is asked for another one — the same ownership
-// rule the engine applies to inbox slices.
+// rule the engine applies to inbox slices. A dynet.CSRDynamic hands out the
+// same *CSR twice in a row only for an unchanged topology, so a consumer
+// that validated a pointer need not validate it again while it repeats.
 type CSR struct {
 	Offsets []int
 	Nbrs    []NodeID

@@ -44,10 +44,10 @@ type proc struct {
 	curHash uint64
 	heard   []int32   // scratch: sender classes this round
 	pairs   []RedEdge // scratch: the multiset passed to ExtendHash
-	// out is the reused outgoing message. Receivers read it during the
-	// receive phase, in which the owner's own Receive already moves cur,
-	// so it is rewritten only in Send: the engines finish every Receive
-	// of round r before any Send of round r+1.
+	// out is the reused outgoing message, which runtime.Message's
+	// lifetime rule allows. Receivers read it during the receive phase,
+	// in which the owner's own Receive already moves cur, so it is
+	// rewritten only in Send.
 	out classMsg
 }
 

@@ -18,21 +18,28 @@ import (
 // composition of Corollary 1.
 //
 // The returned *graph.CSR is a snapshot view: it is valid until the next
-// SnapshotCSR call, per the dynet.CSRDynamic contract. Snapshot, the
-// map-graph accessor of the plain Dynamic interface, serves the sequential
-// engine and the analyses. It keeps the graph of the last round it built,
-// so every round at or past the horizon returns one shared graph, which
-// builds its sorted-adjacency index once. Snapshot is safe for concurrent
-// use; SnapshotCSR is not.
+// SnapshotCSR call, per the dynet.CSRDynamic contract, and a call returns
+// the previous call's pointer exactly when its clamped round repeats the
+// previous call's. Snapshot, the map-graph accessor of the plain Dynamic
+// interface, serves the sequential engine and the analyses. It keeps the
+// graph of the last round it built, so every round at or past the horizon
+// returns one shared graph, which builds its sorted-adjacency index once.
+// Snapshot is safe for concurrent use; SnapshotCSR is not.
 type PD2Net struct {
 	m      *Multigraph
 	layout *PD2Layout
 	n      int
 
-	// Round-build scratch, reused across SnapshotCSR calls.
-	csr       graph.CSR
-	cur       []int // per-row fill cursor
-	lastRound int   // clamped round of the cached csr; -1 before first build
+	// Round-build scratch, reused across SnapshotCSR calls. Both views
+	// are headers over the one set of arrays; a rebuild fills the arrays
+	// and hands out the view the previous call did not, so the pointer
+	// changes exactly when the round does.
+	offsets   []int
+	nbrs      []graph.NodeID
+	fill      []int // per-row fill cursor
+	views     [2]graph.CSR
+	view      int // index of the view last handed out
+	lastRound int // clamped round of the last build; -1 before the first
 
 	// last is the map graph of the most recent Snapshot build.
 	last atomic.Pointer[roundGraph]
@@ -145,27 +152,29 @@ func (p *PD2Net) Snapshot(r int) *graph.Graph {
 	return g
 }
 
-// SnapshotCSR returns round r's topology in CSR form, rebuilding into the
-// net's own buffers. Row contents are ascending by construction: a chain
-// node's row lists its predecessor (c₁'s is the leader), then its successor
-// or, for the hub the relays attach to (c_m, or the leader when there is
-// no chain), relays 1..k; each relay row lists the hub followed by its
-// W-nodes in multigraph order; each W row lists its relays in label order.
+// SnapshotCSR returns round r's topology in CSR form. It rebuilds into the
+// net's own arrays and returns the other view, unless r's clamped round
+// repeats the previous call's, which returns the previous pointer. Row
+// contents are ascending by construction: a chain node's row lists its
+// predecessor (c₁'s is the leader), then its successor or, for the hub the
+// relays attach to (c_m, or the leader when there is no chain), relays
+// 1..k; each relay row lists the hub followed by its W-nodes in multigraph
+// order; each W row lists its relays in label order.
 func (p *PD2Net) SnapshotCSR(r int) *graph.CSR {
 	r = p.clampRound(r)
 	if r == p.lastRound {
-		return &p.csr
+		return &p.views[p.view]
 	}
 	// hub is the node the relays attach to: the leader (node 0) or the
 	// last chain node c_m (node m).
 	k, n, hub := p.m.k, p.n, len(p.layout.Chain)
 
-	if cap(p.csr.Offsets) < n+1 {
-		p.csr.Offsets = make([]int, n+1)
-		p.cur = make([]int, n)
+	if cap(p.offsets) < n+1 {
+		p.offsets = make([]int, n+1)
+		p.fill = make([]int, n)
 	}
-	offsets := p.csr.Offsets[:n+1]
-	cur := p.cur[:n]
+	offsets := p.offsets[:n+1]
+	cur := p.fill[:n]
 
 	// Degree pass. offsets[i+1] temporarily holds deg(i). Node hub+j is
 	// the relay of label j.
@@ -202,10 +211,10 @@ func (p *PD2Net) SnapshotCSR(r int) *graph.CSR {
 		total = satAddInt(total, offsets[i])
 		offsets[i] = total
 	}
-	if cap(p.csr.Nbrs) < total {
-		p.csr.Nbrs = make([]graph.NodeID, total)
+	if cap(p.nbrs) < total {
+		p.nbrs = make([]graph.NodeID, total)
 	}
-	nbrs := p.csr.Nbrs[:total]
+	nbrs := p.nbrs[:total]
 
 	// Fill pass.
 	for i := 0; i < n; i++ {
@@ -237,9 +246,11 @@ func (p *PD2Net) SnapshotCSR(r int) *graph.CSR {
 			}
 		}
 	}
-	p.csr.Offsets, p.csr.Nbrs = offsets, nbrs
+	p.view ^= 1
+	c := &p.views[p.view]
+	c.Offsets, c.Nbrs = offsets, nbrs
 	p.lastRound = r
-	return &p.csr
+	return c
 }
 
 // satAddInt is the saturating addition used for offset accumulation,

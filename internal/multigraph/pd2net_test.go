@@ -216,35 +216,62 @@ func TestPD2NetZeroHorizon(t *testing.T) {
 	}
 }
 
+// TestPD2NetSnapshotReuse checks PD2Net's pointer rule on chains 0…3, in
+// one larger shape and those TestPD2NetMatchesToPD2 builds, over rounds
+// 0…horizon+3 each asked twice and then round 0 again: SnapshotCSR returns
+// the previous call's pointer exactly when the clamped round repeats,
+// which is what lets the round engine skip checking a repeated pointer. It
+// also checks that a steady-state sweep does not allocate.
 func TestPD2NetSnapshotReuse(t *testing.T) {
-	m, err := Random(2, 32, 6, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, chainLen := range []int{0, 2} {
-		net, _, err := m.ToPD2Chain(chainLen)
+	for _, tc := range []struct {
+		k, w, horizon int
+		seed          int64
+	}{
+		{2, 32, 6, 9},
+		{1, 4, 3, 1},
+		{2, 7, 5, 2},
+		{3, 12, 4, 3},
+		{2, 1, 1, 4},
+	} {
+		m, err := Random(tc.k, tc.w, tc.horizon, tc.seed)
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Same round twice returns the identical cached snapshot.
-		a := net.SnapshotCSR(3)
-		if b := net.SnapshotCSR(3); a != b {
-			t.Fatal("repeated SnapshotCSR of the same round rebuilt")
+		h := m.Horizon()
+		var rounds []int
+		for r := 0; r <= h+3; r++ {
+			rounds = append(rounds, r, r)
 		}
-		// Warm up every round, then a steady-state sweep must not
-		// allocate: this is the property that lets the sharded engine run
-		// a million-node round loop without per-round garbage from the
-		// topology side.
-		for r := 0; r < 6; r++ {
-			net.SnapshotCSR(r)
-		}
-		allocs := testing.AllocsPerRun(50, func() {
-			for r := 0; r < 6; r++ {
-				net.SnapshotCSR(r)
+		rounds = append(rounds, 0)
+		for chainLen := 0; chainLen <= 3; chainLen++ {
+			net, _, err := m.ToPD2Chain(chainLen)
+			if err != nil {
+				t.Fatal(err)
 			}
-		})
-		if allocs > 0 {
-			t.Fatalf("chain %d: steady-state SnapshotCSR allocates %.1f/sweep, want 0", chainLen, allocs)
+			var prev *graph.CSR
+			for i, r := range rounds {
+				c := net.SnapshotCSR(r)
+				if i > 0 {
+					repeated := min(r, h-1) == min(rounds[i-1], h-1)
+					if (c == prev) != repeated {
+						t.Fatalf("k=%d w=%d chain %d: round %d after round %d: same pointer %v, clamped round repeats %v",
+							tc.k, tc.w, chainLen, r, rounds[i-1], c == prev, repeated)
+					}
+				}
+				prev = c
+			}
+			// A steady-state sweep must not allocate: this is the property
+			// that lets the sharded engine run a million-node round loop
+			// without per-round garbage from the topology side.
+			allocs := testing.AllocsPerRun(50, func() {
+				for r := 0; r < h; r++ {
+					net.SnapshotCSR(r)
+				}
+			})
+			if allocs > 0 {
+				t.Fatalf("k=%d w=%d chain %d: steady-state SnapshotCSR allocates %.1f/sweep, want 0",
+					tc.k, tc.w, chainLen, allocs)
+			}
 		}
 	}
 }

@@ -38,6 +38,13 @@ import (
 
 // Message is an opaque broadcast payload. The model's bandwidth is
 // unlimited, so messages may be arbitrarily large values.
+//
+// Lifetime rule: a message is valid until its sender's next Send. A sender
+// may return a pointer to a message it owns and reuses, as long as it
+// writes that message only in Send: the engines finish every Receive of
+// round r before any Send of round r+1, so every receiver reads what was
+// sent in its round. Anything that keeps a message longer, such as a
+// recorder or a test replaying inboxes later, copies it.
 type Message any
 
 // Process is one node's protocol logic. The engine calls Send in the send
@@ -56,9 +63,10 @@ type Process interface {
 	//
 	// Ownership rule: msgs aliases an engine-owned buffer that is reused
 	// for the next round, so it is valid only for the duration of the
-	// call. A process that retains messages across rounds must copy the
-	// slice (the Message values themselves are never mutated by the
-	// engine and may be retained).
+	// call, and each message in it is valid until its sender's next Send
+	// (see Message). A process that keeps messages across rounds copies
+	// the slice and every message it keeps. Neither the engine nor a
+	// receiver writes a message.
 	Receive(r int, msgs []Message)
 }
 
@@ -144,7 +152,8 @@ type Config struct {
 	// IntervalConnected enforces 1-interval connectivity on the rounds the
 	// run executes. Each round's topology is checked once it is fetched:
 	// before any process sends, or, for an adaptive adversary, before any
-	// process receives. A disconnected round ends the run with a
+	// process receives. A snapshot whose pointer repeats the previous
+	// round's was checked then. A disconnected round ends the run with a
 	// *dynet.ConnectivityError naming it. Rounds after the run stops are
 	// never built, so they are never checked.
 	IntervalConnected bool

@@ -24,15 +24,17 @@ import (
 // 10⁶-node round loop allocation-free in steady state.
 //
 // Each shard builds its own receivers' inboxes from the round's CSR rows,
-// which list senders in ascending id order, and sorts each inbox stably by
-// ordering key: every inbox lists its senders by (key, id).
+// which list senders in ascending id order, and sorts each inbox that is
+// not already in key order stably by ordering key: every inbox lists its
+// senders by (key, id).
 //
 // Topology is consumed in CSR form. Networks implementing dynet.CSRDynamic
 // are queried natively (no map-based graphs are ever materialized — the
 // million-node path); any other Dynamic or an adaptive adversary is
 // converted per snapshot with graph.(*Graph).CSR, cached while the snapshot
-// pointer is unchanged. RunSharded is RunShardedCtx over
-// context.Background().
+// pointer is unchanged. Either way a round whose snapshot pointer repeats
+// the previous round's reuses that round's validated and checked topology.
+// RunSharded is RunShardedCtx over context.Background().
 func RunSharded(cfg *Config) (int, error) {
 	return RunShardedCtx(context.Background(), cfg)
 }
@@ -140,13 +142,18 @@ func runShards(ctx context.Context, cfg *Config, nw int) (int, error) {
 	}
 
 	// snapshotCSR resolves round r's topology in CSR form. g is the
-	// adaptive adversary's graph (nil otherwise). A map graph reused from
-	// the previous round keeps its converted, already checked CSR.
+	// adaptive adversary's graph (nil otherwise). A snapshot pointer that
+	// repeats the previous round's keeps its converted, already checked
+	// CSR: a dynet.CSRDynamic repeats a pointer only for an unchanged
+	// topology.
 	snapshotCSR := func(r int, g *graph.Graph) error {
 		if csrDyn != nil {
 			c := csrDyn.SnapshotCSR(r)
 			if c == nil {
 				return fmt.Errorf("runtime: nil CSR snapshot at round %d", r)
+			}
+			if c == csr {
+				return nil
 			}
 			if err := c.Validate(); err != nil {
 				return fmt.Errorf("runtime: invalid CSR snapshot at round %d: %w", r, err)
@@ -212,13 +219,14 @@ func runShards(ctx context.Context, cfg *Config, nw int) (int, error) {
 					es = append(es, inboxEntry{key: keys[u], msg: outbox[u]})
 				}
 				// Senders arrive in ascending id order, so a stable sort
-				// breaks key ties by sender id. An inbox of two — every
-				// node of a cycle or path — orders with one comparison.
+				// breaks key ties by sender id, and an inbox already in key
+				// order needs none. An inbox of two — every node of a cycle
+				// or path — orders with one comparison.
 				if len(es) == 2 {
 					if es[1].key < es[0].key {
 						es[0], es[1] = es[1], es[0]
 					}
-				} else if len(es) > 2 {
+				} else if len(es) > 2 && !slices.IsSortedFunc(es, byKey) {
 					slices.SortStableFunc(es, byKey)
 				}
 				in := flat[off[v]:off[v+1]:off[v+1]]
