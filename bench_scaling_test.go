@@ -322,6 +322,28 @@ func BenchmarkWorstCaseCount(b *testing.B) {
 	}
 }
 
+// BenchmarkHistTreeCycleCount runs the count of the benchmark's
+// histtree-cycle workload (bench/workload.go): the history-tree counter on
+// CycleInstance(512) on the sequential engine. The instance is built
+// outside the timer, so allocs/op and B/op are what one count allocates.
+func BenchmarkHistTreeCycleCount(b *testing.B) {
+	inst, err := counting.CycleInstance(512)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := counting.RunAlgorithm("histtree", inst, runtime.RunSequential)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Count != 512 || res.Rounds != 1280 {
+			b.Fatalf("counted %d in %d rounds, want 512 in 1280", res.Count, res.Rounds)
+		}
+	}
+}
+
 // BenchmarkStructuredMatVec measures the matrix-free M_r product at depths
 // the dense matrix cannot reach.
 func BenchmarkStructuredMatVec(b *testing.B) {

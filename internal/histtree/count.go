@@ -88,13 +88,6 @@ func (p *proc) Receive(_ int, msgs []runtime.Message) {
 	p.absorb(msgs)
 }
 
-// classInfo is the leader's lock-free cache of a class's structure.
-type classInfo struct {
-	level  int32
-	parent int32
-	red    []RedEdge
-}
-
 // pairState classifies a level pair in the leader's current view.
 type pairState int
 
@@ -134,15 +127,18 @@ type pairCache struct {
 // acceptance rule before terminating with the count.
 type leaderProc struct {
 	proc
-	perLevel [][]int32   // visible class ids, grouped by level
-	info     []classInfo // cache indexed by class id; level -1 = not visible
-	own      []int32     // own[t] = the leader's class at level t
+	// view is the tree's storage as of the leader's last walk: every class
+	// the leader sees was interned before it was copied (see walk).
+	view     store
+	perLevel [][]int32 // visible class ids, grouped by level
+	seen     []bool    // seen[id]: the leader sees class id
+	own      []int32   // own[t] = the leader's class at level t
 
 	// childOf/fcards are dense per-class-id scratch tables with generation
 	// stamps: an entry is live only when its stamp equals the current
 	// generation, so "clearing" is one counter increment instead of a map
-	// clear, and lookups are array indexing instead of map probes. Ids are
-	// dense intern ids, bounded by len(info).
+	// clear, and lookups are array indexing instead of map probes. They
+	// cover the ids up to those of the classified level (see classify).
 	childOf  []int32  // scratch: level-t class -> unique child
 	childGen []uint32 // stamp validating childOf entries
 	chGen    uint32   // current childOf generation
@@ -173,7 +169,6 @@ type leaderProc struct {
 func newLeaderProc(t *Tree) *leaderProc {
 	l := &leaderProc{
 		proc:  newProc(t, true),
-		info:  make([]classInfo, 0, 1024),
 		cards: make(map[int32]*big.Rat),
 		cache: pairCache{t: -1},
 	}
@@ -188,59 +183,55 @@ func newLeaderProc(t *Tree) *leaderProc {
 // that set is closed under both, so the walk descends only through classes
 // the leader does not see yet: a round costs O(new classes + their red
 // edges). The stack is explicit because the walk can run thousands of
-// levels deep. One read lock covers the walk, during which sharded workers
-// may be interning (same-package access; the nodes and the arena are
-// append-only under the write lock).
+// levels deep.
+//
+// The walk copies the tree's directory headers under the read lock and
+// then reads without it, as classify and the solves do later, while
+// sharded workers may be interning. That is safe: the leader reads only
+// classes it sees, each interned no later than id (a parent and the
+// classes its members heard are interned before the class), and id was
+// interned before the write-lock release that precedes this read lock.
+// Since then, writers have written only fresh slots and the child field of
+// existing nodes, which the leader never reads.
 func (l *leaderProc) walk(id int32) {
 	l.tree.mu.RLock()
-	defer l.tree.mu.RUnlock()
+	l.view = l.tree.store
+	l.tree.mu.RUnlock()
+	l.seen = grow(l.seen, int(id)+1)
 	stack := append(l.stack[:0], id)
 	for len(stack) > 0 {
 		id := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		if !l.noteLocked(id) {
+		if l.seen[id] {
 			continue
 		}
-		c := &l.info[id]
-		if c.parent >= 0 {
-			stack = append(stack, c.parent)
+		l.seen[id] = true
+		n := l.view.node(id)
+		lv := int(n.level)
+		for lv >= len(l.perLevel) {
+			l.perLevel = append(l.perLevel, nil)
 		}
-		for _, e := range c.red {
+		l.perLevel[lv] = append(l.perLevel[lv], id)
+		if n.parent >= 0 {
+			stack = append(stack, n.parent)
+		}
+		for _, e := range l.view.red(n) {
 			stack = append(stack, e.Class)
 		}
 	}
 	l.stack = stack
 }
 
-// noteLocked indexes class id by level and caches its structure, unless
-// the leader already sees it; it reports whether id was new. The caller
-// holds the tree's read lock.
-func (l *leaderProc) noteLocked(id int32) bool {
-	if int(id) >= len(l.info) {
-		// Cover every class interned so far, at least doubling the
-		// capacity: the tree gains hundreds of classes a round, and
-		// append's 1.25x growth of a large slice would copy the cache
-		// about five times over.
-		n := len(l.tree.nodes)
-		if n > cap(l.info) {
-			l.info = slices.Grow(l.info, max(n, 2*cap(l.info))-len(l.info))
-		}
-		for len(l.info) < n {
-			l.info = append(l.info, classInfo{level: -1})
-		}
+// grow returns s with at least n entries, extending it with zero values to
+// at least twice its length when it is shorter. Tables indexed by class id
+// gain hundreds of entries a round; doubling copies each table O(log n)
+// times over a run, where one append per class would copy it at every
+// 1.25x of growth.
+func grow[T any](s []T, n int) []T {
+	if n <= len(s) {
+		return s
 	}
-	c := &l.info[id]
-	if c.level >= 0 {
-		return false
-	}
-	n := &l.tree.nodes[id]
-	*c = classInfo{level: n.level, parent: n.parent, red: l.tree.red(n)}
-	lv := int(n.level)
-	for lv >= len(l.perLevel) {
-		l.perLevel = append(l.perLevel, nil)
-	}
-	l.perLevel[lv] = append(l.perLevel[lv], id)
-	return true
+	return append(s, make([]T, max(n, 2*len(s))-len(s))...)
 }
 
 func (l *leaderProc) Receive(r int, msgs []runtime.Message) {
@@ -320,14 +311,16 @@ func (l *leaderProc) classify(t int) pairState {
 		return l.cache.state
 	}
 	l.cache = pairCache{t: t, tLen: len(l.perLevel[t]), t1Len: len(l.perLevel[t+1])}
-	for len(l.childOf) < len(l.info) {
-		l.childOf = append(l.childOf, 0)
-		l.childGen = append(l.childGen, 0)
-	}
+	// The tables are indexed by level-t ids only: on a long run a small
+	// prefix of the ids, since the candidate pair lags far behind the
+	// newest level.
+	size := int(slices.Max(l.perLevel[t])) + 1
+	l.childOf = grow(l.childOf, size)
+	l.childGen = grow(l.childGen, size)
 	l.chGen++
 	st := pairStable
 	for _, id := range l.perLevel[t+1] {
-		p := l.info[id].parent
+		p := l.view.node(id).parent
 		if l.childGen[p] == l.chGen && l.childOf[p] != id {
 			st = pairUnstable
 			break

@@ -3,6 +3,7 @@ package histtree
 import (
 	"context"
 	"fmt"
+	"slices"
 	"testing"
 
 	"anondyn/internal/dynet"
@@ -212,7 +213,7 @@ func TestTreeInterning(t *testing.T) {
 	if tr.Root(true) != leaderRoot {
 		t.Fatal("re-interning the leader root produced a new id")
 	}
-	if !tr.nodes[leaderRoot].leader || tr.nodes[otherRoot].leader {
+	if tr.Root(false) != otherRoot || tr.Hash(leaderRoot) == tr.Hash(otherRoot) {
 		t.Fatal("Leader bit mismatch on roots")
 	}
 	a := tr.Extend(leaderRoot, []RedEdge{{Class: otherRoot, Mult: 2}})
@@ -239,8 +240,54 @@ func TestTreeInterning(t *testing.T) {
 	o2 := tr2.Root(false)
 	l2 := tr2.Root(true)
 	a2 := tr2.Extend(l2, []RedEdge{{Class: o2, Mult: 2}})
-	if tr2.Hash(a2) != tr.Hash(a) {
+	if tr2.Hash(a2) != tr.Hash(a) || tr2.Hash(l2) != tr.Hash(leaderRoot) || tr2.Hash(o2) != tr.Hash(otherRoot) {
 		t.Fatal("structural hash depends on interning order")
+	}
+
+	_, _, infoA := tr.Info(a)
+	keptA := slices.Clone(infoA)
+	// One parent with more children than a node chunk holds: each child
+	// is found again among its siblings, in reverse order.
+	kids := make([]int32, 2000)
+	kidRed := func(i int) []RedEdge {
+		return []RedEdge{{Class: leaderRoot, Mult: 1}, {Class: otherRoot, Mult: int32(i + 1)}}
+	}
+	for i := range kids {
+		kids[i] = tr.Extend(otherRoot, kidRed(i))
+	}
+	for i := len(kids) - 1; i >= 0; i-- {
+		if id := tr.Extend(otherRoot, kidRed(i)); id != kids[i] {
+			t.Fatalf("re-extending child %d gave id %d, want %d", i, id, kids[i])
+		}
+	}
+	// A red multiset longer than an arena chunk, then a short one: both
+	// read back exactly.
+	level1 := append([]int32{a, c}, kids...)
+	for i := 0; len(level1) < 5000; i++ {
+		level1 = append(level1, tr.Extend(leaderRoot, []RedEdge{{Class: otherRoot, Mult: int32(4 + i)}}))
+	}
+	long := make([]RedEdge, len(level1))
+	for i, id := range level1 {
+		long[i] = RedEdge{Class: id, Mult: int32(1 + i%7)}
+	}
+	short := []RedEdge{{Class: kids[0], Mult: 2}}
+	longID := tr.Extend(kids[0], long)
+	shortID := tr.Extend(kids[1], short)
+	for _, tc := range []struct {
+		id, parent int32
+		red        []RedEdge
+	}{{longID, kids[0], long}, {shortID, kids[1], short}} {
+		if lv, parent, red := tr.Info(tc.id); lv != 2 || parent != tc.parent || !slices.Equal(red, tc.red) {
+			t.Fatalf("Info(%d) = (%d, %d, %d edges), want (2, %d, %d edges as interned)",
+				tc.id, lv, parent, len(red), tc.parent, len(tc.red))
+		}
+	}
+	// An Info slice taken before all that interning keeps its contents.
+	if !slices.Equal(infoA, keptA) {
+		t.Fatalf("Info(a) changed under later interning: %v, was %v", infoA, keptA)
+	}
+	if want := 2 + len(level1) + 2; tr.Len() != want {
+		t.Fatalf("Len = %d, want %d", tr.Len(), want)
 	}
 }
 

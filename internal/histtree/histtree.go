@@ -33,10 +33,14 @@
 // paper's per-round "chunk merge" needs no data of its own: a process
 // broadcasts just its class id, and the leader, the only process that reads
 // a view, indexes its newly visible classes by walking down from its new
-// class (see count.go). The table is safe for concurrent use so the same
-// Count run executes unchanged on the sequential and sharded engines; the
-// structural Hash is id-free, so canonical message ordering does not depend
-// on the engine's interning order.
+// class (see count.go). The tree is its own intern index: a class links its
+// first child and each child its next sibling, so interning a class looks
+// it up among its parent's children. Classes and red edges live in chunks
+// that are allocated once and never move, which lets the leader read them
+// without holding the tree's lock. The table is safe for concurrent use so
+// the same Count run executes unchanged on the sequential and sharded
+// engines; the structural Hash is id-free, so canonical message ordering
+// does not depend on the engine's interning order.
 package histtree
 
 import (
@@ -56,16 +60,54 @@ type RedEdge struct {
 }
 
 // node is one interned history-tree node: an anonymity class. Its red
-// edges live in the tree's arena at [redOff, redOff+redLen); keeping the
-// node pointer-free makes the nodes slice invisible to the garbage
-// collector — no scan work, no write barriers on growth.
+// edges are arena[redChunk][redOff:redOff+redLen]. The node is
+// pointer-free, so the chunks that hold nodes are invisible to the garbage
+// collector. Every field but child is written once, when the node is
+// interned; child changes whenever the class gains a child, so code that
+// reads nodes without the tree's lock never reads child.
 type node struct {
-	hash   uint64 // id-free structural fingerprint
-	redOff int32
-	redLen int32
-	level  int32
-	parent int32 // black edge to the refined class; -1 at level 0
-	leader bool  // level-0 input bit (the unique leader)
+	hash     uint64 // id-free structural fingerprint
+	level    int32
+	parent   int32 // black edge to the refined class; -1 at level 0
+	child    int32 // first child; -1 if none
+	next     int32 // next child of the same parent; -1 if none
+	redChunk int32
+	redOff   int32
+	redLen   int32
+}
+
+const (
+	// nodeChunk is the number of nodes in a chunk; a power of two, so an id
+	// splits into chunk and slot by a shift and a mask.
+	nodeChunk = 1 << nodeShift
+	nodeShift = 10
+	// arenaChunk is the least number of red edges in an arena chunk. A
+	// longer multiset gets a chunk of its own length.
+	arenaChunk = 4096
+)
+
+// store is the tree's storage: a directory of node chunks and one of red
+// edge chunks. Each chunk is allocated once at full length, entered once in
+// its directory and never moved, and a multiset never straddles two arena
+// chunks. A copy of the two directory headers therefore addresses every
+// node interned before the copy was taken, for as long as the tree lives.
+type store struct {
+	nodes []*[nodeChunk]node
+	arena [][]RedEdge
+}
+
+// node returns the node of class id, which must be in the directory.
+func (s *store) node(id int32) *node {
+	return &s.nodes[id>>nodeShift][id&(nodeChunk-1)]
+}
+
+// red returns node n's red edges as a capacity-clamped view of the arena.
+func (s *store) red(n *node) []RedEdge {
+	if n.redLen == 0 {
+		return nil
+	}
+	end := n.redOff + n.redLen
+	return s.arena[n.redChunk][n.redOff:end:end]
 }
 
 // Tree is the shared intern table of history-tree nodes for one execution.
@@ -73,21 +115,22 @@ type node struct {
 // engines; anything observable across engines must go through the
 // structural Hash or through id-free comparisons.
 //
-// The intern index is keyed by an id-based content hash of (parent, red
-// multiset) instead of an encoded string, and the nodes' red slices live in
-// a chunked arena, so the hit path of Extend — the one every process takes
-// every round once its class exists — performs zero allocations, and a miss
-// costs O(1) amortized allocations rather than one per slice.
+// The tree is its own intern index. Extend looks a class up among its
+// parent's children, comparing red multisets. A class has at most as many
+// children as members, so in a synchronous round the lookups of n
+// processes cost at most n + n·(the classes new that round) comparisons,
+// and a whole run O(n·rounds + n²): the size of the tree itself. The hit
+// path — the one every process takes every round once its class exists —
+// allocates nothing, and a miss allocates only when it opens a chunk or
+// its scratch passes its high-water mark.
 type Tree struct {
-	mu    sync.RWMutex
-	nodes []node
-	index idTable            // content hash -> first interned id
-	clash map[uint64][]int32 // further ids on the (rare) colliding hashes
-	// arena holds every node's red edges contiguously, addressed by
-	// (redOff, redLen). Appends may reallocate it, but previously returned
-	// sub-slices stay valid (the old backing array is immutable) and
-	// offsets stay correct (append copies the prefix verbatim).
-	arena []RedEdge
+	mu sync.RWMutex
+	store
+	count int32 // interned classes
+	used  int   // red edges in the last arena chunk
+	// roots holds the non-leader and the leader level-0 class, indexed by
+	// the input bit; -1 until interned.
+	roots [2]int32
 	hsBuf []hashMult // write-lock scratch for the miss-path structural sort
 }
 
@@ -98,102 +141,17 @@ type hashMult struct {
 	m int32
 }
 
-// red returns node n's red edges as a capacity-clamped view of the arena.
-// Callers must hold at least the read lock.
-func (t *Tree) red(n *node) []RedEdge {
-	end := n.redOff + n.redLen
-	return t.arena[n.redOff:end:end]
-}
-
-// New returns an empty tree. Capacity is pre-sized for the common case of
-// a full protocol run, where the table reaches thousands of classes;
-// per-execution trees make the up-front cost trivial next to the growth
-// churn it avoids.
+// New returns an empty tree. Its first node chunk and arena chunk are
+// allocated with its first node and first red edge.
 func New() *Tree {
-	return &Tree{
-		nodes: make([]node, 0, 1024),
-		index: newIDTable(2048),
-	}
+	return &Tree{roots: [2]int32{-1, -1}}
 }
 
-// idTable is an open-addressing index from content hash to intern id,
-// specialized for the hot lookup in Extend: keys are already well-mixed
-// mixFold outputs, so the probe start is the key itself masked to the
-// power-of-two table size, with linear probing on (rare) slot collisions.
-// Compared to a Go map this skips rehashing the key and the bucket
-// machinery — the lookup is two array reads in the common case. Values
-// store id+1 so the zero value of a slot means empty; deletion is never
-// needed (the intern table only grows).
-type idTable struct {
-	keys []uint64
-	vals []int32 // id+1; 0 marks an empty slot
-	used int
-}
-
-func newIDTable(slots int) idTable {
-	return idTable{keys: make([]uint64, slots), vals: make([]int32, slots)}
-}
-
-func (tb *idTable) get(h uint64) (int32, bool) {
-	if len(tb.keys) == 0 {
-		return 0, false
-	}
-	mask := uint64(len(tb.keys) - 1)
-	for i := h & mask; ; i = (i + 1) & mask {
-		v := tb.vals[i]
-		if v == 0 {
-			return 0, false
-		}
-		if tb.keys[i] == h {
-			return v - 1, true
-		}
-	}
-}
-
-// put inserts h -> id. The caller has already checked that h is absent
-// (a present hash goes to the clash table instead, preserving the
-// first-interned binding).
-func (tb *idTable) put(h uint64, id int32) {
-	if 4*(tb.used+1) > 3*len(tb.keys) {
-		tb.grow()
-	}
-	mask := uint64(len(tb.keys) - 1)
-	i := h & mask
-	for tb.vals[i] != 0 {
-		i = (i + 1) & mask
-	}
-	tb.keys[i], tb.vals[i] = h, id+1
-	tb.used++
-}
-
-func (tb *idTable) grow() {
-	slots := 2 * len(tb.keys)
-	if slots == 0 {
-		slots = 16
-	}
-	oldKeys, oldVals := tb.keys, tb.vals
-	tb.keys = make([]uint64, slots)
-	tb.vals = make([]int32, slots)
-	mask := uint64(slots - 1)
-	for j, v := range oldVals {
-		if v == 0 {
-			continue
-		}
-		i := oldKeys[j] & mask
-		for tb.vals[i] != 0 {
-			i = (i + 1) & mask
-		}
-		tb.keys[i], tb.vals[i] = oldKeys[j], v
-	}
-}
-
-// hashSeed seeds both hash chains (the FNV-1a offset basis, kept for its
-// provenance as a well-spread constant).
+// hashSeed seeds the structural hash chain (the FNV-1a offset basis, kept
+// for its provenance as a well-spread constant).
 const hashSeed = 14695981039346656037
 
-// mixFold folds v into h with one multiply and a rotate. It backs both the
-// intern index's content hash — where candidates are always verified
-// structurally, so a collision costs a probe, never a wrong id — and the
+// mixFold folds v into h with one multiply and a rotate. It backs the
 // id-free structural hash, where a collision merely perturbs canonical
 // message ordering, which the protocol tolerates: a receiver reduces its
 // inbox to a class multiset.
@@ -203,79 +161,36 @@ func mixFold(h, v uint64) uint64 {
 	return bits.RotateLeft64(h, 29)
 }
 
-// contentHash fingerprints (parent, id-sorted red multiset) for the intern
-// index. It is id-based — ids are stable within a run, so the hash is
-// canonical per tree instance — unlike the structural hash, which chains
-// id-free inputs (see ExtendHash) so it agrees across engines.
-func contentHash(parent int32, red []RedEdge) uint64 {
-	h := mixFold(hashSeed, uint64(uint32(parent)))
-	for _, e := range red {
-		h = mixFold(h, uint64(uint32(e.Class))<<32|uint64(uint32(e.Mult)))
-	}
-	return h
-}
-
 // Root interns (or finds) the level-0 class for the given input bit and
 // returns its id. Every execution has exactly two possible roots: the
 // leader's singleton class and the shared non-leader class.
 func (t *Tree) Root(leader bool) int32 {
-	// Fold the root's parent "id" (-1) the same way contentHash folds a
-	// real parent: as its uint32 bit pattern, 0xFFFFFFFF, which no valid
-	// node id (< 2^31) can produce.
-	h := mixFold(hashSeed, 0xFFFFFFFF)
-	bit := uint64(2)
+	bit := 0
 	if leader {
 		bit = 1
 	}
-	h = mixFold(h, bit)
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if id, ok := t.index.get(h); ok && t.matchRoot(id, leader) {
+	if id := t.roots[bit]; id >= 0 {
 		return id
-	} else if ok {
-		for _, cid := range t.clash[h] {
-			if t.matchRoot(cid, leader) {
-				return cid
-			}
-		}
 	}
-	sh := mixFold(hashSeed, 0)
-	sh = mixFold(sh, bit)
-	return t.insert(h, node{level: 0, parent: -1, leader: leader, hash: sh})
+	// The structural hash folds the input bit as 1 for the leader and 2
+	// for the rest.
+	sh := mixFold(mixFold(hashSeed, 0), uint64(2-bit))
+	id := t.insert(node{hash: sh, parent: -1, next: -1})
+	t.roots[bit] = id
+	return id
 }
 
-func (t *Tree) matchRoot(id int32, leader bool) bool {
-	n := &t.nodes[id]
-	return n.level == 0 && n.parent == -1 && n.leader == leader
-}
-
-// matchExtend reports whether interned node id is exactly (parent, red).
-func (t *Tree) matchExtend(id, parent int32, red []RedEdge) bool {
-	n := &t.nodes[id]
-	if n.parent != parent || int(n.redLen) != len(red) {
-		return false
-	}
-	for i, e := range t.red(n) {
-		if e != red[i] {
-			return false
+// findExtend looks the child of parent with red multiset red up among the
+// parent's children, under whichever lock the caller holds.
+func (t *Tree) findExtend(parent int32, red []RedEdge) (int32, bool) {
+	for id := t.node(parent).child; id >= 0; {
+		n := t.node(id)
+		if slices.Equal(t.red(n), red) {
+			return id, true
 		}
-	}
-	return true
-}
-
-// findExtend looks (parent, red) up under whichever lock the caller holds.
-func (t *Tree) findExtend(h uint64, parent int32, red []RedEdge) (int32, bool) {
-	id, ok := t.index.get(h)
-	if !ok {
-		return 0, false
-	}
-	if t.matchExtend(id, parent, red) {
-		return id, true
-	}
-	for _, cid := range t.clash[h] {
-		if t.matchExtend(cid, parent, red) {
-			return cid, true
-		}
+		id = n.next
 	}
 	return 0, false
 }
@@ -304,11 +219,10 @@ func (t *Tree) ExtendHash(parent int32, heard []RedEdge) (int32, uint64) {
 		red = slices.Clone(heard)
 		slices.SortFunc(red, cmpRedEdge)
 	}
-	h := contentHash(parent, red)
 
 	t.mu.RLock()
-	if id, ok := t.findExtend(h, parent, red); ok {
-		sh := t.nodes[id].hash
+	if id, ok := t.findExtend(parent, red); ok {
+		sh := t.node(id).hash
 		t.mu.RUnlock()
 		return id, sh
 	}
@@ -316,11 +230,11 @@ func (t *Tree) ExtendHash(parent int32, heard []RedEdge) (int32, uint64) {
 
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if id, ok := t.findExtend(h, parent, red); ok {
+	if id, ok := t.findExtend(parent, red); ok {
 		// Raced with another intern of the same class between the locks.
-		return id, t.nodes[id].hash
+		return id, t.node(id).hash
 	}
-	p := t.nodes[parent]
+	p := t.node(parent)
 	// Structural hash: chain the parent's hash with the multiset of
 	// (child-class hash, multiplicity) pairs sorted by hash — id-free, so
 	// equal classes hash equally regardless of interning order. hsBuf is
@@ -328,7 +242,7 @@ func (t *Tree) ExtendHash(parent int32, heard []RedEdge) (int32, uint64) {
 	// high-water mark.
 	hs := t.hsBuf[:0]
 	for _, e := range red {
-		hs = append(hs, hashMult{h: t.nodes[e.Class].hash, m: e.Mult})
+		hs = append(hs, hashMult{h: t.node(e.Class).hash, m: e.Mult})
 	}
 	t.hsBuf = hs
 	slices.SortFunc(hs, func(a, b hashMult) int {
@@ -346,28 +260,44 @@ func (t *Tree) ExtendHash(parent int32, heard []RedEdge) (int32, uint64) {
 		sh = mixFold(sh, e.h)
 		sh = mixFold(sh, uint64(e.m))
 	}
-	// Persist the red multiset in the shared arena and address it by
-	// offset: one amortized allocation, and the node stays pointer-free.
-	off := int32(len(t.arena))
-	t.arena = append(t.arena, red...)
-	n := node{hash: sh, redOff: off, redLen: int32(len(red)), level: p.level + 1, parent: parent}
-	return t.insert(h, n), sh
+	chunk, off := t.keep(red)
+	id := t.insert(node{hash: sh, level: p.level + 1, parent: parent, next: p.child,
+		redChunk: chunk, redOff: off, redLen: int32(len(red))})
+	p.child = id
+	return id, sh
 }
 
 func cmpRedEdge(a, b RedEdge) int { return int(a.Class) - int(b.Class) }
 
-// insert appends a node under the write lock and indexes its content hash.
-func (t *Tree) insert(h uint64, n node) int32 {
-	id := int32(len(t.nodes))
-	t.nodes = append(t.nodes, n)
-	if _, taken := t.index.get(h); taken {
-		if t.clash == nil {
-			t.clash = make(map[uint64][]int32)
-		}
-		t.clash[h] = append(t.clash[h], id)
-	} else {
-		t.index.put(h, id)
+// keep copies red into the arena under the write lock and returns its
+// chunk and offset. A multiset that does not fit in the last chunk opens
+// a new one, at least arenaChunk long.
+func (t *Tree) keep(red []RedEdge) (chunk, off int32) {
+	if len(red) == 0 {
+		return 0, 0
 	}
+	last := len(t.arena) - 1
+	if last < 0 || t.used+len(red) > len(t.arena[last]) {
+		t.arena = append(t.arena, make([]RedEdge, max(arenaChunk, len(red))))
+		last++
+		t.used = 0
+	}
+	copy(t.arena[last][t.used:], red)
+	off = int32(t.used)
+	t.used += len(red)
+	return int32(last), off
+}
+
+// insert stores n under the write lock as the next class and returns its
+// id, opening a node chunk when the last one is full.
+func (t *Tree) insert(n node) int32 {
+	id := t.count
+	if id&(nodeChunk-1) == 0 {
+		t.nodes = append(t.nodes, new([nodeChunk]node))
+	}
+	n.child = -1
+	*t.node(id) = n
+	t.count++
 	return id
 }
 
@@ -375,7 +305,7 @@ func (t *Tree) insert(h uint64, n node) int32 {
 func (t *Tree) Len() int {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return len(t.nodes)
+	return int(t.count)
 }
 
 // Info returns the structural fields of a class: its level, its black-edge
@@ -385,7 +315,7 @@ func (t *Tree) Len() int {
 func (t *Tree) Info(id int32) (level int, parent int32, red []RedEdge) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	n := &t.nodes[id]
+	n := t.node(id)
 	return int(n.level), n.parent, t.red(n)
 }
 
@@ -394,5 +324,5 @@ func (t *Tree) Info(id int32) (level int, parent int32, red []RedEdge) {
 func (t *Tree) Hash(id int32) uint64 {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return t.nodes[id].hash
+	return t.node(id).hash
 }

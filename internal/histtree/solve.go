@@ -105,7 +105,7 @@ func (l *leaderProc) backMult(a, b int32) int32 {
 	if int(b) >= len(l.childGen) || l.childGen[b] != l.chGen {
 		return 0
 	}
-	for _, be := range l.info[l.childOf[b]].red {
+	for _, be := range l.red(l.childOf[b]) {
 		if be.Class == a {
 			return be.Mult
 		}
@@ -113,15 +113,16 @@ func (l *leaderProc) backMult(a, b int32) int32 {
 	return 0
 }
 
+// red returns the red edges of class id, which the leader sees.
+func (l *leaderProc) red(id int32) []RedEdge { return l.view.red(l.view.node(id)) }
+
 // solveFast is the int64 solve. It returns (-1, false) when any step
 // overflows int64, in which case the caller must fall back to solveRat;
 // on every non-overflowing input it returns bit-for-bit the same result
 // as solveRat.
 func (l *leaderProc) solveFast(t int) (int, bool) {
-	for len(l.fcards) < len(l.info) {
-		l.fcards = append(l.fcards, frac{})
-		l.fcGen = append(l.fcGen, 0)
-	}
+	l.fcards = grow(l.fcards, len(l.childOf))
+	l.fcGen = grow(l.fcGen, len(l.childOf))
 	l.fcGenID++
 	start := l.own[t]
 	l.fcards[start] = frac{num: 1, den: 1}
@@ -134,7 +135,7 @@ func (l *leaderProc) solveFast(t int) (int, bool) {
 	for qi := 0; qi < len(l.queue); qi++ {
 		a := l.queue[qi]
 		ca := l.fcards[a]
-		for _, e := range l.info[l.childOf[a]].red {
+		for _, e := range l.red(l.childOf[a]) {
 			b := e.Class
 			if b == a {
 				continue
@@ -209,7 +210,7 @@ func (l *leaderProc) solveRat(t int) (int, bool) {
 	for qi := 0; qi < len(l.queue); qi++ {
 		a := l.queue[qi]
 		ca := l.cards[a]
-		for _, e := range l.info[l.childOf[a]].red {
+		for _, e := range l.red(l.childOf[a]) {
 			b := e.Class
 			if b == a {
 				continue
