@@ -156,7 +156,7 @@ func JoinLeaveInstance(n int, seed int64) (*Instance, error) {
 // independent connected random graph every round, fair in the estimator
 // sense and 1-interval connected for the exact algorithms.
 func RandomizedInstance(n int, seed int64) (*Instance, error) {
-	net, err := dynet.NewRandomized(n, 0.3, seed)
+	net, err := dynet.NewRandomChurn(n, 0.3, seed)
 	if err != nil {
 		return nil, err
 	}

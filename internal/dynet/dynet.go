@@ -27,9 +27,9 @@ type Dynamic interface {
 
 // CSRDynamic is an optional extension of Dynamic for implementations that
 // can serve their snapshots in flat CSR form without materializing the
-// map-based adjacency of graph.Graph. The sharded round engine probes for
-// it: at 10⁶ nodes the map representation is the memory and cache
-// bottleneck, not the protocol.
+// map-based adjacency of graph.Graph. The round engine probes for it: at
+// 10⁶ nodes the map representation is the memory and cache bottleneck, not
+// the protocol.
 //
 // SnapshotCSR must describe the same topology Snapshot(r) would return.
 // The returned CSR may reuse the backing arrays of the previous call
@@ -149,6 +149,12 @@ func (rc *RandomChurn) Snapshot(r int) *graph.Graph {
 	}
 	rng := rand.New(rand.NewSource(rc.seed ^ (int64(r)+1)*0x5851F42D4C957F2D))
 	return graph.RandomConnected(rc.n, rc.p, rng)
+}
+
+// Properties implements PropertyCarrier: every round's draw is connected,
+// and the seed pins every round.
+func (rc *RandomChurn) Properties() Properties {
+	return Properties{IntervalConnected: true, SeedDeterministic: true}
 }
 
 // Compile-time interface checks.

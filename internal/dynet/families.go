@@ -461,34 +461,6 @@ func (c *Churn) Properties() Properties {
 	return Properties{IntervalConnected: true, LiveAccounting: true, SeedDeterministic: true}
 }
 
-// Randomized is the seed-deterministic randomized adversary: a fresh random
-// connected topology every round, like RandomChurn, but registered as a
-// first-class family with declared Properties.
-type Randomized struct {
-	rc RandomChurn
-}
-
-// NewRandomized returns a randomized adversary over n nodes with extra edge
-// probability p.
-func NewRandomized(n int, p float64, seed int64) (*Randomized, error) {
-	rc, err := NewRandomChurn(n, p, seed)
-	if err != nil {
-		return nil, err
-	}
-	return &Randomized{rc: *rc}, nil
-}
-
-// N implements Dynamic.
-func (rd *Randomized) N() int { return rd.rc.N() }
-
-// Snapshot implements Dynamic.
-func (rd *Randomized) Snapshot(r int) *graph.Graph { return rd.rc.Snapshot(r) }
-
-// Properties implements PropertyCarrier.
-func (rd *Randomized) Properties() Properties {
-	return Properties{IntervalConnected: true, SeedDeterministic: true}
-}
-
 // Family is one registered adversary family: a builder parameterized on the
 // problem size and seed, plus the Properties the conformance suite verifies
 // on every build.
@@ -533,14 +505,6 @@ func Families() []Family {
 			Doc:   "seed-deterministic random connected schedule, fresh draw every round",
 			Props: Properties{IntervalConnected: true, SeedDeterministic: true},
 			Build: func(n int, seed int64) (Dynamic, error) {
-				return NewRandomized(n, 0.3, seed)
-			},
-		},
-		{
-			Name:  "randomchurn",
-			Doc:   "the fair random-churn baseline retained from the peer-to-peer related work",
-			Props: Properties{IntervalConnected: true, SeedDeterministic: true},
-			Build: func(n int, seed int64) (Dynamic, error) {
 				return NewRandomChurn(n, 0.3, seed)
 			},
 		},
@@ -562,6 +526,6 @@ func Families() []Family {
 var (
 	_ PropertyCarrier = (*TInterval)(nil)
 	_ PropertyCarrier = (*Churn)(nil)
-	_ PropertyCarrier = (*Randomized)(nil)
+	_ PropertyCarrier = (*RandomChurn)(nil)
 	_ LiveTracker     = (*Churn)(nil)
 )

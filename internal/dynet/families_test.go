@@ -268,7 +268,7 @@ func TestVerifyPropertiesCatchesGhostEdges(t *testing.T) {
 
 // TestFamilyNames pins the registered name set and its order.
 func TestFamilyNames(t *testing.T) {
-	want := []string{"tinterval", "joinleave", "randomized", "randomchurn", "flooddelay"}
+	want := []string{"tinterval", "joinleave", "randomized", "flooddelay"}
 	fams := Families()
 	if len(fams) != len(want) {
 		t.Fatalf("got %d families, want %d", len(fams), len(want))

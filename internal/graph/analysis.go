@@ -14,12 +14,12 @@ func (g *Graph) BFSDistances(src NodeID) []int {
 		return dist
 	}
 	dist[src] = 0
-	idx := g.index()
+	c := g.CSR()
 	queue := make([]NodeID, 0, g.n)
 	queue = append(queue, src)
 	for qi := 0; qi < len(queue); qi++ {
 		u := queue[qi]
-		for _, v := range idx.nbrs[idx.off[u]:idx.off[u+1]] {
+		for _, v := range c.Nbrs[c.Offsets[u]:c.Offsets[u+1]] {
 			if dist[v] == Unreachable {
 				dist[v] = dist[u] + 1
 				queue = append(queue, v)

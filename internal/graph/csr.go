@@ -2,12 +2,12 @@ package graph
 
 import (
 	"fmt"
-	"math"
+	"slices"
 )
 
 // CSR is a compressed-sparse-row adjacency view of a graph: the neighbors
 // of node v are Nbrs[Offsets[v]:Offsets[v+1]], in ascending order. It is the
-// flat-memory representation the sharded round engine consumes — at 10⁶
+// flat-memory representation the round engine reads — at 10⁶
 // nodes the map-based Graph adjacency costs hundreds of megabytes and a
 // pointer chase per edge, while a CSR is two contiguous arrays.
 //
@@ -17,12 +17,14 @@ import (
 //	Offsets[N()] == len(Nbrs), every row strictly ascending and in range,
 //	no self-loops.
 //
-// A CSR is a snapshot view: producers (Graph.CSR, dynet implementations)
-// may reuse the backing arrays for the next snapshot, so a CSR is valid
-// only until its producer is asked for another one — the same ownership
-// rule the engine applies to inbox slices. A dynet.CSRDynamic hands out the
-// same *CSR twice in a row only for an unchanged topology, so a consumer
-// that validated a pointer need not validate it again while it repeats.
+// A CSR is read-only to everyone but its producer. Graph.CSR builds one
+// per state of a graph and shares it with every caller until a mutation
+// drops it. A dynet.CSRDynamic may reuse the backing arrays for its next
+// snapshot, so one of its CSRs is valid only until it is asked for another
+// — the same ownership rule the engine applies to inbox slices. Either
+// producer hands out the same *CSR twice in a row only for an unchanged
+// topology, so a consumer that validated a pointer need not validate it
+// again while it repeats.
 type CSR struct {
 	Offsets []int
 	Nbrs    []NodeID
@@ -143,38 +145,30 @@ func (c *CSR) Connected(s *BFSScratch) bool {
 	return len(queue) == n
 }
 
-// satAdd adds non-negative sizes, saturating at MaxInt instead of wrapping —
-// the same convention as multigraph.HistoryCount. A saturated offset sum is
-// detected downstream: Validate rejects any CSR whose Offsets[N()] does not
-// match its backing array, and no array of MaxInt messages is allocatable.
-func satAdd(a, b int) int {
-	if a > math.MaxInt-b {
-		return math.MaxInt
+// CSR returns the graph's adjacency in CSR form, building it on first use
+// and returning the same pointer until AddEdge or RemoveEdge drops it. The
+// CSR is shared with every caller, so nobody writes it. Concurrent first
+// calls may each build one; the first published wins and every caller
+// returns it, so one state of a graph has one CSR.
+func (g *Graph) CSR() *CSR {
+	if c := g.csr.Load(); c != nil {
+		return c
 	}
-	return a + b
-}
-
-// CSR converts the graph to CSR form, reusing the arrays of `reuse` when it
-// is non-nil (pass the previous round's CSR back in to make steady-state
-// conversion allocation-free). Offset accumulation saturates at MaxInt per
-// the HistoryCount convention; a saturated result fails the final Validate
-// and is reported as an error rather than returned.
-func (g *Graph) CSR(reuse *CSR) (*CSR, error) {
-	c := reuse
-	if c == nil {
-		c = &CSR{}
-	}
-	n := g.N()
-	c.Offsets = append(c.Offsets[:0], 0)
-	c.Nbrs = c.Nbrs[:0]
 	total := 0
-	for v := 0; v < n; v++ {
-		total = satAdd(total, g.Degree(NodeID(v)))
-		c.Offsets = append(c.Offsets, total)
-		c.Nbrs = g.NeighborsAppend(NodeID(v), c.Nbrs)
+	for _, nb := range g.adj {
+		total += len(nb)
 	}
-	if err := c.Validate(); err != nil {
-		return nil, err
+	c := &CSR{Offsets: make([]int, g.n+1), Nbrs: make([]NodeID, 0, total)}
+	for v := 0; v < g.n; v++ {
+		base := len(c.Nbrs)
+		for u := range g.adj[v] {
+			c.Nbrs = append(c.Nbrs, u)
+		}
+		slices.Sort(c.Nbrs[base:])
+		c.Offsets[v+1] = len(c.Nbrs)
 	}
-	return c, nil
+	if !g.csr.CompareAndSwap(nil, c) {
+		return g.csr.Load()
+	}
+	return c
 }

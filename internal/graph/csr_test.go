@@ -3,6 +3,8 @@ package graph
 import (
 	"math"
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 )
 
@@ -11,10 +13,7 @@ func TestCSRRoundtrip(t *testing.T) {
 	for trial := 0; trial < 50; trial++ {
 		n := rng.Intn(20) + 1
 		g := RandomConnected(n, 0.3, rng)
-		c, err := g.CSR(nil)
-		if err != nil {
-			t.Fatalf("CSR: %v", err)
-		}
+		c := g.CSR()
 		if c.N() != n {
 			t.Fatalf("CSR has %d nodes, want %d", c.N(), n)
 		}
@@ -39,28 +38,71 @@ func TestCSRRoundtrip(t *testing.T) {
 	}
 }
 
-func TestCSRReuseNoAlloc(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	g := RandomConnected(40, 0.2, rng)
-	c, err := g.CSR(nil)
-	if err != nil {
-		t.Fatal(err)
+// TestCSRPointerRuleNoAlloc pins the rule the round engine's repeat check
+// rests on: a graph has one CSR per state. A repeated call returns the same
+// pointer without allocating; AddEdge and RemoveEdge each give a new pointer
+// whose rows equal Neighbors and leave the old CSR as it was; and
+// concurrent first calls on a fresh graph all return one pointer.
+func TestCSRPointerRuleNoAlloc(t *testing.T) {
+	g := RandomConnected(40, 0.2, rand.New(rand.NewSource(3)))
+	c := g.CSR()
+	if allocs := testing.AllocsPerRun(50, func() {
+		if g.CSR() != c {
+			t.Fatal("repeated CSR returned a new pointer")
+		}
+	}); allocs > 0 {
+		t.Errorf("repeated CSR allocates %.1f times per call, want 0", allocs)
 	}
-	allocs := testing.AllocsPerRun(50, func() {
-		if _, err := g.CSR(c); err != nil {
+
+	g = Path(6)
+	prev := g.CSR()
+	for _, edit := range []struct {
+		name string
+		do   func() error
+	}{
+		{"AddEdge(0, 3)", func() error { return g.AddEdge(0, 3) }},
+		{"RemoveEdge(1, 2)", func() error { return g.RemoveEdge(1, 2) }},
+	} {
+		before := slices.Clone(prev.Nbrs)
+		if err := edit.do(); err != nil {
 			t.Fatal(err)
 		}
-	})
-	if allocs > 0 {
-		t.Errorf("steady-state CSR conversion allocates %.1f times per call, want 0", allocs)
+		c := g.CSR()
+		if c == prev {
+			t.Fatalf("%s kept the CSR pointer", edit.name)
+		}
+		for v := 0; v < g.N(); v++ {
+			if got, want := c.Neighbors(NodeID(v)), g.Neighbors(NodeID(v)); !slices.Equal(got, want) {
+				t.Fatalf("after %s: CSR row %d = %v, Neighbors = %v", edit.name, v, got, want)
+			}
+		}
+		if !slices.Equal(prev.Nbrs, before) {
+			t.Fatalf("%s wrote the previous CSR", edit.name)
+		}
+		prev = c
+	}
+
+	const callers = 8
+	fresh := Complete(30)
+	got := make([]*CSR, callers)
+	var wg sync.WaitGroup
+	wg.Add(callers)
+	for i := range got {
+		go func() {
+			defer wg.Done()
+			got[i] = fresh.CSR()
+		}()
+	}
+	wg.Wait()
+	for i, c := range got {
+		if c != got[0] || c != fresh.CSR() {
+			t.Fatalf("first caller %d got its own CSR", i)
+		}
 	}
 }
 
 func TestCSREmpty(t *testing.T) {
-	c, err := New(0).CSR(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := New(0).CSR()
 	if c.N() != 0 || c.Total() != 0 {
 		t.Fatalf("empty CSR: n=%d total=%d", c.N(), c.Total())
 	}
@@ -112,27 +154,6 @@ func TestCSRValidateRejectsCorruption(t *testing.T) {
 	}
 }
 
-// TestSatAddSaturates pins the overflow convention: size arithmetic near
-// MaxInt saturates instead of wrapping, matching multigraph.HistoryCount.
-func TestSatAddSaturates(t *testing.T) {
-	cases := []struct {
-		a, b, want int
-	}{
-		{0, 0, 0},
-		{1, 2, 3},
-		{math.MaxInt, 0, math.MaxInt},
-		{math.MaxInt, 1, math.MaxInt},
-		{math.MaxInt - 1, 1, math.MaxInt},
-		{math.MaxInt - 1, 2, math.MaxInt},
-		{math.MaxInt / 2, math.MaxInt/2 + 2, math.MaxInt},
-	}
-	for _, tc := range cases {
-		if got := satAdd(tc.a, tc.b); got != tc.want {
-			t.Errorf("satAdd(%d, %d) = %d, want %d", tc.a, tc.b, got, tc.want)
-		}
-	}
-}
-
 // TestCSRConnectedMatchesGraph checks the CSR search against
 // Graph.Connected on connected and disconnected graphs, one scratch value
 // serving every call, and that a reused scratch allocates nothing.
@@ -141,10 +162,7 @@ func TestCSRConnectedMatchesGraph(t *testing.T) {
 	var s BFSScratch
 	check := func(g *Graph) {
 		t.Helper()
-		c, err := g.CSR(nil)
-		if err != nil {
-			t.Fatal(err)
-		}
+		c := g.CSR()
 		if got, want := c.Connected(&s), g.Connected(); got != want {
 			t.Fatalf("CSR.Connected = %v, Graph.Connected = %v on %v", got, want, g)
 		}
@@ -169,10 +187,7 @@ func TestCSRConnectedMatchesGraph(t *testing.T) {
 		check(g)
 	}
 
-	c, err := Path(64).CSR(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := Path(64).CSR()
 	c.Connected(&s)
 	if allocs := testing.AllocsPerRun(50, func() { c.Connected(&s) }); allocs > 0 {
 		t.Errorf("CSR.Connected with reused scratch allocates %.1f times per call, want 0", allocs)

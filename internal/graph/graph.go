@@ -47,48 +47,14 @@ func (e Edge) String() string {
 //
 // Reads are safe for concurrent use; mutation (AddEdge, RemoveEdge) must
 // not race with readers — the same contract as the adjacency maps. The
-// first sorted-neighbor traversal builds a CSR index of the adjacency
-// (offsets + concatenated sorted neighbor lists) which subsequent
-// traversals reuse; the runtime engines walk every node's neighborhood
-// each round, so the index turns that hot path from per-round map
-// iteration and sorting into a copy of a precomputed slice. Mutators drop
-// the index.
+// first sorted-neighbor traversal builds the graph's CSR (see Graph.CSR),
+// which later traversals and the round engine read in place, so walking
+// every node's neighborhood each round is a slice read, not a map
+// iteration and a sort. Mutators drop the CSR.
 type Graph struct {
 	n   int
 	adj []map[NodeID]struct{}
-	csr atomic.Pointer[csrIndex]
-}
-
-// csrIndex is the frozen adjacency: neighbors of v, in ascending order,
-// are nbrs[off[v]:off[v+1]].
-type csrIndex struct {
-	off  []int32
-	nbrs []NodeID
-}
-
-// index returns the CSR adjacency, building it on first use. Concurrent
-// first calls may build duplicate indexes; one wins the CAS and the rest
-// are discarded — all are equal, so readers never observe inconsistency.
-func (g *Graph) index() *csrIndex {
-	if idx := g.csr.Load(); idx != nil {
-		return idx
-	}
-	idx := &csrIndex{off: make([]int32, g.n+1)}
-	total := 0
-	for _, nb := range g.adj {
-		total += len(nb)
-	}
-	idx.nbrs = make([]NodeID, 0, total)
-	for v := 0; v < g.n; v++ {
-		base := len(idx.nbrs)
-		for u := range g.adj[v] {
-			idx.nbrs = append(idx.nbrs, u)
-		}
-		slices.Sort(idx.nbrs[base:])
-		idx.off[v+1] = int32(len(idx.nbrs))
-	}
-	g.csr.CompareAndSwap(nil, idx)
-	return idx
+	csr atomic.Pointer[CSR]
 }
 
 // New returns an empty graph with n nodes and no edges.
@@ -194,25 +160,11 @@ func (g *Graph) Degree(v NodeID) int {
 	return len(g.adj[v])
 }
 
-// Neighbors returns the neighbors of v in ascending order.
-// The returned slice is a copy; callers may modify it freely.
+// Neighbors returns the neighbors of v in ascending order, or nil for an
+// out-of-range v. The returned slice is a copy; callers may modify it
+// freely.
 func (g *Graph) Neighbors(v NodeID) []NodeID {
-	if v < 0 || int(v) >= g.n {
-		return nil
-	}
-	return g.NeighborsAppend(v, make([]NodeID, 0, len(g.adj[v])))
-}
-
-// NeighborsAppend appends the neighbors of v to dst in ascending order and
-// returns the extended slice: the allocation-free variant of Neighbors for
-// hot loops (the runtime engines call it once per node per round with a
-// reused buffer). Out-of-range v appends nothing.
-func (g *Graph) NeighborsAppend(v NodeID, dst []NodeID) []NodeID {
-	if v < 0 || int(v) >= g.n {
-		return dst
-	}
-	idx := g.index()
-	return append(dst, idx.nbrs[idx.off[v]:idx.off[v+1]]...)
+	return slices.Clone(g.CSR().Neighbors(v))
 }
 
 // Edges returns all edges in canonical order (sorted by (U,V)).

@@ -252,7 +252,7 @@ func viewNets() []viewNet {
 					return dynet.NewTInterval(n, 3, 0.2, seed)
 				})},
 				viewNet{fmt.Sprintf("randomized-%d-seed%d", n, seed), fromErr(func() (dynet.Dynamic, error) {
-					return dynet.NewRandomized(n, 0.3, seed)
+					return dynet.NewRandomChurn(n, 0.3, seed)
 				})})
 		}
 	}

@@ -21,9 +21,10 @@ import (
 // SnapshotCSR call, per the dynet.CSRDynamic contract, and a call returns
 // the previous call's pointer exactly when its clamped round repeats the
 // previous call's. Snapshot, the map-graph accessor of the plain Dynamic
-// interface, serves the sequential engine and the analyses. It keeps the
-// graph of the last round it built, so every round at or past the horizon
-// returns one shared graph, which builds its sorted-adjacency index once.
+// interface, serves the analyses; both entry points of the round engine
+// read SnapshotCSR. It keeps the graph of the last round it built, so every
+// round at or past the horizon returns one shared graph, which builds its
+// CSR once.
 // Snapshot is safe for concurrent use; SnapshotCSR is not.
 type PD2Net struct {
 	m      *Multigraph
@@ -253,8 +254,8 @@ func (p *PD2Net) SnapshotCSR(r int) *graph.CSR {
 	return c
 }
 
-// satAddInt is the saturating addition used for offset accumulation,
-// mirroring graph.satAdd (unexported there) and HistoryCount's convention.
+// satAddInt is the saturating addition used for offset accumulation, per
+// HistoryCount's convention.
 func satAddInt(a, b int) int {
 	const maxInt = int(^uint(0) >> 1)
 	if a > maxInt-b {

@@ -1,6 +1,9 @@
 package runtime
 
 import (
+	"errors"
+	"fmt"
+	"strings"
 	"testing"
 
 	"anondyn/internal/dynet"
@@ -76,30 +79,130 @@ func TestAdaptiveAdversaryDelaysFlood(t *testing.T) {
 	}
 }
 
-func TestAdaptiveNilGraphErrors(t *testing.T) {
-	cfg := &Config{
-		Net:       dynet.NewStatic(graph.Path(2)),
-		Adaptive:  func(int, []Message) *graph.Graph { return nil },
-		Procs:     newFloodProcs(2, 0),
-		MaxRounds: 3,
-	}
-	if _, err := RunSequential(cfg); err == nil {
-		t.Fatal("nil adaptive graph should error")
-	}
-	if _, err := RunSharded(cfg); err == nil {
-		t.Fatal("nil adaptive graph should error (sharded)")
+// wantSnapshotError runs each case's Config on both entry points, two
+// shards for RunSharded, and checks that the run stops in round 0 with an
+// error naming that round: no panic escapes, and no process is blamed.
+func wantSnapshotError(t *testing.T, cases map[string]func() *Config) {
+	t.Helper()
+	for name, cfg := range cases {
+		for engine, run := range bothEngines {
+			t.Run(name+"/"+engine, func(t *testing.T) {
+				defer func() {
+					if rec := recover(); rec != nil {
+						t.Fatalf("run panicked: %v", rec)
+					}
+				}()
+				c := cfg()
+				c.Shards = 2
+				rounds, err := run(c)
+				var pe *ProcessPanicError
+				switch {
+				case err == nil:
+					t.Fatal("run accepted the snapshot")
+				case errors.As(err, &pe):
+					t.Fatalf("error %v blames a process", err)
+				case !strings.Contains(err.Error(), "round 0"):
+					t.Fatalf("error %q does not name round 0", err)
+				case rounds != 0:
+					t.Fatalf("completed %d rounds, want 0", rounds)
+				}
+			})
+		}
 	}
 }
 
+// TestAdaptiveNilGraphErrors checks a nil topology, chosen by an adaptive
+// adversary or served by an oblivious network.
+func TestAdaptiveNilGraphErrors(t *testing.T) {
+	wantSnapshotError(t, map[string]func() *Config{
+		"adaptive": func() *Config {
+			return &Config{
+				Net:       dynet.NewStatic(graph.Path(4)),
+				Adaptive:  func(int, []Message) *graph.Graph { return nil },
+				Procs:     newFloodProcs(4, 0),
+				MaxRounds: 3,
+			}
+		},
+		"oblivious": func() *Config {
+			return &Config{
+				Net:       dynet.NewFunc(4, func(int) *graph.Graph { return nil }),
+				Procs:     newFloodProcs(4, 0),
+				MaxRounds: 3,
+			}
+		},
+	})
+}
+
+// TestAdaptiveWrongSizeErrors checks 3- and 5-node topologies for 4
+// processes, chosen by an adaptive adversary or served by an oblivious
+// network.
 func TestAdaptiveWrongSizeErrors(t *testing.T) {
-	cfg := &Config{
-		Net:       dynet.NewStatic(graph.Path(2)),
-		Adaptive:  func(int, []Message) *graph.Graph { return graph.Path(3) },
-		Procs:     newFloodProcs(2, 0),
-		MaxRounds: 3,
+	cases := map[string]func() *Config{}
+	for _, size := range []int{3, 5} {
+		cases[fmt.Sprintf("adaptive-%d", size)] = func() *Config {
+			return &Config{
+				Net:       dynet.NewStatic(graph.Path(4)),
+				Adaptive:  func(int, []Message) *graph.Graph { return graph.Path(size) },
+				Procs:     newFloodProcs(4, 0),
+				MaxRounds: 3,
+			}
+		}
+		cases[fmt.Sprintf("oblivious-%d", size)] = func() *Config {
+			return &Config{
+				Net:       dynet.NewFunc(4, func(int) *graph.Graph { return graph.Path(size) }),
+				Procs:     newFloodProcs(4, 0),
+				MaxRounds: 3,
+			}
+		}
 	}
-	if _, err := RunSequential(cfg); err == nil {
-		t.Fatal("wrong-size adaptive graph should error")
+	wantSnapshotError(t, cases)
+}
+
+// TestAdaptiveInPlaceEdit runs adversaries that keep one 4-path and edit it
+// in place at round 1, returning the same *graph.Graph every round. The
+// engine must deliver the edited topology and check it.
+func TestAdaptiveInPlaceEdit(t *testing.T) {
+	// edited returns an adversary whose path gets edit at round 1.
+	edited := func(edit func(g *graph.Graph) error) func(int, []Message) *graph.Graph {
+		g := graph.Path(4)
+		return func(r int, _ []Message) *graph.Graph {
+			if r == 1 {
+				if err := edit(g); err != nil {
+					panic(err)
+				}
+			}
+			return g
+		}
+	}
+	for name, run := range bothEngines {
+		t.Run("AddEdge/"+name, func(t *testing.T) {
+			procs := newTranscriptProcs(4)
+			_, err := run(&Config{
+				Net:       dynet.NewStatic(graph.Path(4)), // supplies N only
+				Adaptive:  edited(func(g *graph.Graph) error { return g.AddEdge(0, 3) }),
+				Procs:     procs,
+				MaxRounds: 2,
+				Shards:    2,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			in := procs[0].(*transcriptProc).received
+			if len(in[0]) != 1 || len(in[1]) != 2 {
+				t.Errorf("node 0 inboxes of %d and %d in rounds 0 and 1, want 1 and 2", len(in[0]), len(in[1]))
+			}
+		})
+		t.Run("RemoveEdge/"+name, func(t *testing.T) {
+			_, err := run(&Config{
+				Net:               dynet.NewStatic(graph.Path(4)),
+				Adaptive:          edited(func(g *graph.Graph) error { return g.RemoveEdge(1, 2) }),
+				Procs:             newFloodProcs(4, 0),
+				MaxRounds:         3,
+				IntervalConnected: true,
+				Shards:            2,
+			})
+			wantConnectivityError(t, err, 1)
+		})
 	}
 }
 

@@ -32,16 +32,9 @@ type switchNet struct {
 	offCSR    *graph.CSR
 }
 
-func newSwitchNet(t *testing.T, n, cut int) *switchNet {
-	t.Helper()
+func newSwitchNet(n, cut int) *switchNet {
 	s := &switchNet{cut: cut, conn: graph.Path(n), off: graph.New(n)}
-	var err error
-	if s.connCSR, err = s.conn.CSR(nil); err != nil {
-		t.Fatal(err)
-	}
-	if s.offCSR, err = s.off.CSR(nil); err != nil {
-		t.Fatal(err)
-	}
+	s.connCSR, s.offCSR = s.conn.CSR(), s.off.CSR()
 	return s
 }
 
@@ -61,8 +54,8 @@ func (s *switchNet) SnapshotCSR(r int) *graph.CSR {
 	return s.offCSR
 }
 
-// mapOnly hides a network's SnapshotCSR, so the sharded engine converts
-// map graphs itself.
+// mapOnly hides a network's SnapshotCSR, so the engine reads the CSR of its
+// map graphs.
 type mapOnly struct{ dynet.Dynamic }
 
 var bothEngines = map[string]Engine{"sequential": RunSequential, "sharded": RunSharded}
@@ -83,7 +76,7 @@ func TestIntervalConnectedStopsAtDisconnectedRound(t *testing.T) {
 	const n, cut, budget = 6, 3, 8
 	for name, run := range bothEngines {
 		for _, shape := range []string{"csr", "map"} {
-			var net dynet.Dynamic = newSwitchNet(t, n, cut)
+			var net dynet.Dynamic = newSwitchNet(n, cut)
 			if shape == "map" {
 				net = mapOnly{net}
 			}

@@ -133,9 +133,13 @@ type Config struct {
 	// "has access to nodes' local variables" (for deterministic
 	// protocols, the broadcasts determine the states, and broadcasts are
 	// composed before the topology is known). The returned graph must
-	// have Net.N() nodes. Adaptive cannot be combined with DegreeAware
-	// processes: the degree oracle needs the topology before the send
-	// phase, which an adaptive adversary fixes only after it.
+	// have Net.N() nodes; a nil or wrong-size graph ends the run with an
+	// error naming the round. The engine reads the graph's own CSR, which
+	// AddEdge and RemoveEdge drop, so the adversary may return one graph
+	// every round and edit it in place between them. Adaptive cannot be
+	// combined with DegreeAware processes: the degree oracle needs the
+	// topology before the send phase, which an adaptive adversary fixes
+	// only after it.
 	Adaptive func(r int, outbox []Message) *graph.Graph
 	// Procs holds one Process per node; Procs[i] runs at node i.
 	Procs []Process
@@ -175,23 +179,6 @@ type Config struct {
 	// OnRound, if non-nil, is invoked after each round completes, for
 	// tracing.
 	OnRound func(completedRound int)
-}
-
-// topology returns the round's graph, honoring the adaptive adversary.
-// outbox is the round's broadcasts; it is ignored for oblivious networks.
-func (c *Config) topology(r int, outbox []Message) (*graph.Graph, error) {
-	if c.Adaptive == nil {
-		return c.Net.Snapshot(r), nil
-	}
-	g := c.Adaptive(r, outbox)
-	if g == nil {
-		return nil, fmt.Errorf("runtime: adaptive adversary returned nil graph at round %d", r)
-	}
-	if g.N() != c.Net.N() {
-		return nil, fmt.Errorf("runtime: adaptive adversary returned %d nodes at round %d, want %d",
-			g.N(), r, c.Net.N())
-	}
-	return g, nil
 }
 
 func (c *Config) validate() error {

@@ -28,12 +28,12 @@ import (
 // not already in key order stably by ordering key: every inbox lists its
 // senders by (key, id).
 //
-// Topology is consumed in CSR form. Networks implementing dynet.CSRDynamic
-// are queried natively (no map-based graphs are ever materialized — the
-// million-node path); any other Dynamic or an adaptive adversary is
-// converted per snapshot with graph.(*Graph).CSR, cached while the snapshot
-// pointer is unchanged. Either way a round whose snapshot pointer repeats
-// the previous round's reuses that round's validated and checked topology.
+// Topology is consumed in CSR form: a dynet.CSRDynamic's own snapshots (no
+// map-based graph is ever materialized — the million-node path), or the CSR
+// that graph.(*Graph).CSR builds once per state of a map graph, whether
+// Net.Snapshot or an adaptive adversary returned it. A round whose CSR
+// pointer repeats the previous round's reuses that round's validated and
+// checked topology.
 // RunSharded is RunShardedCtx over context.Background().
 func RunSharded(cfg *Config) (int, error) {
 	return RunShardedCtx(context.Background(), cfg)
@@ -114,13 +114,10 @@ func runShards(ctx context.Context, cfg *Config, nw int) (int, error) {
 
 		shards = make([]shardState, nw)
 
-		// Topology state. csr is the round's snapshot; the conversion
-		// cache holds while the map-graph pointer is unchanged. bfs is the
+		// Topology state. csr is the round's checked snapshot; bfs is the
 		// scratch of the Config.IntervalConnected check.
-		csr    *graph.CSR
-		csrBuf *graph.CSR
-		lastG  *graph.Graph
-		bfs    graph.BFSScratch
+		csr *graph.CSR
+		bfs graph.BFSScratch
 
 		// The round in progress and its deadline timer's channel (nil
 		// without Config.RoundDeadline).
@@ -137,50 +134,48 @@ func runShards(ctx context.Context, cfg *Config, nw int) (int, error) {
 		shards[s].lo, shards[s].hi = shardBounds(n, nw, s)
 	}
 	csrDyn, _ := cfg.Net.(dynet.CSRDynamic)
-	if cfg.Adaptive != nil {
-		csrDyn = nil // adaptive snapshots arrive as map graphs
+
+	// fetch returns round r's topology, or nil for a nil graph: the
+	// adaptive adversary's graph, chosen from the round's outbox, or else
+	// the network's own CSR or its map graph's.
+	fetch := func(r int) *graph.CSR {
+		var g *graph.Graph
+		switch {
+		case cfg.Adaptive != nil:
+			g = cfg.Adaptive(r, outbox)
+		case csrDyn != nil:
+			return csrDyn.SnapshotCSR(r)
+		default:
+			g = cfg.Net.Snapshot(r)
+		}
+		if g == nil {
+			return nil
+		}
+		return g.CSR()
 	}
 
-	// snapshotCSR resolves round r's topology in CSR form. g is the
-	// adaptive adversary's graph (nil otherwise). A snapshot pointer that
-	// repeats the previous round's keeps its converted, already checked
-	// CSR: a dynet.CSRDynamic repeats a pointer only for an unchanged
-	// topology.
-	snapshotCSR := func(r int, g *graph.Graph) error {
-		if csrDyn != nil {
-			c := csrDyn.SnapshotCSR(r)
-			if c == nil {
-				return fmt.Errorf("runtime: nil CSR snapshot at round %d", r)
-			}
-			if c == csr {
-				return nil
-			}
-			if err := c.Validate(); err != nil {
-				return fmt.Errorf("runtime: invalid CSR snapshot at round %d: %w", r, err)
-			}
-			if c.N() != n {
-				return fmt.Errorf("runtime: CSR snapshot at round %d has %d nodes, want %d", r, c.N(), n)
-			}
-			csr = c
-		} else {
-			if g == nil {
-				var err error
-				if g, err = cfg.topology(r, nil); err != nil {
-					return err
-				}
-			}
-			if g == lastG && csr != nil {
-				return nil
-			}
-			c, err := g.CSR(csrBuf)
-			if err != nil {
-				return fmt.Errorf("runtime: snapshot at round %d: %w", r, err)
-			}
-			csr, csrBuf, lastG = c, c, g
+	// topology fetches and checks round r's CSR. A pointer that repeats the
+	// previous round's was checked then: a dynet.CSRDynamic repeats one
+	// only for an unchanged topology, a mutated graph has dropped its CSR,
+	// and csr holds the previous one, so its address is not reused.
+	topology := func(r int) error {
+		c := fetch(r)
+		if c == nil {
+			return fmt.Errorf("runtime: nil snapshot at round %d", r)
 		}
-		if cfg.IntervalConnected && !csr.Connected(&bfs) {
+		if c == csr {
+			return nil
+		}
+		if err := c.Validate(); err != nil {
+			return fmt.Errorf("runtime: invalid snapshot at round %d: %w", r, err)
+		}
+		if c.N() != n {
+			return fmt.Errorf("runtime: snapshot at round %d has %d nodes, want %d", r, c.N(), n)
+		}
+		if cfg.IntervalConnected && !c.Connected(&bfs) {
 			return &dynet.ConnectivityError{Round: r}
 		}
+		csr = c
 		return nil
 	}
 
@@ -314,7 +309,7 @@ func runShards(ctx context.Context, cfg *Config, nw int) (int, error) {
 			deadlineC = t.C
 		}
 		if cfg.Adaptive == nil {
-			if err := snapshotCSR(r, nil); err != nil {
+			if err := topology(r); err != nil {
 				return err
 			}
 		}
@@ -327,11 +322,7 @@ func runShards(ctx context.Context, cfg *Config, nw int) (int, error) {
 		if cfg.Adaptive != nil {
 			// The omniscient adversary fixes the topology knowing the
 			// round's broadcasts.
-			g, err := cfg.topology(r, outbox)
-			if err != nil {
-				return err
-			}
-			if err := snapshotCSR(r, g); err != nil {
+			if err := topology(r); err != nil {
 				return err
 			}
 		}

@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"slices"
 	"strconv"
+	"sync"
 	"testing"
 	"time"
 
@@ -419,13 +420,8 @@ type staticCSRNet struct {
 	csr *graph.CSR
 }
 
-func newStaticCSRNet(t *testing.T, g *graph.Graph) *staticCSRNet {
-	t.Helper()
-	c, err := g.CSR(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return &staticCSRNet{g: g, csr: c}
+func newStaticCSRNet(g *graph.Graph) *staticCSRNet {
+	return &staticCSRNet{g: g, csr: g.CSR()}
 }
 
 func (s *staticCSRNet) N() int                     { return s.g.N() }
@@ -439,7 +435,7 @@ func TestRunShardedCSRDynamicPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	procs := newTranscriptProcs(8)
-	net := newStaticCSRNet(t, g)
+	net := newStaticCSRNet(g)
 	if _, err := RunSharded(&Config{Net: net, Procs: procs, MaxRounds: 4, Shards: 3}); err != nil {
 		t.Fatal(err)
 	}
@@ -619,6 +615,40 @@ func TestShardedEngineRaceSmoke(t *testing.T) {
 		if _, err := RunSharded(&Config{Net: net, Procs: procs, MaxRounds: 5, Shards: shards}); err != nil {
 			t.Fatalf("shards=%d: %v", shards, err)
 		}
+	}
+}
+
+// TestConcurrentRunsShareGraphCSR runs two sharded runs at once on one
+// static map graph, each with two shards. Both read the graph's one CSR,
+// which their first rounds may build at the same moment; under -race this
+// shows that the engine never writes it. Each run must deliver what a run
+// on a copy of the graph delivers.
+func TestConcurrentRunsShareGraphCSR(t *testing.T) {
+	const n = 16
+	g := graph.RandomConnected(n, 0.3, rand.New(rand.NewSource(5)))
+	want := newTranscriptProcs(n)
+	if _, err := RunSequential(&Config{Net: dynet.NewStatic(g.Clone()), Procs: want, MaxRounds: 6}); err != nil {
+		t.Fatal(err)
+	}
+	net := dynet.NewStatic(g)
+	var (
+		procs = [2][]Process{newTranscriptProcs(n), newTranscriptProcs(n)}
+		errs  [2]error
+		wg    sync.WaitGroup
+	)
+	for i := range procs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, errs[i] = RunSharded(&Config{Net: net, Procs: procs[i], MaxRounds: 6, Shards: 2, IntervalConnected: true})
+		}()
+	}
+	wg.Wait()
+	for i := range procs {
+		if errs[i] != nil {
+			t.Fatalf("run %d: %v", i, errs[i])
+		}
+		sameTranscripts(t, fmt.Sprintf("run %d", i), want, procs[i])
 	}
 }
 
