@@ -277,15 +277,11 @@ func runChain(out io.Writer, n, chainLen int, engine counting.Runner) error {
 }
 
 func runAnonymous(out io.Writer, n int) error {
-	pair, err := core.WorstCasePair(n)
+	m, err := core.WorstCaseSchedule(n)
 	if err != nil {
 		return err
 	}
-	ext, err := pair.Extend(pair.Rounds + 2)
-	if err != nil {
-		return err
-	}
-	res, err := core.AnonymousCountRounds(ext.M, ext.M.Horizon())
+	res, err := core.AnonymousCountRounds(m, m.Horizon())
 	if err != nil {
 		return err
 	}
@@ -296,19 +292,15 @@ func runAnonymous(out io.Writer, n int) error {
 }
 
 func runUnconscious(out io.Writer, n int) error {
-	pair, err := core.WorstCasePair(n)
+	m, err := core.WorstCaseSchedule(n)
 	if err != nil {
 		return err
 	}
-	ext, err := pair.Extend(pair.Rounds + 2)
+	minRes, err := core.UnconsciousCount(m, core.GuessMin, m.Horizon())
 	if err != nil {
 		return err
 	}
-	minRes, err := core.UnconsciousCount(ext.M, core.GuessMin, ext.M.Horizon())
-	if err != nil {
-		return err
-	}
-	maxRes, err := core.UnconsciousCount(ext.M, core.GuessMax, ext.M.Horizon())
+	maxRes, err := core.UnconsciousCount(m, core.GuessMax, m.Horizon())
 	if err != nil {
 		return err
 	}

@@ -270,6 +270,48 @@ func TestAlgoUsageGolden(t *testing.T) {
 	}
 }
 
+// TestAdversaryRunsGolden pins the full output of one run on each
+// -adversary family at -n 12 -seed 3, so a change to any family's
+// construction or draw that moves a count, a round or an instance name
+// shows here. Regenerate with UPDATE_GOLDEN=1 go test ./cmd/anondyn/ after
+// intentional changes.
+func TestAdversaryRunsGolden(t *testing.T) {
+	runs := [][2]string{
+		{"histtree", "cycle"},
+		{"histtree", "churn"},
+		{"histtree", "randomized"},
+		{"histtree", "tinterval"},
+		{"histtree", "flooddelay"},
+		{"histtree", "restricted"},
+		{"pushsum", "joinleave"},
+		{"idcount", "worstcase"},
+		{"star", "star"},
+	}
+	var b strings.Builder
+	for _, r := range runs {
+		args := []string{"-algo", r[0], "-adversary", r[1], "-n", "12", "-seed", "3"}
+		out, err := capture(t, args)
+		if err != nil {
+			t.Fatalf("%v: %v", args, err)
+		}
+		b.WriteString("$ anondyn " + strings.Join(args, " ") + "\n" + out)
+	}
+	got := b.String()
+	golden := filepath.Join("testdata", "adversary_runs.golden")
+	if os.Getenv("UPDATE_GOLDEN") != "" {
+		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("%v (regenerate with UPDATE_GOLDEN=1)", err)
+	}
+	if got != string(want) {
+		t.Errorf("adversary runs drifted from the golden file (regenerate with UPDATE_GOLDEN=1 if intended)\ngot:\n%s\nwant:\n%s", got, want)
+	}
+}
+
 func TestDegreeOracleCommand(t *testing.T) {
 	out, err := capture(t, []string{"-algo", "degreeoracle", "-n", "20"})
 	if err != nil {

@@ -100,7 +100,7 @@ func run() error {
 		return runtime.RunSharded(cfg)
 	}
 
-	churn, err := dynet.NewRandomChurn(n, 0.3, 7)
+	churn, err := dynet.NewTInterval(n, 1, 0.3, 7)
 	if err != nil {
 		return err
 	}

@@ -70,8 +70,9 @@ func (nw *Network) N() int { return 1 + len(nw.Chain) + len(nw.Relays) + len(nw.
 
 // Build constructs the chain-composed network for n counted nodes and a
 // static chain of chainLen intermediate nodes (chainLen = 0 attaches the
-// relays directly to the leader). The relay-W edges follow the worst-case
-// Lemma 5 schedule for size n, extended past its divergence point.
+// relays directly to the leader). The relay-W edges follow
+// core.WorstCaseSchedule(n), the Lemma 5 schedule extended past its
+// divergence point.
 func Build(n, chainLen int) (*Network, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("chainnet: need n >= 1, got %d", n)
@@ -79,21 +80,19 @@ func Build(n, chainLen int) (*Network, error) {
 	if chainLen < 0 {
 		return nil, fmt.Errorf("chainnet: negative chain length %d", chainLen)
 	}
-	pair, err := core.WorstCasePair(n)
+	m, err := core.WorstCaseSchedule(n)
 	if err != nil {
 		return nil, fmt.Errorf("chainnet: build schedule: %w", err)
 	}
-	ext, err := pair.Extend(pair.Rounds + 2)
-	if err != nil {
-		return nil, fmt.Errorf("chainnet: extend schedule: %w", err)
-	}
-	return buildFromSchedule(ext.M, chainLen)
+	return BuildFromSchedule(m, chainLen)
 }
 
-// buildFromSchedule wires an arbitrary ℳ(DBL)₂ schedule behind a chain: the
-// network is the schedule's Lemma-1 transformation with the chain inserted
-// (multigraph.ToPD2Chain), served to the round engine in CSR form.
-func buildFromSchedule(m *multigraph.Multigraph, chainLen int) (*Network, error) {
+// BuildFromSchedule wires any ℳ(DBL)₂ schedule behind a chain: the network
+// is the schedule's Lemma-1 transformation with the chain inserted
+// (multigraph.ToPD2Chain), served to the round engine in CSR form. Build
+// passes it the worst-case schedule; tests and tools pass their own (benign
+// schedules, or the M′ twin).
+func BuildFromSchedule(m *multigraph.Multigraph, chainLen int) (*Network, error) {
 	if m.K() != 2 {
 		return nil, fmt.Errorf("chainnet: schedule must have k=2, got %d", m.K())
 	}
@@ -112,10 +111,4 @@ func buildFromSchedule(m *multigraph.Multigraph, chainLen int) (*Network, error)
 		W:        layout.V2,
 		Schedule: m,
 	}, nil
-}
-
-// BuildFromSchedule exposes buildFromSchedule for tests and tools that
-// supply their own schedule (e.g. benign schedules, or the M′ twin).
-func BuildFromSchedule(m *multigraph.Multigraph, chainLen int) (*Network, error) {
-	return buildFromSchedule(m, chainLen)
 }

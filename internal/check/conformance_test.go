@@ -41,7 +41,7 @@ func TestFamilyConformanceAcrossEngines(t *testing.T) {
 					if err != nil {
 						t.Fatalf("n=%d seed=%d: %v", n, seed, err)
 					}
-					if err := dynet.VerifyProperties(d, fam.Props, rounds); err != nil {
+					if err := dynet.VerifyProperties(d, d.Properties(), rounds); err != nil {
 						t.Fatalf("n=%d seed=%d: %v", n, seed, err)
 					}
 					var ref []string

@@ -314,7 +314,7 @@ func buildFamilyNet(f *FamilyCase, sys *System) (dynet.Dynamic, dynet.Properties
 		}
 		return d, props, nil
 	case "randomized":
-		d, err := dynet.NewRandomChurn(f.N, f.P, f.Seed)
+		d, err := dynet.NewTInterval(f.N, 1, f.P, f.Seed)
 		if err != nil {
 			return nil, dynet.Properties{}, err
 		}

@@ -20,15 +20,12 @@ type WorstCaseNetwork struct {
 	Schedule *multigraph.Multigraph
 }
 
-// WorstCaseAdversary builds the worst-case persistent-distance-2 dynamic
-// network for n counted nodes: the adversary plays the Lemma 5 schedule
-// (extended past its divergence point so the execution is well-defined for
-// any horizon), transformed into 𝒢(PD)₂ by Lemma 1. Any counting algorithm
-// on the resulting network needs at least LowerBoundRounds(n) rounds.
-//
-// The adversary is oblivious — the schedule is fixed up front — which only
-// strengthens the bound: even this weak adversary forces Ω(log n) rounds.
-func WorstCaseAdversary(n int) (*WorstCaseNetwork, error) {
+// WorstCaseSchedule is the worst-case ℳ(DBL)₂ schedule for n counted
+// nodes: the M side of the Lemma 5 pair (WorstCasePair), extended as
+// Pair.Extend extends it two rounds past its indistinguishability horizon,
+// so the count resolves on it. Only M is extended; no caller reads M′.
+// Every worst-case network and count in the repository starts here.
+func WorstCaseSchedule(n int) (*multigraph.Multigraph, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("core: need n >= 1, got %d", n)
 	}
@@ -36,13 +33,24 @@ func WorstCaseAdversary(n int) (*WorstCaseNetwork, error) {
 	if err != nil {
 		return nil, err
 	}
-	ext, err := pair.Extend(pair.Rounds + 2)
+	return extend(pair.M, pair.Rounds+2)
+}
+
+// WorstCaseAdversary builds the worst-case persistent-distance-2 dynamic
+// network for n counted nodes: the adversary plays WorstCaseSchedule(n),
+// transformed into 𝒢(PD)₂ by Lemma 1. Any counting algorithm on the
+// resulting network needs at least LowerBoundRounds(n) rounds.
+//
+// The adversary is oblivious — the schedule is fixed up front — which only
+// strengthens the bound: even this weak adversary forces Ω(log n) rounds.
+func WorstCaseAdversary(n int) (*WorstCaseNetwork, error) {
+	m, err := WorstCaseSchedule(n)
 	if err != nil {
 		return nil, err
 	}
-	net, layout, err := ext.M.ToPD2()
+	net, layout, err := m.ToPD2()
 	if err != nil {
 		return nil, err
 	}
-	return &WorstCaseNetwork{Net: net, Layout: layout, Schedule: ext.M}, nil
+	return &WorstCaseNetwork{Net: net, Layout: layout, Schedule: m}, nil
 }

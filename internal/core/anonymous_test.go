@@ -97,15 +97,11 @@ func TestAnonymousCountMatchesLabeledOnWorstCase(t *testing.T) {
 	// threading), and the anonymous leader still terminates at exactly
 	// the bound with the correct count.
 	for _, n := range []int{1, 4, 13, 40} {
-		pair, err := WorstCasePair(n)
+		m, err := WorstCaseSchedule(n)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ext, err := pair.Extend(pair.Rounds + 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := AnonymousCountRounds(ext.M, ext.M.Horizon())
+		res, err := AnonymousCountRounds(m, m.Horizon())
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}

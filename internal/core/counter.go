@@ -126,27 +126,16 @@ func UncertaintyTrajectory(m *multigraph.Multigraph, rounds int) ([]kernel.Inter
 	return out, nil
 }
 
-// WorstCaseCountRounds constructs the worst-case schedule for size n
-// (the Lemma 5 configuration extended until it diverges) and measures the
-// exact round at which the leader-state counter terminates on it. The
-// result is the empirical counterpart of Theorem 1: it always equals
-// LowerBoundRounds(n) for n in the exactly-saturated sizes, and never beats
-// the bound for any n.
+// WorstCaseCountRounds measures the exact round at which the leader-state
+// counter terminates on WorstCaseSchedule(n). The result is the empirical
+// counterpart of Theorem 1: it always equals LowerBoundRounds(n) for n in
+// the exactly-saturated sizes, and never beats the bound for any n.
 func WorstCaseCountRounds(n int) (CountResult, error) {
-	if n < 1 {
-		return CountResult{}, fmt.Errorf("core: need n >= 1, got %d", n)
-	}
-	pair, err := WorstCasePair(n)
+	m, err := WorstCaseSchedule(n)
 	if err != nil {
 		return CountResult{}, err
 	}
-	// Extend far enough for the count to resolve: after the schedules
-	// diverge the interval collapses within a round or two.
-	ext, err := pair.Extend(pair.Rounds + 2)
-	if err != nil {
-		return CountResult{}, err
-	}
-	res, err := CountOnMultigraph(ext.M, ext.M.Horizon())
+	res, err := CountOnMultigraph(m, m.Horizon())
 	if err != nil {
 		return CountResult{}, err
 	}
@@ -157,10 +146,10 @@ func WorstCaseCountRounds(n int) (CountResult, error) {
 }
 
 // ChainCountRounds models the Corollary 1 composition: the 𝒢(PD)₂ core runs
-// the worst-case schedule for size n, but every leader observation is
-// delayed by `delay` rounds while it crosses the static chain. It returns
-// the first round at which the (delayed) view pins the count — at least
-// delay + LowerBoundRounds(n).
+// WorstCaseSchedule(n), but every leader observation is delayed by `delay`
+// rounds while it crosses the static chain. It returns the first round at
+// which the (delayed) view pins the count — at least delay +
+// LowerBoundRounds(n).
 func ChainCountRounds(n, delay int) (CountResult, error) {
 	if n < 1 {
 		return CountResult{}, fmt.Errorf("core: need n >= 1, got %d", n)
@@ -168,15 +157,10 @@ func ChainCountRounds(n, delay int) (CountResult, error) {
 	if delay < 0 {
 		return CountResult{}, fmt.Errorf("core: negative delay %d", delay)
 	}
-	pair, err := WorstCasePair(n)
+	m, err := WorstCaseSchedule(n)
 	if err != nil {
 		return CountResult{}, err
 	}
-	ext, err := pair.Extend(pair.Rounds + 2)
-	if err != nil {
-		return CountResult{}, err
-	}
-	m := ext.M
 	for rounds := 1; rounds <= m.Horizon()+delay; rounds++ {
 		avail := rounds - delay
 		if avail < 1 {

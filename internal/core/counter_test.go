@@ -166,6 +166,52 @@ func TestWorstCaseAdversaryError(t *testing.T) {
 	}
 }
 
+// TestWorstCaseSchedule pins the one worst-case schedule to its
+// definition, the pair's M extended two rounds past the pair's horizon,
+// cell for cell, across saturated sizes and the sizes between them; the
+// adversary network plays exactly that schedule.
+func TestWorstCaseSchedule(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 4, 5, 12, 13, 14, 40, 121, 364} {
+		p, err := WorstCasePair(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ext, err := p.Extend(p.Rounds + 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := ext.M
+		got, err := WorstCaseSchedule(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wc, err := WorstCaseAdversary(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range []*multigraph.Multigraph{got, wc.Schedule} {
+			if m.K() != want.K() || m.W() != want.W() || m.Horizon() != want.Horizon() {
+				t.Fatalf("n=%d: k=%d |W|=%d horizon %d, want k=%d |W|=%d horizon %d",
+					n, m.K(), m.W(), m.Horizon(), want.K(), want.W(), want.Horizon())
+			}
+			for v := 0; v < want.W(); v++ {
+				for r := 0; r < want.Horizon(); r++ {
+					a, errA := m.LabelsAt(v, r)
+					b, errB := want.LabelsAt(v, r)
+					if errA != nil || errB != nil || a != b {
+						t.Fatalf("n=%d node %d round %d: %v (%v), want %v (%v)", n, v, r, a, errA, b, errB)
+					}
+				}
+			}
+		}
+	}
+	for _, n := range []int{0, -1} {
+		if _, err := WorstCaseSchedule(n); err == nil {
+			t.Fatalf("n=%d accepted", n)
+		}
+	}
+}
+
 func TestUncertaintyTrajectory(t *testing.T) {
 	p, err := WorstCasePair(13)
 	if err != nil {

@@ -93,16 +93,21 @@ func (p *Pair) Extend(extra int) (*Pair, error) {
 	if extra < 0 {
 		return nil, fmt.Errorf("core: negative extension %d", extra)
 	}
-	fill := multigraph.SetOf(1)
-	m, err := p.M.Extended(extra, fill)
+	m, err := extend(p.M, extra)
 	if err != nil {
 		return nil, err
 	}
-	mp, err := p.MPrime.Extended(extra, fill)
+	mp, err := extend(p.MPrime, extra)
 	if err != nil {
 		return nil, err
 	}
 	return &Pair{M: m, MPrime: mp, N: p.N, Rounds: p.Rounds}, nil
+}
+
+// extend runs m for `extra` more rounds with every node on label set {1},
+// the extension of both Extend and WorstCaseSchedule.
+func extend(m *multigraph.Multigraph, extra int) (*multigraph.Multigraph, error) {
+	return m.Extended(extra, multigraph.SetOf(1))
 }
 
 // FirstDivergence returns the smallest number of completed rounds at which

@@ -8,15 +8,11 @@ import (
 
 func worstCaseExtended(t *testing.T, n int) *multigraph.Multigraph {
 	t.Helper()
-	pair, err := WorstCasePair(n)
+	m, err := WorstCaseSchedule(n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ext, err := pair.Extend(pair.Rounds + 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return ext.M
+	return m
 }
 
 func TestUnconsciousNeverBeatsConsciousOnPairSchedules(t *testing.T) {

@@ -199,7 +199,7 @@ func TestPushSumConvergesOnStatic(t *testing.T) {
 }
 
 func TestPushSumConvergesUnderChurn(t *testing.T) {
-	net, err := dynet.NewRandomChurn(12, 0.3, 5)
+	net, err := dynet.NewTInterval(12, 1, 0.3, 5)
 	if err != nil {
 		t.Fatal(err)
 	}

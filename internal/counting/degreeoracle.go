@@ -149,44 +149,12 @@ func (l *degOracleLeader) Output() (int, bool) {
 // process is told its layer. Returns the exact |V| and rounds used (always
 // 4).
 func DegreeOracleCount(net dynet.Dynamic, leader graph.NodeID, v1, v2 []graph.NodeID, run Runner) (count, rounds int, err error) {
+	// The leader must touch every relay: round 0 tells each relay its
+	// role, round 3 delivers each relay's aggregate back.
+	if _, err := checkRestricted(net, leader, v1, v2, 4, true); err != nil {
+		return 0, 0, err
+	}
 	n := net.N()
-	if 1+len(v1)+len(v2) != n {
-		return 0, 0, fmt.Errorf("counting: layers cover %d nodes, network has %d", 1+len(v1)+len(v2), n)
-	}
-	role := make(map[graph.NodeID]int, n) // 0 leader, 1 relay, 2 outer
-	role[leader] = 0
-	for _, v := range v1 {
-		role[v] = 1
-	}
-	for _, v := range v2 {
-		role[v] = 2
-	}
-	if len(role) != n {
-		return 0, 0, fmt.Errorf("counting: layers overlap or miss nodes")
-	}
-	for r := 0; r < 4; r++ {
-		g := net.Snapshot(r)
-		for _, v := range v2 {
-			if g.Degree(v) == 0 {
-				return 0, 0, fmt.Errorf("counting: V2 node %d isolated at round %d", v, r)
-			}
-			for _, u := range g.Neighbors(v) {
-				if role[u] != 1 {
-					return 0, 0, fmt.Errorf("counting: V2 node %d adjacent to non-relay %d at round %d (network not restricted)", v, u, r)
-				}
-			}
-		}
-		// The leader must touch every relay: round 0 tells each relay its
-		// role, round 3 delivers each relay's aggregate back.
-		if g.Degree(leader) != len(v1) {
-			return 0, 0, fmt.Errorf("counting: leader has degree %d at round %d, want all %d relays", g.Degree(leader), r, len(v1))
-		}
-		for _, u := range g.Neighbors(leader) {
-			if role[u] != 1 {
-				return 0, 0, fmt.Errorf("counting: leader adjacent to non-relay %d at round %d", u, r)
-			}
-		}
-	}
 	procs := make([]runtime.Process, n)
 	for i := 0; i < n; i++ {
 		if graph.NodeID(i) == leader {

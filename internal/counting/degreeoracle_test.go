@@ -91,7 +91,7 @@ func TestDegreeOracleRejectsViolations(t *testing.T) {
 		t.Error("overlapping layers accepted")
 	}
 	// A connected random graph is not layered at all.
-	net, err := dynet.NewRandomChurn(6, 0.3, 1)
+	net, err := dynet.NewTInterval(6, 1, 0.3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,6 @@ package counting
 
 import (
 	"fmt"
-	"sort"
 
 	"anondyn/internal/dynet"
 	"anondyn/internal/graph"
@@ -27,40 +26,10 @@ import (
 // idSetMsg carries a sorted set of node IDs.
 type idSetMsg []int
 
-// idProc floods its known-ID set.
-type idProc struct {
-	id    int
-	known map[int]struct{}
-}
-
-func newIDProc(id int) *idProc {
-	return &idProc{id: id, known: map[int]struct{}{id: {}}}
-}
-
-func (p *idProc) sorted() []int {
-	out := make([]int, 0, len(p.known))
-	for id := range p.known {
-		out = append(out, id)
-	}
-	sort.Ints(out)
-	return out
-}
-
-func (p *idProc) Send(int) runtime.Message { return idSetMsg(p.sorted()) }
-
-func (p *idProc) Receive(_ int, msgs []runtime.Message) {
-	for _, m := range msgs {
-		if ids, ok := m.(idSetMsg); ok {
-			for _, id := range ids {
-				p.known[id] = struct{}{}
-			}
-		}
-	}
-}
-
-// idLeader additionally watches for the first non-growing round.
+// idLeader is a flooding node that also watches for the first
+// non-growing round.
 type idLeader struct {
-	idProc
+	limitedIDProc
 	count int
 	done  bool
 }
@@ -70,7 +39,7 @@ func (l *idLeader) Receive(r int, msgs []runtime.Message) {
 		return
 	}
 	before := len(l.known)
-	l.idProc.Receive(r, msgs)
+	l.limitedIDProc.Receive(r, msgs)
 	if len(l.known) == before {
 		// No growth: by 1-interval connectivity the set is complete.
 		l.count = len(l.known)
@@ -96,11 +65,13 @@ func IDCount(net dynet.Dynamic, leader graph.NodeID, maxRounds int, run Runner) 
 	procs := make([]runtime.Process, n)
 	var lp *idLeader
 	for i := range procs {
+		// At cap n no known set outgrows the cap, so every node sends
+		// its whole sorted set: the unlimited-bandwidth flood.
 		if graph.NodeID(i) == leader {
-			lp = &idLeader{idProc: *newIDProc(i)}
+			lp = &idLeader{limitedIDProc: *newLimitedIDProc(i, n)}
 			procs[i] = lp
 		} else {
-			procs[i] = newIDProc(i)
+			procs[i] = newLimitedIDProc(i, n)
 		}
 	}
 	cfg := &runtime.Config{

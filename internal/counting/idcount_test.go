@@ -49,7 +49,7 @@ func TestIDCountTerminationIsFloodTimePlusOne(t *testing.T) {
 }
 
 func TestIDCountUnderChurn(t *testing.T) {
-	net, err := dynet.NewRandomChurn(12, 0.3, 4)
+	net, err := dynet.NewTInterval(12, 1, 0.3, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

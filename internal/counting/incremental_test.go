@@ -84,7 +84,7 @@ func TestIncrementalCountExact(t *testing.T) {
 	t.Run("churn", func(t *testing.T) {
 		for seed := int64(1); seed <= 3; seed++ {
 			const n = 6
-			net, err := dynet.NewRandomChurn(n, 0.4, seed)
+			net, err := dynet.NewTInterval(n, 1, 0.4, seed)
 			if err != nil {
 				t.Fatal(err)
 			}

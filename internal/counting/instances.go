@@ -16,38 +16,29 @@ import (
 
 func linearHorizon(n int) int { return 3*n + 10 }
 
-// WorstCaseInstance builds the paper's worst-case ℳ(DBL)₂ adversary for
-// |W| = w outer nodes, transformed to its restricted 𝒢(PD)₂ network via
-// Lemma 1 and extended past the indistinguishability horizon so counting
-// can finish. It carries both the network and the multigraph schedule, so
-// every exact algorithm in the registry can run on it — the comparable
-// family the zoo campaign sweeps.
+// WorstCaseInstance builds the paper's worst-case adversary for |W| = w
+// outer nodes, core.WorstCaseAdversary: the ℳ(DBL)₂ schedule extended past
+// its indistinguishability horizon so counting can finish, transformed to
+// its restricted 𝒢(PD)₂ network via Lemma 1. It carries both the network
+// and the multigraph schedule, so every exact algorithm in the registry can
+// run on it — the comparable family the zoo campaign sweeps.
 func WorstCaseInstance(w int) (*Instance, error) {
-	p, err := core.WorstCasePair(w)
+	wc, err := core.WorstCaseAdversary(w)
 	if err != nil {
 		return nil, err
 	}
-	ext, err := p.Extend(p.Rounds + 2)
-	if err != nil {
-		return nil, err
-	}
-	m := ext.M
-	net, layout, err := m.ToPD2()
-	if err != nil {
-		return nil, err
-	}
-	total := layout.N()
+	total := wc.Layout.N()
 	inst := &Instance{
 		Name:    fmt.Sprintf("worstcase-%d", w),
-		Net:     net,
-		Leader:  layout.Leader,
-		V1:      layout.V1,
-		V2:      layout.V2,
-		M:       m,
+		Net:     wc.Net,
+		Leader:  wc.Layout.Leader,
+		V1:      wc.Layout.V1,
+		V2:      wc.Layout.V2,
+		M:       wc.Schedule,
 		Horizon: linearHorizon(total),
 		TrueN:   total,
 	}
-	inst.MaxDegree = observedMaxDegree(net, 8)
+	inst.MaxDegree = observedMaxDegree(wc.Net, 8)
 	return inst, nil
 }
 
@@ -89,7 +80,7 @@ func StarInstance(n int) (*Instance, error) {
 // independent connected random graph, satisfying the Fair requirement of
 // convergence-based estimators.
 func ChurnInstance(n int, seed int64) (*Instance, error) {
-	net, err := dynet.NewRandomChurn(n, 0.3, seed)
+	net, err := dynet.NewTInterval(n, 1, 0.3, seed)
 	if err != nil {
 		return nil, err
 	}
@@ -156,7 +147,7 @@ func JoinLeaveInstance(n int, seed int64) (*Instance, error) {
 // independent connected random graph every round, fair in the estimator
 // sense and 1-interval connected for the exact algorithms.
 func RandomizedInstance(n int, seed int64) (*Instance, error) {
-	net, err := dynet.NewRandomChurn(n, 0.3, seed)
+	net, err := dynet.NewTInterval(n, 1, 0.3, seed)
 	if err != nil {
 		return nil, err
 	}

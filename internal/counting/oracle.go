@@ -125,39 +125,11 @@ func (l *oracleLeader) Output() (int, bool) {
 // touch only V₁ nodes, and the leader only V₁ nodes. Returns the exact
 // total count |V| and the rounds used (always 2).
 func OracleCount(net dynet.Dynamic, leader graph.NodeID, v1, v2 []graph.NodeID, run Runner) (count, rounds int, err error) {
+	role, err := checkRestricted(net, leader, v1, v2, 2, false)
+	if err != nil {
+		return 0, 0, err
+	}
 	n := net.N()
-	if 1+len(v1)+len(v2) != n {
-		return 0, 0, fmt.Errorf("counting: layers cover %d nodes, network has %d", 1+len(v1)+len(v2), n)
-	}
-	role := make(map[graph.NodeID]int, n) // 0 leader, 1 relay, 2 outer
-	role[leader] = 0
-	for _, v := range v1 {
-		role[v] = 1
-	}
-	for _, v := range v2 {
-		role[v] = 2
-	}
-	if len(role) != n {
-		return 0, 0, fmt.Errorf("counting: layers overlap or miss nodes")
-	}
-	for r := 0; r < 2; r++ {
-		g := net.Snapshot(r)
-		for _, v := range v2 {
-			if g.Degree(v) == 0 {
-				return 0, 0, fmt.Errorf("counting: V2 node %d isolated at round %d", v, r)
-			}
-			for _, u := range g.Neighbors(v) {
-				if role[u] != 1 {
-					return 0, 0, fmt.Errorf("counting: V2 node %d adjacent to non-relay %d at round %d (network not restricted)", v, u, r)
-				}
-			}
-		}
-		for _, u := range g.Neighbors(leader) {
-			if role[u] != 1 {
-				return 0, 0, fmt.Errorf("counting: leader adjacent to non-relay %d at round %d", u, r)
-			}
-		}
-	}
 	procs := make([]runtime.Process, n)
 	for i := 0; i < n; i++ {
 		switch role[graph.NodeID(i)] {
@@ -178,4 +150,49 @@ func OracleCount(net dynet.Dynamic, leader graph.NodeID, v1, v2 []graph.NodeID, 
 		return 0, rounds, fmt.Errorf("counting: oracle leader did not terminate")
 	}
 	return value, rounds, nil
+}
+
+// checkRestricted checks that leader, v1 and v2 partition net's nodes and
+// that the first `rounds` snapshots are restricted 𝒢(PD)₂: every V₂ node
+// touches at least one node and only V₁ relays, and the leader touches only
+// relays — all of them at every round when allRelays is set. It returns
+// each node's role: 0 leader, 1 relay, 2 outer.
+func checkRestricted(net dynet.Dynamic, leader graph.NodeID, v1, v2 []graph.NodeID, rounds int, allRelays bool) (map[graph.NodeID]int, error) {
+	n := net.N()
+	if 1+len(v1)+len(v2) != n {
+		return nil, fmt.Errorf("counting: layers cover %d nodes, network has %d", 1+len(v1)+len(v2), n)
+	}
+	role := make(map[graph.NodeID]int, n)
+	role[leader] = 0
+	for _, v := range v1 {
+		role[v] = 1
+	}
+	for _, v := range v2 {
+		role[v] = 2
+	}
+	if len(role) != n {
+		return nil, fmt.Errorf("counting: layers overlap or miss nodes")
+	}
+	for r := 0; r < rounds; r++ {
+		g := net.Snapshot(r)
+		for _, v := range v2 {
+			if g.Degree(v) == 0 {
+				return nil, fmt.Errorf("counting: V2 node %d isolated at round %d", v, r)
+			}
+			for _, u := range g.Neighbors(v) {
+				if role[u] != 1 {
+					return nil, fmt.Errorf("counting: V2 node %d adjacent to non-relay %d at round %d (network not restricted)", v, u, r)
+				}
+			}
+		}
+		if allRelays && g.Degree(leader) != len(v1) {
+			return nil, fmt.Errorf("counting: leader has degree %d at round %d, want all %d relays", g.Degree(leader), r, len(v1))
+		}
+		for _, u := range g.Neighbors(leader) {
+			if role[u] != 1 {
+				return nil, fmt.Errorf("counting: leader adjacent to non-relay %d at round %d", u, r)
+			}
+		}
+	}
+	return role, nil
 }

@@ -20,11 +20,11 @@ import (
 func TestPushSumToleranceControlsAccuracy(t *testing.T) {
 	const n = 12
 	for seed := int64(1); seed <= 4; seed++ {
-		loose, err := dynet.NewRandomChurn(n, 0.3, seed)
+		loose, err := dynet.NewTInterval(n, 1, 0.3, seed)
 		if err != nil {
 			t.Fatal(err)
 		}
-		tight, err := dynet.NewRandomChurn(n, 0.3, seed)
+		tight, err := dynet.NewTInterval(n, 1, 0.3, seed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -56,7 +56,7 @@ func TestPushSumToleranceControlsAccuracy(t *testing.T) {
 func TestPushSumToleranceAcrossFairSeeds(t *testing.T) {
 	const n = 9
 	for seed := int64(1); seed <= 6; seed++ {
-		net, err := dynet.NewRandomChurn(n, 0.4, seed)
+		net, err := dynet.NewTInterval(n, 1, 0.4, seed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -79,11 +79,11 @@ func TestPushSumToleranceAcrossFairSeeds(t *testing.T) {
 func TestPushSumPatienceDelaysStop(t *testing.T) {
 	const n = 10
 	for seed := int64(1); seed <= 3; seed++ {
-		a, err := dynet.NewRandomChurn(n, 0.3, seed)
+		a, err := dynet.NewTInterval(n, 1, 0.3, seed)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := dynet.NewRandomChurn(n, 0.3, seed)
+		b, err := dynet.NewTInterval(n, 1, 0.3, seed)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -49,7 +49,7 @@ func TestFloodSingleSourceMatchesFloodTime(t *testing.T) {
 }
 
 func TestFloodAllToAllWithinDynamicDiameter(t *testing.T) {
-	net, err := dynet.NewRandomChurn(10, 0.2, 3)
+	net, err := dynet.NewTInterval(10, 1, 0.2, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestOneTokenPerRoundSlower(t *testing.T) {
 }
 
 func TestOneTokenPerRoundCompletes(t *testing.T) {
-	net, err := dynet.NewRandomChurn(8, 0.3, 11)
+	net, err := dynet.NewTInterval(8, 1, 0.3, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ var errNotRun = errors.New("processes taken before the run")
 // hears a multiset, so its state must not depend on the engines' order.
 func TestProcessesIgnoreInboxOrder(t *testing.T) {
 	const n = 9
-	net, err := dynet.NewRandomChurn(n, 0.4, 3)
+	net, err := dynet.NewTInterval(n, 1, 0.4, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -63,27 +63,25 @@ func (fd *FloodDelaying) Snapshot(r int) *graph.Graph {
 	inf := append([]graph.NodeID{fd.src}, fd.order[:informed]...)
 	for i := 0; i < len(inf); i++ {
 		for j := i + 1; j < len(inf); j++ {
-			mustAdd(g, inf[i], inf[j])
+			mustAddEdge(g, inf[i], inf[j])
 		}
 	}
 	// Uninformed clique: order[informed:].
 	un := fd.order[informed:]
 	for i := 0; i < len(un); i++ {
 		for j := i + 1; j < len(un); j++ {
-			mustAdd(g, un[i], un[j])
+			mustAddEdge(g, un[i], un[j])
 		}
 	}
 	// Bridge: exactly one uninformed node touches the informed side.
 	if len(un) > 0 {
-		mustAdd(g, fd.src, un[0])
+		mustAddEdge(g, fd.src, un[0])
 	}
 	return g
 }
 
-func mustAdd(g *graph.Graph, u, v graph.NodeID) {
-	if err := g.AddEdge(u, v); err != nil {
-		panic(err) // unreachable: endpoints constructed in range
-	}
+// Properties implements PropertyCarrier: every snapshot is connected
+// through the bridge, and the schedule is fixed up front.
+func (fd *FloodDelaying) Properties() Properties {
+	return Properties{IntervalConnected: true, SeedDeterministic: true}
 }
-
-var _ Dynamic = (*FloodDelaying)(nil)

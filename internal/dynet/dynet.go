@@ -10,7 +10,6 @@ package dynet
 
 import (
 	"fmt"
-	"math/rand"
 
 	"anondyn/internal/graph"
 )
@@ -116,51 +115,9 @@ func (f *Func) N() int { return f.n }
 // Snapshot implements Dynamic.
 func (f *Func) Snapshot(r int) *graph.Graph { return f.fn(r) }
 
-// RandomChurn is a fair (non-worst-case) adversary: each round it draws a
-// fresh random connected topology, seeded per round so snapshots are
-// deterministic and replayable. This is the peer-to-peer-style dynamicity of
-// the paper's related work ([8], [14]), used as a baseline.
-type RandomChurn struct {
-	n    int
-	p    float64
-	seed int64
-}
-
-// NewRandomChurn returns a random churn adversary over n nodes with extra
-// edge probability p and the given base seed.
-func NewRandomChurn(n int, p float64, seed int64) (*RandomChurn, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("dynet: random churn needs at least one node, got %d", n)
-	}
-	if p < 0 || p > 1 {
-		return nil, fmt.Errorf("dynet: edge probability %v out of [0,1]", p)
-	}
-	return &RandomChurn{n: n, p: p, seed: seed}, nil
-}
-
-// N implements Dynamic.
-func (rc *RandomChurn) N() int { return rc.n }
-
-// Snapshot implements Dynamic. The round index perturbs the seed so every
-// round is an independent-looking but reproducible draw.
-func (rc *RandomChurn) Snapshot(r int) *graph.Graph {
-	if r < 0 {
-		r = 0
-	}
-	rng := rand.New(rand.NewSource(rc.seed ^ (int64(r)+1)*0x5851F42D4C957F2D))
-	return graph.RandomConnected(rc.n, rc.p, rng)
-}
-
-// Properties implements PropertyCarrier: every round's draw is connected,
-// and the seed pins every round.
-func (rc *RandomChurn) Properties() Properties {
-	return Properties{IntervalConnected: true, SeedDeterministic: true}
-}
-
 // Compile-time interface checks.
 var (
 	_ Dynamic = (*Static)(nil)
 	_ Dynamic = (*Cyclic)(nil)
 	_ Dynamic = (*Func)(nil)
-	_ Dynamic = (*RandomChurn)(nil)
 )

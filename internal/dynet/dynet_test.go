@@ -2,6 +2,7 @@ package dynet
 
 import (
 	"errors"
+	"math/rand"
 	"testing"
 
 	"anondyn/internal/graph"
@@ -59,33 +60,27 @@ func TestFuncDynamic(t *testing.T) {
 	}
 }
 
-func TestRandomChurnDeterministic(t *testing.T) {
-	d, err := NewRandomChurn(10, 0.2, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for r := 0; r < 5; r++ {
-		a := d.Snapshot(r)
-		b := d.Snapshot(r)
-		if !a.Equal(b) {
-			t.Fatalf("round %d snapshot not deterministic", r)
+// TestTIntervalWindowOneIsRandomChurn pins a window-1 T-interval network
+// to the per-round random-churn draw, written out here: round r (clamped to
+// 0) draws graph.RandomConnected from the seed perturbed by r+1, so the
+// draws stay fixed whatever form the type takes.
+func TestTIntervalWindowOneIsRandomChurn(t *testing.T) {
+	for _, n := range []int{1, 2, 5, 16, 65} {
+		for _, p := range []float64{0, 0.3, 1} {
+			for _, seed := range []int64{1, 42, -7} {
+				d, err := NewTInterval(n, 1, p, seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for r := -1; r <= 5; r++ {
+					rng := rand.New(rand.NewSource(seed ^ (int64(max(r, 0))+1)*0x5851F42D4C957F2D))
+					want := graph.RandomConnected(n, p, rng)
+					if got := d.Snapshot(r); !got.Equal(want) {
+						t.Fatalf("n=%d p=%v seed=%d round %d: got %v, want %v", n, p, seed, r, got, want)
+					}
+				}
+			}
 		}
-		if !a.Connected() {
-			t.Fatalf("round %d snapshot disconnected", r)
-		}
-	}
-	// Different rounds should (with overwhelming probability) differ.
-	if d.Snapshot(0).Equal(d.Snapshot(1)) && d.Snapshot(1).Equal(d.Snapshot(2)) {
-		t.Fatal("churn adversary produced identical topologies for 3 rounds")
-	}
-}
-
-func TestRandomChurnErrors(t *testing.T) {
-	if _, err := NewRandomChurn(0, 0.5, 1); err == nil {
-		t.Fatal("n=0 should error")
-	}
-	if _, err := NewRandomChurn(3, 1.5, 1); err == nil {
-		t.Fatal("p>1 should error")
 	}
 }
 

@@ -14,7 +14,7 @@ import (
 // family declares and the registry the conformance suite enumerates.
 
 // roundMix decorrelates per-round (or per-window) seeds; the multiplier is
-// the SplitMix64 increment already used by RandomChurn.
+// the SplitMix64 increment.
 const roundMix = 0x5851F42D4C957F2D
 
 // Properties declares the machine-checkable guarantees an adversary family
@@ -220,6 +220,10 @@ func liveConnected(g *graph.Graph, live []bool, count int) bool {
 // aligned window is therefore the (connected) window graph itself — the
 // stability-window form of T-interval connectivity the degree-based counting
 // literature (arXiv:1509.02140) assumes.
+//
+// A window of 1 is random churn, the fair (non-worst-case) adversary: an
+// independent, seed-reproducible connected graph every round, the
+// peer-to-peer-style dynamicity of the paper's related work ([8], [14]).
 type TInterval struct {
 	n, window int
 	p         float64
@@ -462,17 +466,15 @@ func (c *Churn) Properties() Properties {
 }
 
 // Family is one registered adversary family: a builder parameterized on the
-// problem size and seed, plus the Properties the conformance suite verifies
-// on every build.
+// problem size and seed. The network it builds declares its own Properties,
+// which the conformance suite verifies on every build.
 type Family struct {
 	// Name selects the family in the conformance suite and error messages.
 	Name string
 	// Doc is a one-line description.
 	Doc string
-	// Props are the declared machine-checkable guarantees.
-	Props Properties
 	// Build constructs the family at size n with the given seed.
-	Build func(n int, seed int64) (Dynamic, error)
+	Build func(n int, seed int64) (PropertyCarrier, error)
 }
 
 // Families returns the registered adversary families in deterministic order.
@@ -481,18 +483,16 @@ type Family struct {
 func Families() []Family {
 	return []Family{
 		{
-			Name:  "tinterval",
-			Doc:   "stability-window dynamics: fresh random connected topology held for T=3 rounds",
-			Props: Properties{IntervalConnected: true, StabilityWindow: 3, SeedDeterministic: true},
-			Build: func(n int, seed int64) (Dynamic, error) {
+			Name: "tinterval",
+			Doc:  "stability-window dynamics: fresh random connected topology held for T=3 rounds",
+			Build: func(n int, seed int64) (PropertyCarrier, error) {
 				return NewTInterval(n, 3, 0.2, seed)
 			},
 		},
 		{
-			Name:  "joinleave",
-			Doc:   "join/leave churn: stable core ~n/3, transients on dwell-2 cycling stints, live-set accounting",
-			Props: Properties{IntervalConnected: true, LiveAccounting: true, SeedDeterministic: true},
-			Build: func(n int, seed int64) (Dynamic, error) {
+			Name: "joinleave",
+			Doc:  "join/leave churn: stable core ~n/3, transients on dwell-2 cycling stints, live-set accounting",
+			Build: func(n int, seed int64) (PropertyCarrier, error) {
 				core := n / 3
 				if core < 1 {
 					core = 1
@@ -501,18 +501,16 @@ func Families() []Family {
 			},
 		},
 		{
-			Name:  "randomized",
-			Doc:   "seed-deterministic random connected schedule, fresh draw every round",
-			Props: Properties{IntervalConnected: true, SeedDeterministic: true},
-			Build: func(n int, seed int64) (Dynamic, error) {
-				return NewRandomChurn(n, 0.3, seed)
+			Name: "randomized",
+			Doc:  "seed-deterministic random connected schedule, fresh draw every round",
+			Build: func(n int, seed int64) (PropertyCarrier, error) {
+				return NewTInterval(n, 1, 0.3, seed)
 			},
 		},
 		{
-			Name:  "flooddelay",
-			Doc:   "the adaptive flood-delaying adversary (deterministic; the seed is ignored)",
-			Props: Properties{IntervalConnected: true, SeedDeterministic: true},
-			Build: func(n int, seed int64) (Dynamic, error) {
+			Name: "flooddelay",
+			Doc:  "the adaptive flood-delaying adversary (deterministic; the seed is ignored)",
+			Build: func(n int, seed int64) (PropertyCarrier, error) {
 				if n < 2 {
 					n = 2
 				}
@@ -522,10 +520,10 @@ func Families() []Family {
 	}
 }
 
-// Compile-time interface checks for the new families.
+// Compile-time interface checks for the families.
 var (
 	_ PropertyCarrier = (*TInterval)(nil)
 	_ PropertyCarrier = (*Churn)(nil)
-	_ PropertyCarrier = (*RandomChurn)(nil)
+	_ PropertyCarrier = (*FloodDelaying)(nil)
 	_ LiveTracker     = (*Churn)(nil)
 )

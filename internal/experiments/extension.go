@@ -22,19 +22,15 @@ func ExtensionAnonymousRelays(ctx context.Context) ([]Row, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		pair, err := core.WorstCasePair(n)
+		m, err := core.WorstCaseSchedule(n)
 		if err != nil {
 			return nil, err
 		}
-		ext, err := pair.Extend(pair.Rounds + 2)
+		res, err := core.AnonymousCountRounds(m, m.Horizon())
 		if err != nil {
 			return nil, err
 		}
-		res, err := core.AnonymousCountRounds(ext.M, ext.M.Horizon())
-		if err != nil {
-			return nil, err
-		}
-		labeled, err := core.CountOnMultigraph(ext.M, ext.M.Horizon())
+		labeled, err := core.CountOnMultigraph(m, m.Horizon())
 		if err != nil {
 			return nil, err
 		}

@@ -20,19 +20,15 @@ func ConsciousVsUnconscious(ctx context.Context) ([]Row, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		pair, err := core.WorstCasePair(n)
+		m, err := core.WorstCaseSchedule(n)
 		if err != nil {
 			return nil, err
 		}
-		ext, err := pair.Extend(pair.Rounds + 2)
+		minRes, err := core.UnconsciousCount(m, core.GuessMin, m.Horizon())
 		if err != nil {
 			return nil, err
 		}
-		minRes, err := core.UnconsciousCount(ext.M, core.GuessMin, ext.M.Horizon())
-		if err != nil {
-			return nil, err
-		}
-		maxRes, err := core.UnconsciousCount(ext.M, core.GuessMax, ext.M.Horizon())
+		maxRes, err := core.UnconsciousCount(m, core.GuessMax, m.Horizon())
 		if err != nil {
 			return nil, err
 		}

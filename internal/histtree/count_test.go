@@ -83,7 +83,7 @@ func TestCountExactSmallFamilies(t *testing.T) {
 func TestCountExactRandomChurn(t *testing.T) {
 	for _, n := range []int{4, 6, 9} {
 		for seed := int64(1); seed <= 3; seed++ {
-			net, err := dynet.NewRandomChurn(n, 0.4, seed)
+			net, err := dynet.NewTInterval(n, 1, 0.4, seed)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -145,7 +145,7 @@ func TestCountEngineIndependent(t *testing.T) {
 	nets := map[string]func(t *testing.T) dynet.Dynamic{
 		"cycle-24": func(t *testing.T) dynet.Dynamic { return cycleNet(t, 24) },
 		"churn-8": func(t *testing.T) dynet.Dynamic {
-			net, err := dynet.NewRandomChurn(8, 0.4, 7)
+			net, err := dynet.NewTInterval(8, 1, 0.4, 7)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -216,19 +216,11 @@ func viewNets() []viewNet {
 	}
 	worst := func(w int) func(t *testing.T) (dynet.Dynamic, graph.NodeID) {
 		return func(t *testing.T) (dynet.Dynamic, graph.NodeID) {
-			p, err := core.WorstCasePair(w)
+			wc, err := core.WorstCaseAdversary(w)
 			if err != nil {
 				t.Fatal(err)
 			}
-			ext, err := p.Extend(p.Rounds + 2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			net, layout, err := ext.M.ToPD2()
-			if err != nil {
-				t.Fatal(err)
-			}
-			return net, layout.Leader
+			return wc.Net, wc.Layout.Leader
 		}
 	}
 	nets := []viewNet{
@@ -246,13 +238,13 @@ func viewNets() []viewNet {
 		for seed := int64(1); seed <= 2; seed++ {
 			nets = append(nets,
 				viewNet{fmt.Sprintf("churn-%d-seed%d", n, seed), fromErr(func() (dynet.Dynamic, error) {
-					return dynet.NewRandomChurn(n, 0.4, seed)
+					return dynet.NewTInterval(n, 1, 0.4, seed)
 				})},
 				viewNet{fmt.Sprintf("tinterval-%d-seed%d", n, seed), fromErr(func() (dynet.Dynamic, error) {
 					return dynet.NewTInterval(n, 3, 0.2, seed)
 				})},
 				viewNet{fmt.Sprintf("randomized-%d-seed%d", n, seed), fromErr(func() (dynet.Dynamic, error) {
-					return dynet.NewRandomChurn(n, 0.3, seed)
+					return dynet.NewTInterval(n, 1, 0.3, seed)
 				})})
 		}
 	}

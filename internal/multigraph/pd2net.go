@@ -104,40 +104,27 @@ func (p *PD2Net) clampRound(r int) int {
 	return r
 }
 
-// Snapshot returns round r's topology as a map graph: node j of V₁ is
-// adjacent at round r exactly to the W-nodes whose label set contains j,
-// and the chain's static edges join the leader to all of V₁. A round whose
-// clamped index matches the last build returns that build's graph; the
-// round engine never calls Snapshot when SnapshotCSR is available.
-// Callers must not mutate the returned graph.
+// Snapshot returns round r's topology as a map graph, built from the rows
+// SnapshotCSR produces. It builds them with a PD2Net of its own and never
+// touches the net's CSR scratch, so it is safe for concurrent use, also
+// alongside SnapshotCSR. A round whose clamped index matches the last
+// build returns that build's graph; the round engine never calls Snapshot
+// when SnapshotCSR is available. Callers must not mutate the returned
+// graph.
 func (p *PD2Net) Snapshot(r int) *graph.Graph {
 	r = p.clampRound(r)
 	old := p.last.Load()
 	if old != nil && old.round == r {
 		return old.g
 	}
+	own := PD2Net{m: p.m, layout: p.layout, n: p.n, lastRound: -1}
+	c := own.SnapshotCSR(r)
 	g := graph.New(p.n)
-	// The chain and hub-V₁ edges are static: V₁ nodes keep persistent
-	// distance chainLen+1.
-	hub := p.layout.Leader
-	for _, c := range p.layout.Chain {
-		if err := g.AddEdge(hub, c); err != nil {
-			panic(err) // unreachable: indices are in range by construction
-		}
-		hub = c
-	}
-	for _, relay := range p.layout.V1 {
-		if err := g.AddEdge(hub, relay); err != nil {
-			panic(err) // unreachable
-		}
-	}
-	cells, h := p.m.cells, p.m.horizon // round r of node v is cells[v*h+r]
-	for v, c := 0, r; v < p.m.w; v, c = v+1, c+h {
-		s := cells[c]
-		for j := 1; j <= p.m.k; j++ {
-			if s.Has(j) {
-				if err := g.AddEdge(p.layout.V1[j-1], p.layout.V2[v]); err != nil {
-					panic(err) // unreachable
+	for u := 0; u < p.n; u++ {
+		for _, v := range c.Neighbors(graph.NodeID(u)) {
+			if int(v) > u {
+				if err := g.AddEdge(graph.NodeID(u), v); err != nil {
+					panic(err) // unreachable: SnapshotCSR rows are in range and loop-free
 				}
 			}
 		}

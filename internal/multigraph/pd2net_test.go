@@ -133,6 +133,11 @@ func TestPD2NetMatchesToPD2(t *testing.T) {
 				sameEdges(t, name+" SnapshotCSR", c.N(), c.Neighbors, want)
 				g := net.Snapshot(r)
 				sameEdges(t, name+" Snapshot", g.N(), g.Neighbors, want)
+				// The map graph shares nothing with the net's CSR
+				// scratch: rebuilding two other rounds leaves it intact.
+				net.SnapshotCSR(r + 1)
+				net.SnapshotCSR(r + 2)
+				sameEdges(t, name+" Snapshot after SnapshotCSR", g.N(), g.Neighbors, want)
 				if r == tc.horizon-1 {
 					final = g
 				} else if r >= tc.horizon && g != final {
@@ -162,7 +167,7 @@ func TestPD2ChainErrors(t *testing.T) {
 
 // TestPD2NetSnapshotSharedPastHorizon checks that every round from the
 // last scheduled one on returns one graph, also when many goroutines ask
-// at once.
+// at once while another rebuilds SnapshotCSR.
 func TestPD2NetSnapshotSharedPastHorizon(t *testing.T) {
 	m, err := Random(2, 9, 4, 8)
 	if err != nil {
@@ -195,6 +200,15 @@ func TestPD2NetSnapshotSharedPastHorizon(t *testing.T) {
 			}
 		}()
 	}
+	// Snapshot shares no scratch with SnapshotCSR, whose one caller may
+	// run meanwhile.
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for r := 0; r < m.Horizon()+20; r++ {
+			net.SnapshotCSR(r)
+		}
+	}()
 	wg.Wait()
 	first := got[0][0]
 	for c := range got {

@@ -334,7 +334,7 @@ func TestOnRoundHook(t *testing.T) {
 func TestConcurrentManyNodesRace(t *testing.T) {
 	// Exercised under -race in CI: 50 processes over a churning network,
 	// each on its own sharded-engine worker goroutine.
-	net, err := dynet.NewRandomChurn(50, 0.1, 7)
+	net, err := dynet.NewTInterval(50, 1, 0.1, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,7 +382,7 @@ func TestEnginesAgreeWithDegreeOracle(t *testing.T) {
 		for i := range procs {
 			procs[i] = &degreeProc{}
 		}
-		net, err := dynet.NewRandomChurn(5, 0.4, 11)
+		net, err := dynet.NewTInterval(5, 1, 0.4, 11)
 		if err != nil {
 			t.Fatal(err)
 		}

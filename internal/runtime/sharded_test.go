@@ -98,7 +98,7 @@ func sameTranscripts(t *testing.T, label string, a, b []Process) {
 
 func TestRunShardedMatchesSequential(t *testing.T) {
 	nets := map[string]dynet.Dynamic{}
-	churn, err := dynet.NewRandomChurn(11, 0.3, 41)
+	churn, err := dynet.NewTInterval(11, 1, 0.3, 41)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +189,7 @@ func TestRunShardedManyKeysMatchesSequential(t *testing.T) {
 		}
 		return procs
 	}
-	churn, err := dynet.NewRandomChurn(n, 0.5, 7)
+	churn, err := dynet.NewTInterval(n, 1, 0.5, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -606,7 +606,7 @@ func TestShardedRoundStepAllocCeiling(t *testing.T) {
 // multi-shard run with protocol work in every phase, so `go test -race
 // -run TestShardedEngineRaceSmoke` exercises all cross-shard handoffs.
 func TestShardedEngineRaceSmoke(t *testing.T) {
-	net, err := dynet.NewRandomChurn(16, 0.25, 7)
+	net, err := dynet.NewTInterval(16, 1, 0.25, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
